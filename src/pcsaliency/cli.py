@@ -113,9 +113,23 @@ def _runconfig(args) -> RunConfig:
 
 
 def _out_dir(cfg: RunConfig) -> Path:
-    path = Path(cfg.get("output.dir"))
-    path.mkdir(parents=True, exist_ok=True)
+    return _mkdir(Path(cfg.get("output.dir")))
+
+
+def _mkdir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create directory {path}: {exc}") from exc
     return path
+
+
+def _write_text(path: Path, text: str) -> None:
+    _mkdir(path.parent)
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_mask(text: str):
@@ -145,7 +159,7 @@ def _cmd_explain(args) -> int:
     out = Path(args.out) if args.out else (
         _out_dir(cfg) / f"{scene_id}_{args.detection}.{args.format}"
     )
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _mkdir(out.parent)
     write_saliency(cloud, saliency, args.format, out)
     print(f"wrote {out} (config {cfg.config_hash()})")
     return 0
@@ -222,13 +236,7 @@ def _cmd_eval(args) -> int:
     rows = [row for rows in per_scene for row in rows]
     rows.sort(key=lambda r: (r["scene_id"], r["detection_id"], r["metric"]))
     out = Path(args.out) if args.out else _out_dir(cfg) / "metrics.jsonl"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        with open(out, "w") as fh:
-            for row in rows:
-                fh.write(json.dumps(row) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {out}: {exc}") from exc
+    _write_text(out, "".join(json.dumps(row) + "\n" for row in rows))
     print(f"wrote {len(rows)} records to {out} (config {cfg.config_hash()})")
     return 0
 
@@ -271,11 +279,7 @@ def _cmd_sweep(args) -> int:
             f"{means['vea']:.6g},{means['pg']:.6g},{means['enpg']:.6g}"
         )
     out = Path(args.out) if args.out else _out_dir(cfg) / "sweep.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        out.write_text(f"# config_hash={cfg.config_hash()}\n" + "\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {out}: {exc}") from exc
+    _write_text(out, f"# config_hash={cfg.config_hash()}\n" + "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} sweep rows to {out}")
     return 0
 
@@ -309,8 +313,7 @@ def _cmd_aggregate(args) -> int:
                 )
                 grid.accumulate(canonical, saliency)
 
-    out_dir = Path(args.out_dir) if args.out_dir else _out_dir(cfg) / "aggregate"
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _mkdir(Path(args.out_dir) if args.out_dir else _out_dir(cfg) / "aggregate")
     manifest = {"config_hash": cfg.config_hash(), "grids": []}
     for (label, mask_name), grid in sorted(grids.items()):
         stem = f"avg_{label}_{mask_name}"
@@ -325,7 +328,7 @@ def _cmd_aggregate(args) -> int:
                 "points_discarded": grid.discarded,
             }
         )
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {len(grids)} grids to {out_dir}")
     return 0
 
@@ -379,11 +382,9 @@ def _cmd_modes(args) -> int:
         },
     }
     out = Path(args.out) if args.out else _out_dir(cfg) / "modes.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2) + "\n")
+    _write_text(out, json.dumps(payload, indent=2) + "\n")
     if args.grids_dir:
-        grids_dir = Path(args.grids_dir)
-        grids_dir.mkdir(parents=True, exist_ok=True)
+        grids_dir = _mkdir(Path(args.grids_dir))
         for mode, maps in (("tp", report.tp_maps), ("fp", report.fp_maps)):
             for label, grid in sorted(maps.items()):
                 write_grid(grids_dir / f"{mode}_{label}.grid", grid)

@@ -96,6 +96,7 @@ class ReferenceDetector:
         self.grid = GridSpec(
             self.cfg.voxel_size, self.cfg.x_range, self.cfg.y_range, self.cfg.z_range
         )
+        _check_key_range(self.grid)
         d = self.cfg.feature_dim
         rng = np.random.default_rng(self.cfg.seed)
         # Strictly positive weights keep every occupied voxel's pre-activation
@@ -189,12 +190,10 @@ class ReferenceDetector:
                 # sum pooling: a parent's feature is the accumulated evidence
                 # of everything beneath it, so removing points anywhere under
                 # a cell always lowers its activation
-                parents, inverse = _pool_topology(coords)
-                pooled = np.zeros((len(parents), values.shape[1]))
-                np.add.at(pooled, inverse, values)
-                coords, values = parents, pooled
+                coords, inverse, _ = _group_rows(coords // 2)
+                values = _scatter_sum(inverse, values, len(coords))
                 parent_rows.append(inverse)
-            values = np.maximum(values @ self._block_weights[b].T, 0.0)
+            values = self._block_output(b, values)
             block_coords.append(coords)
             block_values.append(values)
 
@@ -203,6 +202,12 @@ class ReferenceDetector:
             block_coords, block_values, parent_rows,
             activations, clusters, detections,
         )
+
+    def _block_output(self, b: int, pooled: np.ndarray) -> np.ndarray:
+        """Rectified seeded linear map of block ``b`` (0-based)."""
+        out = pooled @ self._block_weights[b].T
+        # in place: a second (M, d) temporary costs more than the product
+        return np.maximum(out, 0.0, out=out)
 
     def _base_descriptors(self, cloud: np.ndarray):
         """Lex-sorted occupied base voxels and their descriptor rows.
@@ -221,22 +226,16 @@ class ReferenceDetector:
         if len(pts) == 0:
             return np.zeros((0, 3), dtype=np.int64), np.zeros((0, d))
         point_coords = self.grid.coords_for(pts)
-        coords, inverse, counts = np.unique(
-            point_coords, axis=0, return_inverse=True, return_counts=True
-        )
-        inverse = inverse.ravel()
+        coords, inverse, counts = _group_rows(point_coords)
         m = len(coords)
         values = np.zeros((m, d))
         values[:, 0] = np.maximum(counts - self.cfg.excess_offset, 0.0)
         corners = self.grid.lower + coords * self.grid.voxel_size
-        offsets = pts[:, :3] - corners[inverse]
-        sums = np.zeros((m, 3))
-        np.add.at(sums, inverse, offsets)
-        values[:, 1:4] = sums / counts[:, None]
-        if pts.shape[1] > 3:
-            isum = np.zeros(m)
-            np.add.at(isum, inverse, pts[:, 3])
-            values[:, 4] = isum / counts
+        # offsets and intensity share one scatter; columns sum independently
+        per_point = pts[:, :4].copy()
+        per_point[:, :3] -= corners[inverse]
+        sums = _scatter_sum(inverse, per_point, m)
+        values[:, 1 : per_point.shape[1] + 1] = sums / counts[:, None]
         return coords, values
 
     def _head(self, coords: np.ndarray, values: np.ndarray):
@@ -329,10 +328,8 @@ class ReferenceDetector:
     def _loss_from_block(self, fw, block_index, values, cluster, mask) -> float:
         """Frozen-structure loss from substituted block features."""
         for b in range(block_index, self.cfg.num_blocks):
-            inverse = fw.parent_rows[b]
-            pooled = np.zeros((len(fw.block_coords[b]), values.shape[1]))
-            np.add.at(pooled, inverse, values)
-            values = np.maximum(pooled @ self._block_weights[b].T, 0.0)
+            pooled = _scatter_sum(fw.parent_rows[b], values, len(fw.block_coords[b]))
+            values = self._block_output(b, pooled)
 
         stride = 2 ** (self.cfg.num_blocks - 1)
         centers = self.grid.scaled(stride).centers(fw.block_coords[-1][cluster])
@@ -402,12 +399,60 @@ def grad_check(
     return worst
 
 
-def _pool_topology(coords: np.ndarray):
-    """Stride-2 parents of the given coords: unique parents (lex-sorted)
-    and the child-row -> parent-row map."""
-    parent_of = coords // 2
-    parents, inverse = np.unique(parent_of, axis=0, return_inverse=True)
-    return parents, inverse.ravel()
+def _check_key_range(grid: GridSpec) -> None:
+    """Reject grids whose linear voxel key (see ``_group_rows``) could wrap.
+
+    An in-range point's coordinate on an axis is at most
+    ``floor((upper - lower) / voxel_size)``, computed with the same float
+    operations as ``GridSpec.coords_for``, so the key of every occupied
+    voxel fits in int64 when the product of those extents plus one does.
+    """
+    cells = 1
+    for lo, hi in (grid.x_range, grid.y_range, grid.z_range):
+        extent = (hi - lo) / grid.voxel_size
+        if not math.isfinite(extent):
+            raise ValueError(f"grid extent ({lo}, {hi}) / {grid.voxel_size} is not finite")
+        cells *= math.floor(extent) + 1
+    if cells > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"grid of {cells} voxels (voxel_size {grid.voxel_size}) exceeds the "
+            "int64 voxel key range"
+        )
+
+
+def _group_rows(coords: np.ndarray):
+    """Unique rows of a non-negative (N, 3) integer array, lex-sorted.
+
+    Returns ``(unique, inverse, counts)`` exactly as ``np.unique(coords,
+    axis=0, return_inverse=True, return_counts=True)`` does, but sorts one
+    int64 key per row instead of whole rows. The key is lexicographic
+    (x slowest, z fastest), so key order is row order.
+    """
+    if len(coords) == 0:
+        return coords.reshape(0, 3), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    span = coords.max(axis=0) + 1
+    key = (coords[:, 0] * span[1] + coords[:, 1]) * span[2] + coords[:, 2]
+    keys, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
+    unique = np.empty((len(keys), 3), dtype=np.int64)
+    keys, unique[:, 2] = np.divmod(keys, span[2])
+    unique[:, 0], unique[:, 1] = np.divmod(keys, span[1])
+    return unique, inverse, counts
+
+
+def _scatter_sum(inverse: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Row sums ``out[g] = sum(values[inverse == g])`` over ``n`` groups.
+
+    Bit-identical to ``np.add.at(np.zeros((n, c)), inverse, values)``:
+    ``np.bincount`` starts every bin at 0.0 and adds its weights in input
+    order, and the flat bin ``inverse[i] * c + j`` keeps row-major order,
+    so each group's rows are added in ascending row order, column by column.
+    """
+    cols = values.shape[1]
+    if len(inverse) == 0:  # np.bincount returns integer zeros for empty input
+        return np.zeros((n, cols))
+    flat = (inverse[:, None] * cols + np.arange(cols)).ravel()
+    sums = np.bincount(flat, weights=values.ravel(), minlength=n * cols)
+    return sums.reshape(n, cols)
 
 
 def _connected_components(coords: np.ndarray, active: np.ndarray) -> list[np.ndarray]:

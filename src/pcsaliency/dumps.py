@@ -17,6 +17,7 @@ Every count is validated against the remaining file length.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -129,7 +130,9 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def array(self, dtype, shape) -> np.ndarray:
-        count = int(np.prod(shape))
+        # Python ints: a header count near 2**64 must not wrap before the
+        # length check in take()
+        count = math.prod(int(n) for n in shape)
         raw = self.take(count * np.dtype(dtype).itemsize)
         return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 

@@ -244,14 +244,14 @@ def upsample_to_points(
     inside = grid.contains(cloud)
     coords = grid.coords_for(cloud)
 
-    # Cells farther than the threshold from every positive voxel can only
-    # average zeros; dilating the positive support once avoids querying
+    # Cells farther than the threshold from every non-zero voxel can only
+    # average zeros; dilating the non-zero support once avoids querying
     # each of them. The k-cap is unaffected: skipped cells would have
     # scored 0 from whatever neighbor set they see.
     values = np.asarray(activation.values, dtype=float)
     offsets = _offsets_within(cfg.range_threshold)
     reachable: set[tuple[int, int, int]] = set()
-    for cx, cy, cz in activation.coords[values > 0].tolist():
+    for cx, cy, cz in activation.coords[values != 0].tolist():
         for dx, dy, dz in offsets:
             reachable.add((cx + dx, cy + dy, cz + dz))
 

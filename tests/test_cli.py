@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from pcsaliency.cli import main
-from pcsaliency.fileio import read_saliency_csv, write_kitti_bin
+from pcsaliency.fileio import read_saliency_csv, write_kitti_bin, write_labels_json
 from pcsaliency.runconfig import RunConfig, parse_config_file
-from pcsaliency.synthetic import single_object_scene
+from pcsaliency.synthetic import noise_scene, single_object_scene
 
 from conftest import write_scene_dir
 
@@ -215,3 +215,66 @@ def test_selftest_passes():
 def test_usage_error_exits_one():
     assert main(["explain"]) == 1  # missing required flags
     assert main(["no-such-command"]) == 1
+
+
+@pytest.fixture(scope="module")
+def empty_scene_dir(tmp_path_factory):
+    """A scene without detections: the scene commands reach their writes at once."""
+    root = tmp_path_factory.mktemp("empty_scenes")
+    write_kitti_bin(root / "noise.bin", noise_scene(0, 200))
+    write_labels_json(root / "noise.labels.json", [])
+    return root
+
+
+# Each case builds its argv from (object scene dir, empty scene dir, a
+# regular file that blocks any path beneath it, a fresh directory).
+_FS_FAILURES = {
+    "explain-out": lambda sd, ed, blk, tmp: [
+        "explain", "--scene", str(sd / "scene000.bin"), "--detection", "0",
+        "--out", str(blk / "x.csv"), *FAST,
+    ],
+    "explain-output-dir": lambda sd, ed, blk, tmp: [
+        "explain", "--scene", str(sd / "scene000.bin"), "--detection", "0",
+        "--set", f"output.dir={blk / 'out'}", *FAST,
+    ],
+    "eval-out": lambda sd, ed, blk, tmp: [
+        "eval", "--scenes", str(ed), "--out", str(blk / "m.jsonl"),
+    ],
+    "sweep-out": lambda sd, ed, blk, tmp: [
+        "sweep", "--scenes", str(ed), "--out", str(blk / "s.csv"),
+    ],
+    "aggregate-out-dir": lambda sd, ed, blk, tmp: [
+        "aggregate", "--scenes", str(ed), "--out-dir", str(blk / "agg"),
+    ],
+    "aggregate-manifest": lambda sd, ed, blk, tmp: [
+        "aggregate", "--scenes", str(ed), "--out-dir", str(tmp),
+    ],
+    "modes-out": lambda sd, ed, blk, tmp: [
+        "modes", "--scenes", str(ed), "--out", str(blk / "modes.json"),
+    ],
+    "modes-grids-dir": lambda sd, ed, blk, tmp: [
+        "modes", "--scenes", str(ed), "--out", str(tmp / "modes.json"),
+        "--grids-dir", str(blk / "grids"),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FS_FAILURES))
+def test_filesystem_failure_exits_two(case, scene_dir, empty_scene_dir, tmp_path, capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("not a directory\n")
+    out_dir = tmp_path / "outdir"
+    (out_dir / "manifest.json").mkdir(parents=True)  # unwritable as a file
+    argv = _FS_FAILURES[case](scene_dir, empty_scene_dir, blocker, out_dir)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot")
+
+
+def test_key_overflowing_grid_exits_one(scene_dir, capsys):
+    code = main([
+        "explain", "--scene", str(scene_dir / "scene000.bin"), "--detection", "0",
+        "--set", "detector.voxel_size=1e-6", "--set", "detector.x_max=1e6",
+        "--set", "detector.y_max=1e6", "--set", "detector.z_max=1e6",
+    ])
+    assert code == 1
+    assert "int64" in capsys.readouterr().err

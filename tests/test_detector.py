@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcsaliency.detector import (
     ReferenceDetector,
     ReferenceDetectorConfig,
+    _scatter_sum,
     grad_check,
 )
 from pcsaliency.errors import DetectionNotFound, DetectorFailure, EmptyCloud
@@ -185,3 +187,169 @@ def test_multi_object_scene_detts(detector):
 def test_feature_dim_floor():
     with pytest.raises(ValueError):
         ReferenceDetectorConfig(feature_dim=4)
+
+
+def test_key_overflowing_grid_rejected():
+    with pytest.raises(ValueError, match="int64"):
+        ReferenceDetector(ReferenceDetectorConfig(
+            voxel_size=1e-6, x_range=(0.0, 1e6), y_range=(0.0, 1e6), z_range=(0.0, 1e6),
+        ))
+    # (2**21 - 1)**3 cells fit in int64, 2**63 do not
+    edge = float(2**21 - 1)
+    with pytest.raises(ValueError, match="int64"):
+        ReferenceDetector(ReferenceDetectorConfig(
+            voxel_size=1.0, x_range=(0.0, edge), y_range=(0.0, edge), z_range=(0.0, edge),
+        ))
+    ReferenceDetector(ReferenceDetectorConfig(
+        voxel_size=1.0, x_range=(0.0, edge - 1), y_range=(0.0, edge - 1),
+        z_range=(0.0, edge - 1),
+    ))
+
+
+# ----------------------------------------------------------------------
+# bit-exact oracle: the forward pass as first written, with whole-row
+# np.unique sorts and np.add.at scatters
+
+
+def reference_forward(detector, cloud):
+    cfg, grid = detector.cfg, detector.grid
+    cloud = np.asarray(cloud, dtype=float)
+    d = cfg.feature_dim
+    pts = cloud[grid.contains(cloud)]
+    if len(pts) == 0:
+        coords, values = np.zeros((0, 3), dtype=np.int64), np.zeros((0, d))
+    else:
+        coords, inverse, counts = np.unique(
+            grid.coords_for(pts), axis=0, return_inverse=True, return_counts=True
+        )
+        inverse = inverse.ravel()
+        values = np.zeros((len(coords), d))
+        values[:, 0] = np.maximum(counts - cfg.excess_offset, 0.0)
+        corners = grid.lower + coords * grid.voxel_size
+        sums = np.zeros((len(coords), 3))
+        np.add.at(sums, inverse, pts[:, :3] - corners[inverse])
+        values[:, 1:4] = sums / counts[:, None]
+        if pts.shape[1] > 3:
+            isum = np.zeros(len(coords))
+            np.add.at(isum, inverse, pts[:, 3])
+            values[:, 4] = isum / counts
+    block_coords, block_values, parent_rows = [], [], [np.zeros(0, dtype=np.int64)]
+    for b in range(cfg.num_blocks):
+        if b > 0:
+            parents, inverse = np.unique(coords // 2, axis=0, return_inverse=True)
+            inverse = inverse.ravel()
+            pooled = np.zeros((len(parents), d))
+            np.add.at(pooled, inverse, values)
+            coords, values = parents, pooled
+            parent_rows.append(inverse)
+        values = np.maximum(values @ detector._block_weights[b].T, 0.0)
+        block_coords.append(coords)
+        block_values.append(values)
+    activations, clusters, detections = detector._head(coords, values)
+    return block_coords, block_values, parent_rows, activations, clusters, detections
+
+
+def bits(a):
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def assert_forward_matches_reference(detector, cloud):
+    fw = detector._forward(cloud)
+    coords, values, parents, activations, clusters, detections = reference_forward(
+        detector, cloud
+    )
+    for got, want in (
+        (fw.block_coords, coords),
+        (fw.block_values, values),
+        (fw.parent_rows, parents),
+        (fw.clusters, clusters),
+    ):
+        assert [bits(a) for a in got] == [bits(a) for a in want]
+    assert bits(fw.activations) == bits(activations)
+    assert fw.detections == detections
+    return fw
+
+
+def boundary_cloud(grid):
+    """Points on every lower bound and just under every upper bound."""
+    lo = grid.lower
+    hi = np.nextafter(grid.upper, -np.inf)
+    corners = np.array([[(lo, hi)[(k >> a) & 1][a] for a in range(3)] for k in range(8)])
+    rng = np.random.default_rng(3)
+    faces = rng.uniform(lo, hi, size=(60, 3))
+    rows, axis = np.arange(60), np.arange(60) % 3
+    faces[rows, axis] = np.where(rows % 2 == 0, lo[axis], hi[axis])
+    xyz = np.vstack([corners, corners, faces])
+    return np.hstack([xyz, rng.uniform(size=(len(xyz), 1))])
+
+
+_ORACLE_CASES = {
+    "default-scene": lambda: single_object_scene(0)[0],
+    "60k-noise-scene": lambda: single_object_scene(1, n_noise_points=60_000)[0],
+    "no-intensity": lambda: single_object_scene(2)[0][:, :3],
+    "all-outside": lambda: np.array([[-1.0, 5.0, 1.0, 0.2], [30.0, 5.0, 1.0, 0.3]]),
+    "boundaries": lambda: boundary_cloud(ReferenceDetector().grid),
+    "single-point": lambda: np.array([[10.12, 10.37, 1.83, 0.4]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_forward_bit_identical_to_reference(detector, case):
+    assert_forward_matches_reference(detector, _ORACLE_CASES[case]())
+
+
+def test_forward_at_key_range_limit():
+    # the largest coordinates an int64 key can hold on each axis
+    edge = float(2**21 - 2)
+    detector = ReferenceDetector(ReferenceDetectorConfig(
+        voxel_size=1.0, x_range=(0.0, edge), y_range=(0.0, edge), z_range=(0.0, edge),
+        activation_threshold=1.0,
+    ))
+    cloud = np.vstack([
+        boundary_cloud(detector.grid),
+        dense_cluster((edge - 2.0, edge - 2.0, edge - 2.0), (3.0, 3.0, 3.0), 200, seed=5),
+    ])
+    fw = assert_forward_matches_reference(detector, cloud)
+    assert fw.block_coords[0].max() == 2**21 - 3
+    assert fw.detections
+
+
+_SMALL_GRID = ReferenceDetectorConfig(
+    voxel_size=0.5, x_range=(0.0, 6.0), y_range=(0.0, 6.0), z_range=(0.0, 3.0),
+    num_blocks=3, activation_threshold=5.0,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 400),
+    with_intensity=st.booleans(),
+    clump=st.floats(0.05, 8.0),
+)
+def test_forward_bit_identical_on_random_clouds(seed, n, with_intensity, clump):
+    # ``clump`` sets the spread around one center: small values pile many
+    # points into few voxels, large ones scatter them past the grid edges
+    detector = ReferenceDetector(_SMALL_GRID)
+    rng = np.random.default_rng(seed)
+    xyz = rng.normal((3.0, 3.0, 1.5), clump, size=(n, 3))
+    cloud = np.hstack([xyz, rng.uniform(size=(n, 1))]) if with_intensity else xyz
+    assert_forward_matches_reference(detector, cloud)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(0, 300),
+    groups=st.integers(1, 40),
+    cols=st.integers(1, 6),
+)
+def test_scatter_sum_bit_identical_to_add_at(seed, rows, groups, cols):
+    rng = np.random.default_rng(seed)
+    inverse = rng.integers(0, groups, size=rows)
+    # signed values over many magnitudes make the summation order visible
+    values = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-8, 8, size=(rows, 1))
+    expected = np.zeros((groups, cols))
+    np.add.at(expected, inverse, values)
+    assert bits(_scatter_sum(inverse, values, groups)) == bits(expected)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,20 @@ class TestMalformed:
         padded.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(MalformedDump):
             read_dump(padded)
+
+    def test_huge_row_count_in_header(self, tmp_path):
+        # M * 3 * 4 bytes wraps int64; the length check must still see it
+        path = tmp_path / "huge.ffdp"
+        path.write_bytes(
+            b"FFDP"
+            + struct.pack("<I", 1)
+            + struct.pack("<7d", 0.25, 0.0, 24.0, 0.0, 24.0, 0.0, 4.0)
+            + struct.pack("<I", 3)
+            + struct.pack("<QQ", 2**62, 32)
+            + b"\x00" * 64
+        )
+        with pytest.raises(MalformedDump, match="truncated"):
+            read_dump(path)
 
     def test_shape_mismatch_on_construction(self):
         grid = GridSpec(1.0, (0, 4), (0, 4), (0, 4))

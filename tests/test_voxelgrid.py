@@ -175,6 +175,14 @@ class TestUpsample:
         assert sizes == sorted(sizes)
 
 
+def test_negative_voxel_upsamples_to_its_value():
+    vmap = scalar_map([(2, 2, 2)], [-1.0])
+    cloud = np.array([[2.5, 2.5, 2.5, 0.0]])
+    out = upsample_to_points(vmap, cloud, UpsampleConfig(range_threshold=2, k=16))
+    assert np.array_equal(out, [-1.0])
+    assert np.array_equal(nearest_voxel_values(vmap, cloud), [-1.0])
+
+
 def test_nearest_voxel_values():
     vmap = scalar_map([(2, 2, 2)], [0.9])
     cloud = np.array(
