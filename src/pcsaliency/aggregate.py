@@ -187,22 +187,24 @@ def read_grid(path):
 
 
 def grid_to_csv(path, grid: CanonicalGrid) -> None:
-    """Point-list export: one row per cell (center coords, value, count)."""
+    """Point-list export: one row per cell (center coords, value, count),
+    x fastest."""
     averages = grid.averages()
     res = grid.resolution
     cell = 1.0 / res
+    # a cell center's coordinate on each axis depends only on that axis' index
+    axis = [f"{-0.5 + (i + 0.5) * cell:.6g}" for i in range(res)]
+    xy = [f"{cx},{cy}," for cy in axis for cx in axis]
     try:
         with open(path, "w") as fh:
             fh.write("cx,cy,cz,value,count\n")
-            for iz in range(res):
-                for iy in range(res):
-                    for ix in range(res):
-                        cx = -0.5 + (ix + 0.5) * cell
-                        cy = -0.5 + (iy + 0.5) * cell
-                        cz = -0.5 + (iz + 0.5) * cell
-                        fh.write(
-                            f"{cx:.6g},{cy:.6g},{cz:.6g},"
-                            f"{averages[ix, iy, iz]:.6g},{grid.counts[ix, iy, iz]}\n"
-                        )
+            # one z slice at a time keeps the row strings few, and with them
+            # the memory the writer holds
+            for iz, cz in enumerate(axis):
+                values = averages[:, :, iz].ravel(order="F").tolist()
+                counts = grid.counts[:, :, iz].ravel(order="F").tolist()
+                fh.write("".join([
+                    f"{p}{cz},{v:.6g},{n}\n" for p, v, n in zip(xy, values, counts)
+                ]))
     except OSError as exc:
         raise IoFailure(f"cannot write csv {path}: {exc}") from exc

@@ -116,6 +116,14 @@ def _out_dir(cfg: RunConfig) -> Path:
     return _mkdir(Path(cfg.get("output.dir")))
 
 
+def _out_file(flag: str | None, cfg: RunConfig, default_name: str) -> Path:
+    """The output file path, its parent created up front so that an
+    unusable path fails before the run rather than after it."""
+    out = Path(flag) if flag else _out_dir(cfg) / default_name
+    _mkdir(out.parent)
+    return out
+
+
 def _mkdir(path: Path) -> Path:
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -143,23 +151,21 @@ def _parse_mask(text: str):
 
 def _cmd_explain(args) -> int:
     cfg = _runconfig(args)
+    scene_id = Path(args.scene).stem
+    out = _out_file(args.out, cfg, f"{scene_id}_{args.detection}.{args.format}")
+    mask = _parse_mask(args.mask)
     cloud = read_kitti_bin(args.scene)
     detector = cfg.build_detector()
-    detections = detector.detect(cloud)
-    if not 0 <= args.detection < len(detections):
-        raise ValidationError(
-            f"DetectionNotFound: scene has {len(detections)} detections, "
-            f"index {args.detection} does not exist"
+    with detector.scene(cloud):
+        detections = detector.detect(cloud)
+        if not 0 <= args.detection < len(detections):
+            raise ValidationError(
+                f"DetectionNotFound: scene has {len(detections)} detections, "
+                f"index {args.detection} does not exist"
+            )
+        saliency = explain_detection(
+            detector, cloud, detections[args.detection], mask, cfg.pipeline_config()
         )
-    mask = _parse_mask(args.mask)
-    saliency = explain_detection(
-        detector, cloud, detections[args.detection], mask, cfg.pipeline_config()
-    )
-    scene_id = Path(args.scene).stem
-    out = Path(args.out) if args.out else (
-        _out_dir(cfg) / f"{scene_id}_{args.detection}.{args.format}"
-    )
-    _mkdir(out.parent)
     write_saliency(cloud, saliency, args.format, out)
     print(f"wrote {out} (config {cfg.config_hash()})")
     return 0
@@ -183,11 +189,20 @@ def _scene_metric_rows(cfg: RunConfig, scene_id: str, bin_path, labels_path):
     thresholds = cfg.thresholds()
     steps = cfg.get("eval.steps")
     config_hash = cfg.config_hash()
+    # The curves rerun the detector on perturbed copies, which a scene
+    # scope never serves, so the scope closes before them.
+    with detector.scene(cloud):
+        detections = detector.detect(cloud)
+        concepts: dict = {}
+        explained = [
+            (pi, gi, explain_detection(
+                detector, cloud, detections[pi], full_mask(), pcfg, concepts
+            ))
+            for pi, gi, _ in metrics.well_detected(detections, gts, thresholds)
+        ]
     rows = []
-    detections = detector.detect(cloud)
-    for pi, gi, _ in metrics.well_detected(detections, gts, thresholds):
+    for pi, gi, saliency in explained:
         det = detections[pi]
-        saliency = explain_detection(detector, cloud, det, full_mask(), pcfg)
         gt_box = gts[gi][0]
         try:
             enpg = energy_pg(saliency, cloud, gt_box)
@@ -228,6 +243,7 @@ def _map_scenes(cfg: RunConfig, jobs, worker):
 
 def _cmd_eval(args) -> int:
     cfg = _runconfig(args)
+    out = _out_file(args.out, cfg, "metrics.jsonl")
     scenes = find_scene_files(args.scenes)
     if not scenes:
         raise ValidationError(f"no .bin scenes found in {args.scenes}")
@@ -235,7 +251,6 @@ def _cmd_eval(args) -> int:
     per_scene = _map_scenes(cfg, jobs, _eval_worker)
     rows = [row for rows in per_scene for row in rows]
     rows.sort(key=lambda r: (r["scene_id"], r["detection_id"], r["metric"]))
-    out = Path(args.out) if args.out else _out_dir(cfg) / "metrics.jsonl"
     _write_text(out, "".join(json.dumps(row) + "\n" for row in rows))
     print(f"wrote {len(rows)} records to {out} (config {cfg.config_hash()})")
     return 0
@@ -259,6 +274,7 @@ def _sweep_variants(cfg: RunConfig):
 
 def _cmd_sweep(args) -> int:
     cfg = _runconfig(args)
+    out = _out_file(args.out, cfg, "sweep.csv")
     scenes = find_scene_files(args.scenes)
     if not scenes:
         raise ValidationError(f"no .bin scenes found in {args.scenes}")
@@ -278,7 +294,6 @@ def _cmd_sweep(args) -> int:
             f"{axis},{setting},{means['deletion']:.6g},{means['insertion']:.6g},"
             f"{means['vea']:.6g},{means['pg']:.6g},{means['enpg']:.6g}"
         )
-    out = Path(args.out) if args.out else _out_dir(cfg) / "sweep.csv"
     _write_text(out, f"# config_hash={cfg.config_hash()}\n" + "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} sweep rows to {out}")
     return 0
@@ -289,6 +304,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_aggregate(args) -> int:
     cfg = _runconfig(args)
+    out_dir = _mkdir(Path(args.out_dir) if args.out_dir else _out_dir(cfg) / "aggregate")
     scenes = find_scene_files(args.scenes)
     if not scenes:
         raise ValidationError(f"no .bin scenes found in {args.scenes}")
@@ -302,18 +318,19 @@ def _cmd_aggregate(args) -> int:
     for scene_id, bin_path, labels_path in scenes:
         scene = _load_scene(scene_id, bin_path, labels_path)
         cloud, gts = scene.cloud, scene.gts
-        detections = detector.detect(cloud)
-        for pi, _, _ in metrics.well_detected(detections, gts, thresholds):
-            det = detections[pi]
-            canonical = canonicalize(cloud, det.box())
-            for mask_name, mask in masks:
-                saliency = explain_detection(detector, cloud, det, mask, pcfg)
-                grid = grids.setdefault(
-                    (det.label, mask_name), CanonicalGrid()
-                )
-                grid.accumulate(canonical, saliency)
+        with detector.scene(cloud):
+            detections = detector.detect(cloud)
+            concepts: dict = {}
+            for pi, _, _ in metrics.well_detected(detections, gts, thresholds):
+                det = detections[pi]
+                canonical = canonicalize(cloud, det.box())
+                for mask_name, mask in masks:
+                    saliency = explain_detection(detector, cloud, det, mask, pcfg, concepts)
+                    grid = grids.setdefault(
+                        (det.label, mask_name), CanonicalGrid()
+                    )
+                    grid.accumulate(canonical, saliency)
 
-    out_dir = _mkdir(Path(args.out_dir) if args.out_dir else _out_dir(cfg) / "aggregate")
     manifest = {"config_hash": cfg.config_hash(), "grids": []}
     for (label, mask_name), grid in sorted(grids.items()):
         stem = f"avg_{label}_{mask_name}"
@@ -338,6 +355,8 @@ def _cmd_aggregate(args) -> int:
 
 def _cmd_modes(args) -> int:
     cfg = _runconfig(args)
+    out = _out_file(args.out, cfg, "modes.json")
+    grids_dir = _mkdir(Path(args.grids_dir)) if args.grids_dir else None
     scenes = find_scene_files(args.scenes)
     if not scenes:
         raise ValidationError(f"no .bin scenes found in {args.scenes}")
@@ -351,21 +370,23 @@ def _cmd_modes(args) -> int:
     for scene_id, bin_path, labels_path in scenes:
         scene = _load_scene(scene_id, bin_path, labels_path)
         cloud, gts = scene.cloud, scene.gts
-        detections = detector.detect(cloud)
-        tp_pairs, fp_idx = tp_fp_split(detections, gts, thresholds)
-        tp_set = {pi for pi, _ in tp_pairs}
-        for pi, det in enumerate(detections):
-            saliency = explain_detection(detector, cloud, det, full_mask(), pcfg)
-            box = det.box()
-            records.append(
-                ObjectExplanation(
-                    label=det.label,
-                    is_tp=pi in tp_set,
-                    canonical_points=canonicalize(cloud, box),
-                    saliency=saliency,
-                    in_box_points=int(np.count_nonzero(points_in_box(cloud, box))),
+        with detector.scene(cloud):
+            detections = detector.detect(cloud)
+            tp_pairs, fp_idx = tp_fp_split(detections, gts, thresholds)
+            tp_set = {pi for pi, _ in tp_pairs}
+            concepts: dict = {}
+            for pi, det in enumerate(detections):
+                saliency = explain_detection(detector, cloud, det, full_mask(), pcfg, concepts)
+                box = det.box()
+                records.append(
+                    ObjectExplanation(
+                        label=det.label,
+                        is_tp=pi in tp_set,
+                        canonical_points=canonicalize(cloud, box),
+                        saliency=saliency,
+                        in_box_points=int(np.count_nonzero(points_in_box(cloud, box))),
+                    )
                 )
-            )
 
     report = mode_report(records)
     payload = {
@@ -381,10 +402,8 @@ def _cmd_modes(args) -> int:
             "mean_points_in_box": report.fp_mean_points,
         },
     }
-    out = Path(args.out) if args.out else _out_dir(cfg) / "modes.json"
     _write_text(out, json.dumps(payload, indent=2) + "\n")
-    if args.grids_dir:
-        grids_dir = _mkdir(Path(args.grids_dir))
+    if grids_dir is not None:
         for mode, maps in (("tp", report.tp_maps), ("fp", report.fp_maps)):
             for label, grid in sorted(maps.items()):
                 write_grid(grids_dir / f"{mode}_{label}.grid", grid)

@@ -10,9 +10,10 @@ tests pin them against central finite differences.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
-from typing import Protocol
+from typing import ContextManager, Protocol
 
 import numpy as np
 
@@ -31,6 +32,8 @@ _NEIGHBOR_OFFSETS_26 = [
 
 class DetectorInterface(Protocol):
     """Behavioral contract the explanation pipeline consumes."""
+
+    def scene(self, cloud: np.ndarray) -> ContextManager[None]: ...
 
     def detect(self, cloud: np.ndarray) -> list[Detection]: ...
 
@@ -77,6 +80,14 @@ class ReferenceDetectorConfig:
 
 
 @dataclass
+class _SceneHold:
+    """The cloud a ``scene`` scope serves, and its forward once computed."""
+
+    cloud: np.ndarray
+    forward: "_Forward | None" = None
+
+
+@dataclass
 class _Forward:
     """Cached per-block state of one forward pass."""
 
@@ -110,12 +121,31 @@ class ReferenceDetector:
         # Zero-mean class vectors: the argmax then keys on the channel mix of
         # a cluster rather than its overall magnitude.
         self._class_vecs = rng.normal(size=(len(self.cfg.classes), d))
+        self._hold: _SceneHold | None = None
 
     # ------------------------------------------------------------------
     # public interface
 
+    @contextlib.contextmanager
+    def scene(self, cloud: np.ndarray):
+        """Reuse one forward pass for every call on ``cloud`` inside the block.
+
+        The first ``detect``/``features``/``gradient`` call on this very
+        array object computes the forward and later calls on it reuse it;
+        any other array, such as a perturbed copy, gets a fresh forward as
+        outside the block. The match is by identity, not content, so the
+        cloud must not be mutated inside the block. Leaving the block,
+        also by an exception, releases the held forward.
+        """
+        outer = self._hold
+        self._hold = _SceneHold(cloud)
+        try:
+            yield
+        finally:
+            self._hold = outer
+
     def detect(self, cloud: np.ndarray) -> list[Detection]:
-        return self._forward(cloud).detections
+        return list(self._forward(cloud).detections)
 
     def features(self, cloud: np.ndarray, block_index: int) -> SparseVoxelMap:
         self._check_block(block_index)
@@ -176,6 +206,14 @@ class ReferenceDetector:
             )
 
     def _forward(self, cloud: np.ndarray) -> _Forward:
+        hold = self._hold
+        if hold is None or cloud is not hold.cloud:
+            return self._compute_forward(cloud)
+        if hold.forward is None:
+            hold.forward = self._compute_forward(cloud)
+        return hold.forward
+
+    def _compute_forward(self, cloud: np.ndarray) -> _Forward:
         cloud = np.asarray(cloud, dtype=float)
         if len(cloud) == 0:
             raise EmptyCloud("detector requires a non-empty point cloud")
@@ -242,20 +280,23 @@ class ReferenceDetector:
         activations = values @ self._score_vec
         active = np.flatnonzero(activations > self.cfg.activation_threshold)
         clusters = _connected_components(coords, active)
-        stride = 2 ** (self.cfg.num_blocks - 1)
-        centers_grid = self.grid.scaled(stride)
         detections = [
-            self._cluster_detection(coords, values, activations, cl, centers_grid)
-            for cl in clusters
+            self._cluster_detection(coords, values, activations, cl) for cl in clusters
         ]
         return activations, clusters, detections
 
-    def _cluster_detection(self, coords, values, activations, cluster, grid):
-        centers = grid.centers(coords[cluster])
-        w = activations[cluster]
+    def _cluster_stats(self, coords, cluster, w):
+        """Last-block voxel centers of a cluster and their ``w``-weighted
+        total, mean and variance: the statistics every box attribute reads."""
+        stride = 2 ** (self.cfg.num_blocks - 1)
+        centers = self.grid.scaled(stride).centers(coords[cluster])
         total = w.sum()
         mu = (w[:, None] * centers).sum(axis=0) / total
         var = (w[:, None] * (centers - mu) ** 2).sum(axis=0) / total
+        return centers, total, mu, var
+
+    def _cluster_detection(self, coords, values, activations, cluster):
+        _, total, mu, var = self._cluster_stats(coords, cluster, activations[cluster])
         size = np.maximum(self.cfg.kappa * np.sqrt(var), self.cfg.size_floor)
         score = _logistic(total)
         logits = self._class_vecs @ values[cluster].sum(axis=0)
@@ -287,14 +328,9 @@ class ReferenceDetector:
 
     def _head_gradient(self, fw: _Forward, cluster: np.ndarray, mask) -> np.ndarray:
         """d(loss)/d(last-block features), supported on the cluster's rows."""
-        coords = fw.block_coords[-1]
-        values = fw.block_values[-1]
-        stride = 2 ** (self.cfg.num_blocks - 1)
-        centers = self.grid.scaled(stride).centers(coords[cluster])
-        w = fw.activations[cluster]
-        total = w.sum()
-        mu = (w[:, None] * centers).sum(axis=0) / total
-        var = (w[:, None] * (centers - mu) ** 2).sum(axis=0) / total
+        centers, total, mu, var = self._cluster_stats(
+            fw.block_coords[-1], cluster, fw.activations[cluster]
+        )
         std = np.sqrt(var)
 
         # d(attr)/d(w_v) for each masked attribute, summed with the sign of
@@ -314,7 +350,7 @@ class ReferenceDetector:
             sig = _logistic(total)
             g_w += sig * (1.0 - sig)
 
-        grad = np.zeros_like(values)
+        grad = np.zeros_like(fw.block_values[-1])
         grad[cluster] = np.outer(g_w, self._score_vec)
         return grad
 
@@ -331,12 +367,9 @@ class ReferenceDetector:
             pooled = _scatter_sum(fw.parent_rows[b], values, len(fw.block_coords[b]))
             values = self._block_output(b, pooled)
 
-        stride = 2 ** (self.cfg.num_blocks - 1)
-        centers = self.grid.scaled(stride).centers(fw.block_coords[-1][cluster])
-        w = values[cluster] @ self._score_vec
-        total = w.sum()
-        mu = (w[:, None] * centers).sum(axis=0) / total
-        var = (w[:, None] * (centers - mu) ** 2).sum(axis=0) / total
+        _, total, mu, var = self._cluster_stats(
+            fw.block_coords[-1], cluster, values[cluster] @ self._score_vec
+        )
         size = np.maximum(self.cfg.kappa * np.sqrt(var), self.cfg.size_floor)
         score = _logistic(total)
 

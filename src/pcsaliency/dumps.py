@@ -17,6 +17,7 @@ Every count is validated against the remaining file length.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 from dataclasses import dataclass, field
@@ -196,6 +197,10 @@ class DumpDetector:
     def __init__(self, dump: FeatureDump):
         self.dump = dump
 
+    def scene(self, cloud):
+        """No-op scene scope: a replay holds no per-cloud state."""
+        return contextlib.nullcontext()
+
     def detect(self, cloud) -> list[Detection]:
         return list(self.dump.detections)
 
@@ -247,13 +252,14 @@ def dump_from_detector(
     classes: tuple[str, ...] = DEFAULT_CLASSES,
 ) -> FeatureDump:
     """Capture a detector's scene state; gradients for every detection x mask."""
-    feats = detector.features(cloud, block_index)
-    detections = detector.detect(cloud)
-    gradients = {}
-    for i, det in enumerate(detections):
-        for mask in masks:
-            grad = detector.gradient(cloud, det, mask, block_index)
-            gradients[(i, mask_to_bits(mask))] = np.asarray(grad.values, dtype=np.float32)
+    with detector.scene(cloud):
+        feats = detector.features(cloud, block_index)
+        detections = detector.detect(cloud)
+        gradients = {}
+        for i, det in enumerate(detections):
+            for mask in masks:
+                grad = detector.gradient(cloud, det, mask, block_index)
+                gradients[(i, mask_to_bits(mask))] = np.asarray(grad.values, dtype=np.float32)
     return FeatureDump(
         grid=feats.grid,
         block_index=block_index,

@@ -151,6 +151,7 @@ def explain_detection(
     d: Detection,
     mask: frozenset[str],
     cfg: PipelineConfig,
+    concepts: dict | None = None,
 ) -> np.ndarray:
     """Per-point saliency scores for one detection.
 
@@ -159,14 +160,23 @@ def explain_detection(
     concept map with ones; ``no_vu`` and ``gradient_only`` replace
     upsampling with the point's own voxel value, and ``gradient_only``
     additionally drops the concept map.
+
+    The concept map depends only on the scene's feature map, not on ``d``
+    or ``mask``. ``concepts`` is an optional per-scene memo: pass one
+    empty dict for all explanations of one cloud by one detector, and
+    the map is factorized once per (block, NMF config) and reused. Never
+    share a memo between scenes.
     """
     features = detector.features(cloud, cfg.block_index)
     m = len(features)
     if m == 0:
         raise DetectorFailure("feature map has no occupied voxels")
 
+    key = (cfg.block_index, cfg.nmf)
     if cfg.ablation in ("no_ff", "gradient_only"):
         concept = np.ones(m)
+    elif concepts is not None and key in concepts:
+        concept = concepts[key]
     else:
         values = np.asarray(features.values, dtype=float)
         # Desk-scale feature maps can have fewer voxels than the requested
@@ -174,6 +184,8 @@ def explain_detection(
         r_eff = min(cfg.nmf.r, m, values.shape[1])
         nmf_cfg = cfg.nmf if r_eff == cfg.nmf.r else _with_rank(cfg.nmf, r_eff)
         concept = nmf.global_concept_map(nmf.factorize(values, nmf_cfg))
+        if concepts is not None:
+            concepts[key] = concept
 
     gradients = detector.gradient(cloud, d, mask, cfg.block_index)
     omega = channel_aggregate(gradients)

@@ -114,9 +114,6 @@ class SparseVoxelMap:
             self._index = index
         return self._index
 
-    def row_of(self, coord) -> int | None:
-        return self.index.get(tuple(int(c) for c in coord))
-
     def with_values(self, values) -> "SparseVoxelMap":
         """New map on the same coordinates carrying a different payload."""
         out = SparseVoxelMap(self.coords, values, self.grid)

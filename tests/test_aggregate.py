@@ -206,3 +206,62 @@ class TestGridFiles:
         counts = np.frombuffer(raw, dtype="<u4", offset=4 + 8 * 4)
         assert counts[1] == 1  # x-fastest: flat index 1 is (ix=1, iy=0, iz=0)
         assert counts.sum() == 1
+
+
+def csv_oracle(path, grid):
+    """The cell-by-cell CSV writer that ``grid_to_csv`` must match byte for byte."""
+    averages = grid.averages()
+    res = grid.resolution
+    cell = 1.0 / res
+    with open(path, "w") as fh:
+        fh.write("cx,cy,cz,value,count\n")
+        for iz in range(res):
+            for iy in range(res):
+                for ix in range(res):
+                    cx = -0.5 + (ix + 0.5) * cell
+                    cy = -0.5 + (iy + 0.5) * cell
+                    cz = -0.5 + (iz + 0.5) * cell
+                    fh.write(
+                        f"{cx:.6g},{cy:.6g},{cz:.6g},"
+                        f"{averages[ix, iy, iz]:.6g},{grid.counts[ix, iy, iz]}\n"
+                    )
+
+
+def random_grid(seed, resolution, n_points):
+    rng = np.random.default_rng(seed)
+    grid = CanonicalGrid(resolution)
+    points = rng.uniform(-0.6, 0.6, size=(n_points, 3))
+    grid.accumulate(points, rng.normal(size=n_points) * 10.0 ** rng.uniform(-8, 8, n_points))
+    return grid
+
+
+def full_grid(resolution):
+    """Every cell occupied: one point at each cell center."""
+    grid = CanonicalGrid(resolution)
+    axis = -0.5 + (np.arange(resolution) + 0.5) / resolution
+    centers = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    grid.accumulate(centers, np.linspace(-1.0, 1.0, len(centers)))
+    assert np.all(grid.counts == 1)
+    return grid
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CanonicalGrid(2),
+        lambda: CanonicalGrid(32),
+        lambda: full_grid(2),
+        lambda: full_grid(9),
+        *[
+            (lambda s=s, r=r, n=n: random_grid(s, r, n))
+            for s, (r, n) in enumerate([(2, 5), (3, 40), (7, 2000), (32, 20000), (32, 300)])
+        ],
+    ],
+    ids=["empty-2", "empty-32", "full-2", "full-9",
+         "random-2", "random-3", "random-7", "random-32", "sparse-32"],
+)
+def test_csv_bytes_match_cellwise_writer(make, tmp_path):
+    grid = make()
+    grid_to_csv(tmp_path / "fast.csv", grid)
+    csv_oracle(tmp_path / "oracle.csv", grid)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

@@ -6,7 +6,7 @@ import pytest
 from pcsaliency.cli import main
 from pcsaliency.fileio import read_saliency_csv, write_kitti_bin, write_labels_json
 from pcsaliency.runconfig import RunConfig, parse_config_file
-from pcsaliency.synthetic import noise_scene, single_object_scene
+from pcsaliency.synthetic import multi_object_scene, noise_scene, single_object_scene
 
 from conftest import write_scene_dir
 
@@ -278,3 +278,169 @@ def test_key_overflowing_grid_exits_one(scene_dir, capsys):
     ])
     assert code == 1
     assert "int64" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# one forward and one concept factorization per scene
+
+
+@pytest.fixture(scope="module")
+def multi_scene_dir(tmp_path_factory, detector):
+    """Two self-labeled scenes with two detections each."""
+    root = tmp_path_factory.mktemp("multi_scenes")
+    for seed in (0, 1):
+        cloud, _ = multi_object_scene(seed)
+        detections = detector.detect(cloud)
+        assert len(detections) == 2
+        write_kitti_bin(root / f"multi{seed}.bin", cloud)
+        write_labels_json(root / f"multi{seed}.labels.json", [(d.box(), d.label) for d in detections])
+    return root
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of real detector forwards and concept factorizations, plus
+    every detector the CLI builds."""
+    from pcsaliency import nmf
+    from pcsaliency.detector import ReferenceDetector
+
+    counts = {"forward": 0, "factorize": 0, "detectors": []}
+    compute, factorize, build = (
+        ReferenceDetector._compute_forward, nmf.factorize, RunConfig.build_detector,
+    )
+
+    def counted_forward(self, cloud):
+        counts["forward"] += 1
+        return compute(self, cloud)
+
+    def counted_factorize(a, cfg):
+        counts["factorize"] += 1
+        return factorize(a, cfg)
+
+    def recorded_build(self):
+        detector = build(self)
+        counts["detectors"].append(detector)
+        return detector
+
+    monkeypatch.setattr(ReferenceDetector, "_compute_forward", counted_forward)
+    monkeypatch.setattr(nmf, "factorize", counted_factorize)
+    monkeypatch.setattr(RunConfig, "build_detector", recorded_build)
+    return counts
+
+
+def test_explain_runs_one_forward(scene_dir, tmp_path, work):
+    for seed in (0, 1):
+        assert main([
+            "explain", "--scene", str(scene_dir / f"scene00{seed}.bin"), "--detection", "0",
+            "--out", str(tmp_path / f"{seed}.csv"), *FAST,
+        ]) == 0
+    assert (work["forward"], work["factorize"]) == (2, 2)
+    assert all(d._hold is None for d in work["detectors"])
+
+
+def test_aggregate_runs_one_forward_and_one_factorization_per_scene(scene_dir, tmp_path, work):
+    assert main(["aggregate", "--scenes", str(scene_dir), "--out-dir", str(tmp_path), *FAST]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert len({g["mask"] for g in manifest["grids"]}) == 9
+    assert (work["forward"], work["factorize"]) == (2, 2)
+
+
+def test_eval_factorizes_once_per_scene(multi_scene_dir, tmp_path, work):
+    out = tmp_path / "m.jsonl"
+    assert main(["eval", "--scenes", str(multi_scene_dir), "--out", str(out), *FAST]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len({(r["scene_id"], r["detection_id"]) for r in rows}) == 4
+    assert work["factorize"] == 2
+    # one scene forward, then two curves of eval.steps + 1 reruns per detection
+    assert work["forward"] == 2 * (1 + 2 * 2 * 6)
+
+
+def test_modes_factorizes_once_per_scene(multi_scene_dir, tmp_path, work):
+    out = tmp_path / "modes.json"
+    assert main(["modes", "--scenes", str(multi_scene_dir), "--out", str(out), *FAST]) == 0
+    report = json.loads(out.read_text())
+    assert report["tp"]["count"] + report["fp"]["count"] == 4
+    assert (work["forward"], work["factorize"]) == (2, 2)
+
+
+def test_scene_released_after_failed_explain(scene_dir, tmp_path, work, capsys):
+    code = main([
+        "explain", "--scene", str(scene_dir / "scene000.bin"), "--detection", "5",
+        "--out", str(tmp_path / "x.csv"), *FAST,
+    ])
+    assert code == 1
+    assert "DetectionNotFound" in capsys.readouterr().err
+    [detector] = work["detectors"]
+    assert detector._hold is None
+
+
+def test_aggregate_saliency_equals_unscoped_explanation(scene_dir, tmp_path, monkeypatch):
+    from pcsaliency import cli
+    from pcsaliency.detector import ReferenceDetector
+    from pcsaliency.pipeline import explain_detection
+
+    seen = []
+
+    def recorded(detector, cloud, d, mask, cfg, concepts=None):
+        saliency = explain_detection(detector, cloud, d, mask, cfg, concepts)
+        seen.append((cloud.copy(), d, mask, cfg, saliency))
+        return saliency
+
+    monkeypatch.setattr(cli, "explain_detection", recorded)
+    assert main(["aggregate", "--scenes", str(scene_dir), "--out-dir", str(tmp_path), *FAST]) == 0
+    assert len(seen) == 2 * 9
+    cfg = RunConfig.from_sources(None, FAST[1::2])
+    for cloud, d, mask, pcfg, saliency in seen:
+        fresh = explain_detection(ReferenceDetector(cfg.detector_config()), cloud, d, mask, pcfg)
+        assert fresh.tobytes() == saliency.tobytes()
+
+
+def test_modes_from_dump(tmp_path, detector):
+    from pcsaliency.dumps import dump_from_detector, save_dump
+    from pcsaliency.pipeline import full_mask
+
+    cloud, _ = multi_object_scene(0)
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    write_kitti_bin(scenes / "s.bin", cloud)
+    write_labels_json(scenes / "s.labels.json", [(d.box(), d.label) for d in detector.detect(cloud)])
+    dump_path = tmp_path / "s.ffdp"
+    save_dump(dump_path, dump_from_detector(detector, cloud, 3, masks=(full_mask(),)))
+    out = tmp_path / "modes.json"
+    code = main([
+        "modes", "--scenes", str(scenes), "--out", str(out),
+        "--set", "detector.kind=dump", "--set", f"detector.dump_path={dump_path}", *FAST,
+    ])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["tp"]["count"] == 2
+
+
+# Each case builds its argv from (object scene dir, a path beneath a regular file).
+_BAD_OUTPUT = {
+    "explain-out": lambda sd, bad: [
+        "explain", "--scene", str(sd / "scene000.bin"), "--detection", "0", "--out", str(bad),
+    ],
+    "eval-out": lambda sd, bad: ["eval", "--scenes", str(sd), "--out", str(bad)],
+    "sweep-out": lambda sd, bad: ["sweep", "--scenes", str(sd), "--out", str(bad)],
+    "aggregate-out-dir": lambda sd, bad: ["aggregate", "--scenes", str(sd), "--out-dir", str(bad)],
+    "modes-out": lambda sd, bad: ["modes", "--scenes", str(sd), "--out", str(bad)],
+    "modes-grids-dir": lambda sd, bad: [
+        "modes", "--scenes", str(sd), "--out", str(bad.parent.parent / "modes.json"),
+        "--grids-dir", str(bad),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_OUTPUT))
+def test_bad_output_path_fails_before_any_explanation(case, scene_dir, tmp_path, monkeypatch, capsys):
+    from pcsaliency import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("explained a detection before checking the output path")
+
+    monkeypatch.setattr(cli, "explain_detection", never)
+    blocker = tmp_path / "afile"
+    blocker.write_text("not a directory\n")
+    assert main([*_BAD_OUTPUT[case](scene_dir, blocker / "x"), *FAST]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot")

@@ -353,3 +353,104 @@ def test_scatter_sum_bit_identical_to_add_at(seed, rows, groups, cols):
     expected = np.zeros((groups, cols))
     np.add.at(expected, inverse, values)
     assert bits(_scatter_sum(inverse, values, groups)) == bits(expected)
+
+
+@pytest.fixture
+def count_forwards(monkeypatch):
+    """Counter of the detector forwards actually computed."""
+    calls = []
+    compute = ReferenceDetector._compute_forward
+
+    def counted(self, cloud):
+        calls.append(cloud)
+        return compute(self, cloud)
+
+    monkeypatch.setattr(ReferenceDetector, "_compute_forward", counted)
+    return calls
+
+
+def scene_outputs(detector, cloud, d):
+    """Detections, block-1/3 features and a block-3 gradient, as bytes."""
+    return (
+        detector.detect(cloud),
+        bits(detector.features(cloud, 1).values),
+        bits(detector.features(cloud, 3).values),
+        bits(detector.gradient(cloud, d, make_mask("x", "s"), 3).values),
+    )
+
+
+class TestSceneScope:
+    def test_calls_share_one_forward_with_unscoped_results(self, count_forwards):
+        detector = ReferenceDetector()
+        cloud, _ = multi_object_scene(11, n_objects=2)
+        d = detector.detect(cloud)[1]
+        unscoped = scene_outputs(detector, cloud, d)
+        count_forwards.clear()
+        with detector.scene(cloud):
+            scoped = scene_outputs(detector, cloud, d)
+            assert len(count_forwards) == 1
+        assert scoped == unscoped
+
+    def test_forward_is_computed_lazily(self, count_forwards):
+        detector = ReferenceDetector()
+        cloud, _, _ = single_object_scene(0)
+        with detector.scene(cloud):
+            assert count_forwards == []
+            detector.detect(cloud)
+        assert len(count_forwards) == 1
+
+    def test_other_array_is_not_served(self, count_forwards):
+        detector = ReferenceDetector()
+        cloud, _, _ = single_object_scene(0)
+        thinned = cloud[::2]
+        expected = bits(detector.features(thinned, 3).values)
+        count_forwards.clear()
+        with detector.scene(cloud):
+            detector.detect(cloud)
+            assert bits(detector.features(thinned, 3).values) == expected
+            detector.detect(cloud.copy())
+            detector.detect(cloud)
+        assert [c is cloud for c in count_forwards] == [True, False, False]
+        assert count_forwards[1] is thinned
+
+    def test_released_after_block(self, count_forwards):
+        detector = ReferenceDetector()
+        cloud, _, _ = single_object_scene(0)
+        with detector.scene(cloud):
+            detector.detect(cloud)
+        assert detector._hold is None
+        detector.detect(cloud)
+        assert len(count_forwards) == 2
+
+    def test_released_after_exception(self, count_forwards):
+        detector = ReferenceDetector()
+        cloud, _, _ = single_object_scene(0)
+        with pytest.raises(DetectorFailure):
+            with detector.scene(cloud):
+                detector.detect(cloud)
+                detector.features(cloud, 9)
+        assert detector._hold is None
+        detector.detect(cloud)
+        assert len(count_forwards) == 2
+
+    def test_detect_list_is_the_callers(self):
+        detector = ReferenceDetector()
+        cloud, _, _ = single_object_scene(0)
+        with detector.scene(cloud):
+            detector.detect(cloud).clear()
+            assert len(detector.detect(cloud)) == 1
+
+
+@pytest.mark.parametrize("block_index", [1, 3, 4])
+def test_object_loss_equals_frozen_loss(detector, block_index):
+    from pcsaliency.pipeline import object_loss
+
+    cloud, _ = multi_object_scene(11, n_objects=2)
+    fw = detector._forward(cloud)
+    values = fw.block_values[block_index - 1]
+    masks = [full_mask(), make_mask("x"), make_mask("l", "w", "h"), make_mask("s", "z")]
+    assert len(fw.detections) == 2
+    for d, cluster in zip(fw.detections, fw.clusters):
+        for mask in masks:
+            frozen = detector._loss_from_block(fw, block_index, values, cluster, mask)
+            assert frozen == pytest.approx(object_loss(d, mask), rel=1e-12, abs=0)

@@ -226,3 +226,45 @@ class TestExplain:
         cfg = pconfig(nmf=nmf.NmfConfig(r=64, max_iterations=60, seed=0))
         saliency = explain_detection(detector, cloud, d, full_mask(), cfg)
         assert np.all(np.isfinite(saliency))
+
+
+class TestConceptMemo:
+    @pytest.fixture
+    def factorize_calls(self, monkeypatch):
+        calls = []
+        factorize = nmf.factorize
+
+        def counted(a, cfg):
+            calls.append(cfg)
+            return factorize(a, cfg)
+
+        monkeypatch.setattr(nmf, "factorize", counted)
+        return calls
+
+    def test_one_factorization_per_block_and_config(self, detector, factorize_calls):
+        cloud, _, _ = single_object_scene(4)
+        d = detector.detect(cloud)[0]
+        masks = [full_mask(), make_mask("x"), make_mask("l", "s")]
+        cfgs = [pconfig(), pconfig(block_index=4), pconfig(nmf=nmf.NmfConfig(r=8, max_iterations=60))]
+        unmemoized = [
+            explain_detection(detector, cloud, d, mask, cfg).tobytes()
+            for cfg in cfgs for mask in masks
+        ]
+        assert len(factorize_calls) == len(cfgs) * len(masks)
+        factorize_calls.clear()
+        memo: dict = {}
+        memoized = [
+            explain_detection(detector, cloud, d, mask, cfg, memo).tobytes()
+            for cfg in cfgs for mask in masks
+        ]
+        assert len(factorize_calls) == len(cfgs)
+        assert set(memo) == {(cfg.block_index, cfg.nmf) for cfg in cfgs}
+        assert memoized == unmemoized
+
+    @pytest.mark.parametrize("ablation", ["no_ff", "gradient_only"])
+    def test_ablations_without_concepts_leave_memo_empty(self, detector, factorize_calls, ablation):
+        cloud, _, _ = single_object_scene(4)
+        d = detector.detect(cloud)[0]
+        memo: dict = {}
+        explain_detection(detector, cloud, d, full_mask(), pconfig(ablation=ablation), memo)
+        assert memo == {} and factorize_calls == []
