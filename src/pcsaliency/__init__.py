@@ -2,7 +2,7 @@
 
 from .boxes import OrientedBox, box_diagonal, canonicalize, iou_3d, point_in_box
 from .detector import ReferenceDetector, ReferenceDetectorConfig, grad_check
-from .nmf import Factorization, NmfConfig, factorize, global_concept_map, reconstruct
+from .nmf import Factorization, NmfConfig, factorize, global_concept_map
 from .pipeline import (
     ATTRIBUTE_NAMES,
     Detection,
@@ -37,6 +37,5 @@ __all__ = [
     "make_mask",
     "object_loss",
     "point_in_box",
-    "reconstruct",
     "upsample_to_points",
 ]

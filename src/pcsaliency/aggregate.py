@@ -2,8 +2,7 @@
 
 Canonicalized points (object-centered, yaw-aligned, size-normalized into
 [-0.5, 0.5]^3) are binned on a fixed cubic grid; cells accumulate
-(saliency sum, point count) so partial grids merge cell-wise and finalize
-to per-cell averages.
+(saliency sum, point count) and finalize to per-cell averages.
 """
 
 from __future__ import annotations
@@ -46,13 +45,6 @@ class CanonicalGrid:
         np.clip(idx, 0, self.resolution - 1, out=idx)  # upper face into last cell
         np.add.at(self.sums, (idx[:, 0], idx[:, 1], idx[:, 2]), saliency[inside])
         np.add.at(self.counts, (idx[:, 0], idx[:, 1], idx[:, 2]), 1)
-
-    def merge(self, other: "CanonicalGrid") -> None:
-        if other.resolution != self.resolution:
-            raise ValueError("cannot merge grids of different resolutions")
-        self.sums += other.sums
-        self.counts += other.counts
-        self.discarded += other.discarded
 
     def averages(self) -> np.ndarray:
         """Per-cell mean saliency; empty cells are 0."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import sys
 from pathlib import Path
@@ -18,7 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .aggregate import CanonicalGrid, grid_to_csv, mode_report, tp_fp_split, write_grid
+from .aggregate import (
+    CanonicalGrid, ObjectExplanation, grid_to_csv, mode_report, tp_fp_split, write_grid,
+)
 from .boxes import OrientedBox, canonicalize, iou_3d, points_in_box
 from .detector import grad_check
 from .errors import IoFailure, SaliencyError, ValidationError, ZeroEnergy
@@ -26,7 +29,7 @@ from .fileio import read_kitti_bin, read_labels_json, write_saliency
 from .metrics import auc, deletion_curve, energy_pg, insertion_curve, pointing_game, vea
 from .nmf import NmfConfig, factorize
 from .pipeline import ATTRIBUTE_NAMES, explain_detection, full_mask, make_mask
-from .runconfig import RunConfig, SceneRecord, find_scene_files
+from .runconfig import RunConfig, find_scene_files
 
 _SWEEP_R = (8, 16, 32, 64, 128)
 _SWEEP_RANGE_K = ((0, 1), (1, 4), (2, 16), (3, 64))
@@ -147,6 +150,55 @@ def _parse_mask(text: str):
 
 
 # ----------------------------------------------------------------------
+# the scene path every command runs
+
+def _explain_scene(cfg: RunConfig, cloud, pick, masks):
+    """Detect in one scene and explain each pick under each mask.
+
+    ``pick(detections)`` returns tuples led by a detection index. Returns the
+    detector, the detections and ``(pick, [saliency per mask])`` per pick; one
+    scene scope and concept memo serve them all, and the scope closes before
+    the return, so the caller may rerun the detector on perturbed copies."""
+    detector = cfg.build_detector()
+    pcfg = cfg.pipeline_config()
+    with detector.scene(cloud):
+        detections = detector.detect(cloud)
+        concepts: dict = {}
+        explained = [
+            (p, [explain_detection(detector, cloud, detections[p[0]], m, pcfg, concepts)
+                 for m in masks])
+            for p in pick(detections)
+        ]
+    return detector, detections, explained
+
+
+def _load_scene(bin_path, labels_path):
+    cloud = read_kitti_bin(bin_path)
+    if labels_path is None:
+        raise ValidationError(f"scene {bin_path} has no companion .labels.json")
+    return cloud, read_labels_json(labels_path)
+
+
+def _well_detected(cfg: RunConfig, gts):
+    return lambda detections: metrics.well_detected(detections, gts, cfg.thresholds())
+
+
+def _map_scenes(cfg: RunConfig, scenes_dir, worker, *args):
+    """Yield ``worker(cfg, *args, scene)`` per scene file of ``scenes_dir``, in
+    order; ``parallelism`` processes run them when there are several scenes."""
+    scenes = find_scene_files(scenes_dir)
+    if not scenes:
+        raise ValidationError(f"no .bin scenes found in {scenes_dir}")
+    task = functools.partial(worker, cfg, *args)
+    parallelism = cfg.get("parallelism")
+    if parallelism <= 1 or len(scenes) <= 1:
+        yield from map(task, scenes)
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
+            yield from pool.map(task, scenes)
+
+
+# ----------------------------------------------------------------------
 # explain
 
 def _cmd_explain(args) -> int:
@@ -155,17 +207,16 @@ def _cmd_explain(args) -> int:
     out = _out_file(args.out, cfg, f"{scene_id}_{args.detection}.{args.format}")
     mask = _parse_mask(args.mask)
     cloud = read_kitti_bin(args.scene)
-    detector = cfg.build_detector()
-    with detector.scene(cloud):
-        detections = detector.detect(cloud)
+
+    def pick(detections):
         if not 0 <= args.detection < len(detections):
             raise ValidationError(
                 f"DetectionNotFound: scene has {len(detections)} detections, "
                 f"index {args.detection} does not exist"
             )
-        saliency = explain_detection(
-            detector, cloud, detections[args.detection], mask, cfg.pipeline_config()
-        )
+        return [(args.detection,)]
+
+    [(_, [saliency])] = _explain_scene(cfg, cloud, pick, [mask])[2]
     write_saliency(cloud, saliency, args.format, out)
     print(f"wrote {out} (config {cfg.config_hash()})")
     return 0
@@ -174,34 +225,16 @@ def _cmd_explain(args) -> int:
 # ----------------------------------------------------------------------
 # eval
 
-def _load_scene(scene_id, bin_path, labels_path) -> SceneRecord:
-    cloud = read_kitti_bin(bin_path)
-    if labels_path is None:
-        raise ValidationError(f"scene {bin_path} has no companion .labels.json")
-    return SceneRecord(scene_id, cloud, read_labels_json(labels_path), str(bin_path))
-
-
-def _scene_metric_rows(cfg: RunConfig, scene_id: str, bin_path, labels_path):
-    scene = _load_scene(scene_id, bin_path, labels_path)
-    cloud, gts = scene.cloud, scene.gts
-    detector = cfg.build_detector()
-    pcfg = cfg.pipeline_config()
-    thresholds = cfg.thresholds()
+def _eval_worker(cfg: RunConfig, scene):
+    scene_id, bin_path, labels_path = scene
+    cloud, gts = _load_scene(bin_path, labels_path)
+    detector, detections, explained = _explain_scene(
+        cfg, cloud, _well_detected(cfg, gts), [full_mask()]
+    )
     steps = cfg.get("eval.steps")
     config_hash = cfg.config_hash()
-    # The curves rerun the detector on perturbed copies, which a scene
-    # scope never serves, so the scope closes before them.
-    with detector.scene(cloud):
-        detections = detector.detect(cloud)
-        concepts: dict = {}
-        explained = [
-            (pi, gi, explain_detection(
-                detector, cloud, detections[pi], full_mask(), pcfg, concepts
-            ))
-            for pi, gi, _ in metrics.well_detected(detections, gts, thresholds)
-        ]
     rows = []
-    for pi, gi, saliency in explained:
+    for (pi, gi, _), [saliency] in explained:
         det = detections[pi]
         gt_box = gts[gi][0]
         try:
@@ -228,28 +261,10 @@ def _scene_metric_rows(cfg: RunConfig, scene_id: str, bin_path, labels_path):
     return rows
 
 
-def _eval_worker(job):
-    cfg, scene_id, bin_path, labels_path = job
-    return _scene_metric_rows(cfg, scene_id, str(bin_path), labels_path and str(labels_path))
-
-
-def _map_scenes(cfg: RunConfig, jobs, worker):
-    parallelism = cfg.get("parallelism")
-    if parallelism <= 1 or len(jobs) <= 1:
-        return [worker(job) for job in jobs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(worker, jobs))
-
-
 def _cmd_eval(args) -> int:
     cfg = _runconfig(args)
     out = _out_file(args.out, cfg, "metrics.jsonl")
-    scenes = find_scene_files(args.scenes)
-    if not scenes:
-        raise ValidationError(f"no .bin scenes found in {args.scenes}")
-    jobs = [(cfg, scene_id, bin_path, labels_path) for scene_id, bin_path, labels_path in scenes]
-    per_scene = _map_scenes(cfg, jobs, _eval_worker)
-    rows = [row for rows in per_scene for row in rows]
+    rows = [row for rows in _map_scenes(cfg, args.scenes, _eval_worker) for row in rows]
     rows.sort(key=lambda r: (r["scene_id"], r["detection_id"], r["metric"]))
     _write_text(out, "".join(json.dumps(row) + "\n" for row in rows))
     print(f"wrote {len(rows)} records to {out} (config {cfg.config_hash()})")
@@ -275,15 +290,10 @@ def _sweep_variants(cfg: RunConfig):
 def _cmd_sweep(args) -> int:
     cfg = _runconfig(args)
     out = _out_file(args.out, cfg, "sweep.csv")
-    scenes = find_scene_files(args.scenes)
-    if not scenes:
-        raise ValidationError(f"no .bin scenes found in {args.scenes}")
     lines = ["axis,setting,deletion,insertion,vea,pg,enpg"]
     for axis, setting, variant in _sweep_variants(cfg):
-        jobs = [(variant, sid, b, l) for sid, b, l in scenes]
-        per_scene = _map_scenes(variant, jobs, _eval_worker)
         by_metric: dict[str, list[float]] = {}
-        for rows in per_scene:
+        for rows in _map_scenes(variant, args.scenes, _eval_worker):
             for row in rows:
                 by_metric.setdefault(row["metric"], []).append(row["value"])
         means = {
@@ -302,34 +312,28 @@ def _cmd_sweep(args) -> int:
 # ----------------------------------------------------------------------
 # aggregate
 
+def _aggregate_worker(cfg: RunConfig, masks, scene):
+    _, bin_path, labels_path = scene
+    cloud, gts = _load_scene(bin_path, labels_path)
+    _, detections, explained = _explain_scene(cfg, cloud, _well_detected(cfg, gts), masks)
+    return [
+        (detections[pi].label, canonicalize(cloud, detections[pi].box()), saliencies)
+        for (pi, _, _), saliencies in explained
+    ]
+
+
 def _cmd_aggregate(args) -> int:
     cfg = _runconfig(args)
     out_dir = _mkdir(Path(args.out_dir) if args.out_dir else _out_dir(cfg) / "aggregate")
-    scenes = find_scene_files(args.scenes)
-    if not scenes:
-        raise ValidationError(f"no .bin scenes found in {args.scenes}")
-    tokens = [t.strip() for t in args.masks.split(",") if t.strip()]
-    masks = [(t, full_mask() if t == "all" else make_mask(t)) for t in tokens]
+    names = [t.strip() for t in args.masks.split(",") if t.strip()]
+    masks = [full_mask() if t == "all" else make_mask(t) for t in names]
 
-    detector = cfg.build_detector()
-    pcfg = cfg.pipeline_config()
-    thresholds = cfg.thresholds()
     grids: dict[tuple[str, str], CanonicalGrid] = {}
-    for scene_id, bin_path, labels_path in scenes:
-        scene = _load_scene(scene_id, bin_path, labels_path)
-        cloud, gts = scene.cloud, scene.gts
-        with detector.scene(cloud):
-            detections = detector.detect(cloud)
-            concepts: dict = {}
-            for pi, _, _ in metrics.well_detected(detections, gts, thresholds):
-                det = detections[pi]
-                canonical = canonicalize(cloud, det.box())
-                for mask_name, mask in masks:
-                    saliency = explain_detection(detector, cloud, det, mask, pcfg, concepts)
-                    grid = grids.setdefault(
-                        (det.label, mask_name), CanonicalGrid()
-                    )
-                    grid.accumulate(canonical, saliency)
+    for objects in _map_scenes(cfg, args.scenes, _aggregate_worker, masks):
+        for label, canonical, saliencies in objects:
+            for mask_name, saliency in zip(names, saliencies):
+                grid = grids.setdefault((label, mask_name), CanonicalGrid())
+                grid.accumulate(canonical, saliency)
 
     manifest = {"config_hash": cfg.config_hash(), "grids": []}
     for (label, mask_name), grid in sorted(grids.items()):
@@ -353,40 +357,35 @@ def _cmd_aggregate(args) -> int:
 # ----------------------------------------------------------------------
 # modes
 
+def _modes_worker(cfg: RunConfig, scene):
+    _, bin_path, labels_path = scene
+    cloud, gts = _load_scene(bin_path, labels_path)
+
+    def every_detection(detections):
+        tp_set = {pi for pi, _ in tp_fp_split(detections, gts, cfg.thresholds())[0]}
+        return [(pi, pi in tp_set) for pi in range(len(detections))]
+
+    _, detections, explained = _explain_scene(cfg, cloud, every_detection, [full_mask()])
+    records = []
+    for (pi, is_tp), [saliency] in explained:
+        box = detections[pi].box()
+        records.append(
+            ObjectExplanation(
+                label=detections[pi].label,
+                is_tp=is_tp,
+                canonical_points=canonicalize(cloud, box),
+                saliency=saliency,
+                in_box_points=int(np.count_nonzero(points_in_box(cloud, box))),
+            )
+        )
+    return records
+
+
 def _cmd_modes(args) -> int:
     cfg = _runconfig(args)
     out = _out_file(args.out, cfg, "modes.json")
     grids_dir = _mkdir(Path(args.grids_dir)) if args.grids_dir else None
-    scenes = find_scene_files(args.scenes)
-    if not scenes:
-        raise ValidationError(f"no .bin scenes found in {args.scenes}")
-    detector = cfg.build_detector()
-    pcfg = cfg.pipeline_config()
-    thresholds = cfg.thresholds()
-
-    from .aggregate import ObjectExplanation
-
-    records = []
-    for scene_id, bin_path, labels_path in scenes:
-        scene = _load_scene(scene_id, bin_path, labels_path)
-        cloud, gts = scene.cloud, scene.gts
-        with detector.scene(cloud):
-            detections = detector.detect(cloud)
-            tp_pairs, fp_idx = tp_fp_split(detections, gts, thresholds)
-            tp_set = {pi for pi, _ in tp_pairs}
-            concepts: dict = {}
-            for pi, det in enumerate(detections):
-                saliency = explain_detection(detector, cloud, det, full_mask(), pcfg, concepts)
-                box = det.box()
-                records.append(
-                    ObjectExplanation(
-                        label=det.label,
-                        is_tp=pi in tp_set,
-                        canonical_points=canonicalize(cloud, box),
-                        saliency=saliency,
-                        in_box_points=int(np.count_nonzero(points_in_box(cloud, box))),
-                    )
-                )
+    records = [rec for recs in _map_scenes(cfg, args.scenes, _modes_worker) for rec in recs]
 
     report = mode_report(records)
     payload = {

@@ -17,8 +17,8 @@ from typing import ContextManager, Protocol
 
 import numpy as np
 
-from .errors import DetectionNotFound, DetectorFailure, EmptyCloud, EmptyMask
-from .pipeline import ATTRIBUTE_NAMES, Detection
+from .errors import DetectorFailure, EmptyCloud, EmptyMask
+from .pipeline import ATTRIBUTE_NAMES, Detection, match_detection, object_loss
 from .voxelgrid import GridSpec, SparseVoxelMap
 
 _NEIGHBOR_OFFSETS_26 = [
@@ -167,7 +167,8 @@ class ReferenceDetector:
         if not mask:
             raise EmptyMask("attribute mask selects nothing")
         fw = self._forward(cloud)
-        cluster = fw.clusters[self._match_detection(fw, d)]
+        # float64 boxes of this forward: a caller's copy differs by round-off at most
+        cluster = fw.clusters[match_detection(fw.detections, d, atol=1e-9)]
         grad = self._head_gradient(fw, cluster, mask)
         for b in range(self.cfg.num_blocks, block_index, -1):
             grad = self._backprop_block(fw, b, grad)
@@ -176,25 +177,6 @@ class ReferenceDetector:
             grad,
             self.grid.scaled(2 ** (block_index - 1)),
         )
-
-    def attribute_loss_frozen(
-        self,
-        cloud: np.ndarray,
-        d: Detection,
-        mask: frozenset[str],
-        block_index: int,
-        values: np.ndarray,
-    ) -> float:
-        """Loss of detection ``d`` recomputed from substituted block features.
-
-        Cluster membership and class label stay frozen at the values of the
-        unperturbed forward pass; only the continuous attribute math is
-        re-evaluated. This is the function central finite differences probe.
-        """
-        self._check_block(block_index)
-        fw = self._forward(cloud)
-        cluster = fw.clusters[self._match_detection(fw, d)]
-        return self._loss_from_block(fw, block_index, np.asarray(values, float), cluster, mask)
 
     # ------------------------------------------------------------------
     # forward pass
@@ -295,36 +277,27 @@ class ReferenceDetector:
         var = (w[:, None] * (centers - mu) ** 2).sum(axis=0) / total
         return centers, total, mu, var
 
-    def _cluster_detection(self, coords, values, activations, cluster):
-        _, total, mu, var = self._cluster_stats(coords, cluster, activations[cluster])
+    def _cluster_box(self, coords, cluster, w, label: str) -> Detection:
+        """The box a cluster's ``w``-weighted statistics describe: center at
+        the mean, size ``max(kappa * std, size_floor)``, score the logistic
+        of the total weight."""
+        _, total, mu, var = self._cluster_stats(coords, cluster, w)
         size = np.maximum(self.cfg.kappa * np.sqrt(var), self.cfg.size_floor)
-        score = _logistic(total)
-        logits = self._class_vecs @ values[cluster].sum(axis=0)
-        label = self.cfg.classes[int(np.argmax(logits))]
         return Detection(
             center=tuple(float(v) for v in mu),
             size=tuple(float(v) for v in size),
             yaw=0.0,
-            score=float(score),
+            score=float(_logistic(total)),
             label=label,
         )
 
+    def _cluster_detection(self, coords, values, activations, cluster):
+        logits = self._class_vecs @ values[cluster].sum(axis=0)
+        label = self.cfg.classes[int(np.argmax(logits))]
+        return self._cluster_box(coords, cluster, activations[cluster], label)
+
     # ------------------------------------------------------------------
     # gradients
-
-    def _match_detection(self, fw: _Forward, d: Detection) -> int:
-        for i, found in enumerate(fw.detections):
-            if found.label != d.label:
-                continue
-            fields = (
-                *found.center, *found.size, found.yaw, found.score,
-            )
-            wanted = (*d.center, *d.size, d.yaw, d.score)
-            if all(abs(a - b) <= 1e-9 for a, b in zip(fields, wanted)):
-                return i
-        raise DetectionNotFound(
-            "detection does not match any detector output for this cloud"
-        )
 
     def _head_gradient(self, fw: _Forward, cluster: np.ndarray, mask) -> np.ndarray:
         """d(loss)/d(last-block features), supported on the cluster's rows."""
@@ -362,23 +335,20 @@ class ReferenceDetector:
         return pooled_grad[fw.parent_rows[b - 1]]
 
     def _loss_from_block(self, fw, block_index, values, cluster, mask) -> float:
-        """Frozen-structure loss from substituted block features."""
+        """``object_loss`` of a cluster's box recomputed from substituted
+        block features.
+
+        Voxel structure, cluster membership and class label stay frozen at
+        the unperturbed forward pass; only the continuous attribute math is
+        re-evaluated. This is the function central finite differences probe.
+        """
         for b in range(block_index, self.cfg.num_blocks):
             pooled = _scatter_sum(fw.parent_rows[b], values, len(fw.block_coords[b]))
             values = self._block_output(b, pooled)
-
-        _, total, mu, var = self._cluster_stats(
-            fw.block_coords[-1], cluster, values[cluster] @ self._score_vec
-        )
-        size = np.maximum(self.cfg.kappa * np.sqrt(var), self.cfg.size_floor)
-        score = _logistic(total)
-
-        attrs = {
-            "x": mu[0], "y": mu[1], "z": mu[2],
-            "l": size[0], "w": size[1], "h": size[2],
-            "yaw": 0.0, "s": score,
-        }
-        return float(sum(abs(attrs[name]) for name in mask))
+        w = values[cluster] @ self._score_vec
+        # the loss reads continuous attributes only, so any label serves
+        box = self._cluster_box(fw.block_coords[-1], cluster, w, self.cfg.classes[0])
+        return object_loss(box, mask)
 
 
 def grad_check(

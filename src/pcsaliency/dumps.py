@@ -31,7 +31,7 @@ from .errors import (
     MissingGradient,
     ShapeMismatch,
 )
-from .pipeline import Detection, bits_to_mask, mask_to_bits
+from .pipeline import Detection, bits_to_mask, mask_to_bits, match_detection
 from .voxelgrid import GridSpec, SparseVoxelMap
 
 _MAGIC = b"FFDP"
@@ -210,7 +210,8 @@ class DumpDetector:
 
     def gradient(self, cloud, d: Detection, mask, block_index: int) -> SparseVoxelMap:
         self._check_block(block_index)
-        det_idx = self._match(d)
+        # dump values are float32-rounded
+        det_idx = match_detection(self.dump.detections, d, atol=1e-6)
         key = (det_idx, mask_to_bits(mask))
         grad = self.dump.gradients.get(key)
         if grad is None:
@@ -225,18 +226,6 @@ class DumpDetector:
             raise DetectorFailure(
                 f"dump carries block {self.dump.block_index}, not {block_index}"
             )
-
-    def _match(self, d: Detection) -> int:
-        for i, found in enumerate(self.dump.detections):
-            if found.label != d.label:
-                continue
-            fields = (*found.center, *found.size, found.yaw, found.score)
-            wanted = (*d.center, *d.size, d.yaw, d.score)
-            if all(abs(a - b) <= 1e-6 for a, b in zip(fields, wanted)):
-                return i
-        from .errors import DetectionNotFound
-
-        raise DetectionNotFound("detection not present in dump")
 
 
 def load_dump(path, classes: tuple[str, ...] = DEFAULT_CLASSES) -> DumpDetector:

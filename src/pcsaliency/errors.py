@@ -26,10 +26,6 @@ class RankTooLarge(ValidationError):
     """Requested concept count exceeds min(rows, cols)."""
 
 
-class OutOfRange(ValidationError):
-    """Point lies outside the voxel grid extent."""
-
-
 class EmptyMask(ValidationError):
     """Attribute mask selects no attributes."""
 

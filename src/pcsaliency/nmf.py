@@ -176,11 +176,6 @@ class _SearchState:
         return prev
 
 
-def reconstruct(f: Factorization) -> np.ndarray:
-    """Approximation H @ W of the factorized matrix."""
-    return f.h @ f.w
-
-
 def global_concept_map(f: Factorization) -> np.ndarray:
     """Per-voxel sum of concept weights (row sums of H)."""
     return f.h.sum(axis=1)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import nmf
 from .boxes import OrientedBox
-from .errors import DetectorFailure, EmptyMask, LengthMismatch
+from .errors import DetectionNotFound, DetectorFailure, EmptyMask, LengthMismatch
 from .voxelgrid import (
     SparseVoxelMap,
     UpsampleConfig,
@@ -77,6 +77,17 @@ class Detection:
 
     def box(self) -> OrientedBox:
         return OrientedBox(self.center, self.size, self.yaw)
+
+
+def match_detection(detections: list[Detection], d: Detection, atol: float) -> int:
+    """Index of the first of ``detections`` with ``d``'s label whose box and
+    score agree with ``d``'s to within ``atol``."""
+    wanted = (*d.center, *d.size, d.yaw, d.score)
+    for i, found in enumerate(detections):
+        fields = (*found.center, *found.size, found.yaw, found.score)
+        if found.label == d.label and all(abs(a - b) <= atol for a, b in zip(fields, wanted)):
+            return i
+    raise DetectionNotFound("detection does not match any detector output")
 
 
 @dataclass(frozen=True)

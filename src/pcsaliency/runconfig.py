@@ -13,8 +13,6 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .detector import ReferenceDetector, ReferenceDetectorConfig
 from .dumps import load_dump
 from .errors import IoFailure, ValidationError
@@ -197,16 +195,6 @@ class RunConfig:
             pedestrian=self.get("thresholds.pedestrian"),
             cyclist=self.get("thresholds.cyclist"),
         )
-
-
-@dataclass
-class SceneRecord:
-    """One dataset scene: cloud, ground truths and provenance."""
-
-    scene_id: str
-    cloud: np.ndarray
-    gts: list
-    source: str
 
 
 def find_scene_files(directory) -> list[tuple[str, Path, Path | None]]:

@@ -9,12 +9,9 @@ points with a Gaussian kernel over neighbor distances.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import OutOfRange
 
 
 @dataclass(frozen=True)
@@ -119,77 +116,6 @@ class SparseVoxelMap:
         out = SparseVoxelMap(self.coords, values, self.grid)
         out._index = self._index
         return out
-
-
-@dataclass
-class VoxelizedCloud:
-    """Result of assigning every point of a cloud to a voxel.
-
-    ``point_voxels`` holds one coordinate row per point, ``(-1, -1, -1)``
-    for points outside the grid; those point indices are also collected in
-    ``unassigned`` so nothing is dropped silently.
-    """
-
-    map: SparseVoxelMap
-    point_voxels: np.ndarray
-    unassigned: np.ndarray
-
-
-def voxelize_point(p, grid: GridSpec):
-    """Voxel coordinate of a single point; raises OutOfRange outside the grid."""
-    x, y, z = float(p[0]), float(p[1]), float(p[2])
-    if not (
-        grid.x_range[0] <= x < grid.x_range[1]
-        and grid.y_range[0] <= y < grid.y_range[1]
-        and grid.z_range[0] <= z < grid.z_range[1]
-    ):
-        raise OutOfRange(f"point ({x}, {y}, {z}) outside grid extent")
-    ix = math.floor((x - grid.x_range[0]) / grid.voxel_size)
-    iy = math.floor((y - grid.y_range[0]) / grid.voxel_size)
-    iz = math.floor((z - grid.z_range[0]) / grid.voxel_size)
-    return (ix, iy, iz)
-
-
-def voxelize_cloud(cloud: np.ndarray, grid: GridSpec) -> VoxelizedCloud:
-    """Partition cloud points into voxels.
-
-    Returns a map whose payload is, per occupied voxel, the array of point
-    indices it contains (in ascending order). Voxels are listed in
-    lexicographic coordinate order.
-    """
-    cloud = np.asarray(cloud, dtype=float)
-    if cloud.ndim != 2 or cloud.shape[1] < 3:
-        raise ValueError(f"expected an (N, 3+) point array, got shape {cloud.shape}")
-    n = len(cloud)
-    point_voxels = np.full((n, 3), -1, dtype=np.int64)
-    if n == 0:
-        empty = SparseVoxelMap(np.zeros((0, 3), dtype=np.int64), [], grid)
-        return VoxelizedCloud(empty, point_voxels, np.zeros(0, dtype=np.int64))
-
-    inside = grid.contains(cloud)
-    coords = grid.coords_for(cloud[inside])
-    point_voxels[inside] = coords
-    inside_idx = np.flatnonzero(inside)
-
-    if len(coords) == 0:
-        vmap = SparseVoxelMap(np.zeros((0, 3), dtype=np.int64), [], grid)
-    else:
-        order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
-        sorted_coords = coords[order]
-        sorted_points = inside_idx[order]
-        boundaries = np.any(np.diff(sorted_coords, axis=0) != 0, axis=1)
-        starts = np.concatenate(([0], np.flatnonzero(boundaries) + 1))
-        ends = np.concatenate((starts[1:], [len(sorted_coords)]))
-        unique_coords = sorted_coords[starts]
-        groups = [np.sort(sorted_points[s:e]) for s, e in zip(starts, ends)]
-        vmap = SparseVoxelMap(unique_coords, groups, grid)
-
-    return VoxelizedCloud(vmap, point_voxels, np.flatnonzero(~inside))
-
-
-def manhattan(a, b) -> int:
-    """Manhattan distance between two voxel coordinates."""
-    return int(abs(a[0] - b[0]) + abs(a[1] - b[1]) + abs(a[2] - b[2]))
 
 
 def _offsets_within(threshold: int) -> list[tuple[int, int, int]]:

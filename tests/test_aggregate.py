@@ -75,19 +75,6 @@ class TestCanonicalGrid:
         assert grid.counts[3, 3, 3] == 1
         assert grid.discarded == 0
 
-    def test_merge(self):
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(-0.5, 0.5, size=(100, 3))
-        sal = rng.uniform(size=100)
-        whole = CanonicalGrid(8)
-        whole.accumulate(pts, sal)
-        left, right = CanonicalGrid(8), CanonicalGrid(8)
-        left.accumulate(pts[:50], sal[:50])
-        right.accumulate(pts[50:], sal[50:])
-        left.merge(right)
-        assert np.allclose(left.sums, whole.sums, atol=1e-12)
-        assert np.array_equal(left.counts, whole.counts)
-
 
 def det(center, label="car", size=(4.0, 2.0, 1.5), yaw=0.0, score=0.9):
     return Detection(tuple(map(float, center)), size, yaw, score, label)

@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import re
 
 import numpy as np
 import pytest
@@ -121,22 +123,6 @@ class TestEval:
     def test_missing_directory_is_io_failure(self, tmp_path):
         code = main(["eval", "--scenes", str(tmp_path / "nope"), *FAST])
         assert code == 2
-
-    def test_parallel_matches_serial(self, scene_dir, tmp_path):
-        serial = tmp_path / "serial.jsonl"
-        parallel = tmp_path / "parallel.jsonl"
-        assert main(["eval", "--scenes", str(scene_dir), "--out", str(serial), *FAST]) == 0
-        assert main([
-            "eval", "--scenes", str(scene_dir), "--out", str(parallel),
-            *FAST, "--set", "parallelism=2",
-        ]) == 0
-        # parallelism changes the config hash but not the computed values
-        rows_s = [json.loads(l) for l in serial.read_text().splitlines()]
-        rows_p = [json.loads(l) for l in parallel.read_text().splitlines()]
-        for a, b in zip(rows_s, rows_p):
-            assert (a["scene_id"], a["detection_id"], a["metric"], a["value"]) == (
-                b["scene_id"], b["detection_id"], b["metric"], b["value"]
-            )
 
 
 class TestSweep:
@@ -295,6 +281,48 @@ def multi_scene_dir(tmp_path_factory, detector):
         write_kitti_bin(root / f"multi{seed}.bin", cloud)
         write_labels_json(root / f"multi{seed}.labels.json", [(d.box(), d.label) for d in detections])
     return root
+
+
+# Each case builds its argv from (scene dir, output dir).
+_SCENE_COMMANDS = {
+    "eval": lambda sd, out: ["eval", "--scenes", str(sd), "--out", str(out / "metrics.jsonl")],
+    "aggregate": lambda sd, out: ["aggregate", "--scenes", str(sd), "--out-dir", str(out)],
+    "modes": lambda sd, out: [
+        "modes", "--scenes", str(sd), "--out", str(out / "modes.json"),
+        "--grids-dir", str(out / "grids"),
+    ],
+}
+
+
+def _outputs(root):
+    """Every file under ``root`` by relative path, its config hash blanked."""
+    return {
+        str(path.relative_to(root)): re.sub(
+            rb'"config_hash": "[0-9a-f]+"', b'"config_hash": ""', path.read_bytes()
+        )
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
+@pytest.mark.parametrize("command", sorted(_SCENE_COMMANDS))
+def test_parallel_matches_serial(command, multi_scene_dir, tmp_path, monkeypatch):
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    assert main([*_SCENE_COMMANDS[command](multi_scene_dir, serial), *FAST]) == 0
+    assert pools == []
+    argv = _SCENE_COMMANDS[command](multi_scene_dir, parallel)
+    assert main([*argv, *FAST, "--set", "parallelism=2"]) == 0
+    assert len(pools) == 1 and pools[0]._max_workers == 2
+    # parallelism changes the config hash but no other output byte
+    expected = _outputs(serial)
+    assert expected and _outputs(parallel) == expected
 
 
 @pytest.fixture

@@ -151,9 +151,9 @@ class TestGradient:
     def test_finite_difference_agreement(self):
         detector = weak_detector()
         cloud = weak_cluster_scene()
-        d = detector.detect(cloud)[0]
-        feats = detector.features(cloud, 3)
-        values = np.asarray(feats.values)
+        fw = detector._forward(cloud)
+        d, cluster = fw.detections[0], fw.clusters[0]
+        values = fw.block_values[2]
         analytic = np.asarray(detector.gradient(cloud, d, full_mask(), 3).values)
         rng = np.random.default_rng(0)
         rows = np.flatnonzero(np.abs(analytic).sum(axis=1) > 0)
@@ -162,9 +162,9 @@ class TestGradient:
             for col in rng.integers(0, values.shape[1], size=3):
                 probe = values.copy()
                 probe[row, col] += h
-                hi = detector.attribute_loss_frozen(cloud, d, full_mask(), 3, probe)
+                hi = detector._loss_from_block(fw, 3, probe, cluster, full_mask())
                 probe[row, col] -= 2 * h
-                lo = detector.attribute_loss_frozen(cloud, d, full_mask(), 3, probe)
+                lo = detector._loss_from_block(fw, 3, probe, cluster, full_mask())
                 fd = (hi - lo) / (2 * h)
                 assert analytic[row, col] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pcsaliency.errors import NegativeInput, RankTooLarge
-from pcsaliency.nmf import NmfConfig, Factorization, factorize, global_concept_map, reconstruct
+from pcsaliency.nmf import NmfConfig, Factorization, factorize, global_concept_map
 from pcsaliency.synthetic import low_rank_matrix
 
 
@@ -112,36 +112,6 @@ def test_seeded_run_matches_independent_reference():
     f = factorize(a, config)
     expected = _reference_solver(a, 4, seed=9, max_iterations=60, tol=1e-7)
     assert f.final_objective == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-
-def test_reconstruct_single_row():
-    f = Factorization(
-        h=np.array([[1.0]]), w=np.array([[2.0, 3.0]]),
-        r=1, iterations_run=0, final_objective=0.0,
-    )
-    assert np.array_equal(reconstruct(f), np.array([[2.0, 3.0]]))
-
-
-def test_reconstruct_zero_factors():
-    f = Factorization(
-        h=np.zeros((4, 2)), w=np.zeros((2, 3)),
-        r=2, iterations_run=0, final_objective=0.0,
-    )
-    assert np.array_equal(reconstruct(f), np.zeros((4, 3)))
-
-
-def test_reconstruct_matches_triple_loop():
-    rng = np.random.default_rng(3)
-    h = rng.uniform(size=(5, 3))
-    w = rng.uniform(size=(3, 4))
-    f = Factorization(h=h, w=w, r=3, iterations_run=0, final_objective=0.0)
-    expected = np.zeros((5, 4))
-    for i in range(5):
-        for j in range(4):
-            for k in range(3):
-                expected[i, j] += h[i, k] * w[k, j]
-    # BLAS may reassociate the inner sum; anything beyond last-ulp noise fails
-    assert np.allclose(reconstruct(f), expected, rtol=1e-14, atol=1e-14)
 
 
 def test_global_concept_map_row_sums():

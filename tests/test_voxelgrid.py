@@ -3,17 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from pcsaliency.errors import OutOfRange
+from pcsaliency.detector import _group_rows
 from pcsaliency.voxelgrid import (
     GridSpec,
     SparseVoxelMap,
     UpsampleConfig,
-    manhattan,
     nearest_voxel_values,
     neighbor_query,
     upsample_to_points,
-    voxelize_cloud,
-    voxelize_point,
 )
 
 GRID = GridSpec(1.0, (0.0, 10.0), (0.0, 10.0), (0.0, 10.0))
@@ -23,58 +20,73 @@ def scalar_map(coords, values, grid=GRID):
     return SparseVoxelMap(np.array(coords), np.array(values, dtype=float), grid)
 
 
+def voxelize(cloud, grid=GRID):
+    """The detector's voxelization: the in-range mask, then the cells of the
+    in-range points grouped into lex-sorted occupied voxels."""
+    inside = grid.contains(cloud)
+    coords, inverse, counts = _group_rows(grid.coords_for(cloud[inside]))
+    return inside, coords, inverse, counts
+
+
+def oracle_cell(p, grid=GRID):
+    """One point's cell by per-axis ``math.floor``; None outside the
+    half-open extent."""
+    ranges = (grid.x_range, grid.y_range, grid.z_range)
+    if not all(lo <= float(p[a]) < hi for a, (lo, hi) in enumerate(ranges)):
+        return None
+    return tuple(math.floor((float(p[a]) - lo) / grid.voxel_size) for a, (lo, _) in enumerate(ranges))
+
+
 class TestVoxelizePoint:
     def test_direct_floor(self):
-        assert voxelize_point((2.5, 1.0, 0.5), GRID) == (2, 1, 0)
+        assert GRID.coords_for(np.array([[2.5, 1.0, 0.5]])).tolist() == [[2, 1, 0]]
 
     def test_lower_bound_is_cell_zero(self):
-        assert voxelize_point((0.0, 0.0, 0.0), GRID) == (0, 0, 0)
+        origin = np.zeros((1, 3))
+        assert GRID.contains(origin).tolist() == [True]
+        assert GRID.coords_for(origin).tolist() == [[0, 0, 0]]
 
     def test_floor_near_boundary(self):
         grid = GridSpec(2.0, (0.0, 10.0), (0.0, 10.0), (0.0, 10.0))
-        assert voxelize_point((3.999, 0.0, 0.0), grid)[0] == 1
+        assert grid.coords_for(np.array([[3.999, 0.0, 0.0]]))[0, 0] == 1
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            voxelize_point((10.0, 0.0, 0.0), GRID)  # upper bound is exclusive
-        with pytest.raises(OutOfRange):
-            voxelize_point((-0.1, 0.0, 0.0), GRID)
+        # half-open extent: lower bounds inclusive, upper bounds exclusive
+        points = np.array([
+            [10.0, 0.0, 0.0], [-0.1, 0.0, 0.0], [0.0, 0.0, 10.0],
+            [9.999, 9.999, 9.999], [0.0, 5.0, 0.0],
+        ])
+        assert GRID.contains(points).tolist() == [False, False, False, True, True]
 
 
 class TestVoxelizeCloud:
     def test_two_points_share_a_cell(self):
         cloud = np.array([[0.2, 0.2, 0.2, 0.0], [0.8, 0.7, 0.6, 0.0]])
-        out = voxelize_cloud(cloud, GRID)
-        assert len(out.map) == 1
-        assert np.array_equal(out.map.values[0], [0, 1])
+        inside, coords, inverse, counts = voxelize(cloud)
+        assert inside.tolist() == [True, True]
+        assert coords.tolist() == [[0, 0, 0]]
+        assert inverse.tolist() == [0, 0]
+        assert counts.tolist() == [2]
 
     def test_empty_cloud(self):
-        out = voxelize_cloud(np.zeros((0, 4)), GRID)
-        assert len(out.map) == 0
-        assert len(out.unassigned) == 0
+        inside, coords, inverse, counts = voxelize(np.zeros((0, 4)))
+        assert inside.shape == (0,)
+        assert coords.shape == (0, 3)
+        assert len(inverse) == len(counts) == 0
 
     def test_partition_against_per_point_oracle(self):
         rng = np.random.default_rng(0)
         cloud = np.hstack([rng.uniform(-1, 11, size=(1000, 3)), rng.uniform(size=(1000, 1))])
-        out = voxelize_cloud(cloud, GRID)
-        seen = np.zeros(1000, dtype=int)
-        for row, idx in enumerate(out.map.values):
-            for i in idx:
-                seen[i] += 1
-                assert voxelize_point(cloud[i], GRID) == tuple(out.map.coords[row])
-                assert np.array_equal(out.point_voxels[i], out.map.coords[row])
-        for i in out.unassigned:
-            seen[i] += 1
-            with pytest.raises(OutOfRange):
-                voxelize_point(cloud[i], GRID)
-            assert np.array_equal(out.point_voxels[i], [-1, -1, -1])
-        assert np.all(seen == 1)
-
-
-def test_manhattan():
-    assert manhattan((2, 1, 0), (3, 2, 0)) == 2
-    assert manhattan((4, 4, 4), (4, 4, 4)) == 0
-    assert manhattan((0, 0, 0), (1, 1, 1)) == 3
+        inside, coords, inverse, counts = voxelize(cloud)
+        expected = [oracle_cell(p) for p in cloud]
+        assert inside.tolist() == [cell is not None for cell in expected]
+        cells = [cell for cell in expected if cell is not None]
+        assert 0 < len(cells) < 1000
+        # every in-range point lands in its own cell, each occupied cell is
+        # listed once in lexicographic order, and its count is its points
+        assert [tuple(coords[g]) for g in inverse.tolist()] == cells
+        assert [tuple(c) for c in coords.tolist()] == sorted(set(cells))
+        assert counts.tolist() == [cells.count(tuple(c)) for c in coords.tolist()]
 
 
 class TestNeighborQuery:
@@ -95,12 +107,9 @@ class TestNeighborQuery:
         center = (4, 4, 4)
         got = neighbor_query(center, vmap, cfg)
 
+        distances = [sum(abs(p - q) for p, q in zip(center, c)) for c in coords]
         brute = sorted(
-            (
-                (manhattan(center, c), c, v)
-                for c, v in zip(coords, values)
-                if manhattan(center, c) <= cfg.range_threshold
-            ),
+            (d, c, v) for d, c, v in zip(distances, coords, values) if d <= cfg.range_threshold
         )
         assert len([c for d, c, v in brute]) == 25
         expected = [(c, v, d) for d, c, v in brute[: cfg.k]]
