@@ -146,6 +146,17 @@ def _write_json(path, payload) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+_WRITE_ROWS = 4096  # rows converted per batch; bounds the float lists held
+
+
+def _saliency_rows(cloud, saliency):
+    """(x, y, z, score) rows as Python floats, which format exactly as
+    numpy float64 scalars do at a fraction of the per-value cost."""
+    for lo in range(0, len(cloud), _WRITE_ROWS):
+        hi = lo + _WRITE_ROWS
+        yield from zip(*(cloud[lo:hi, k].tolist() for k in range(3)), saliency[lo:hi].tolist())
+
+
 def write_saliency(cloud, saliency, fmt: str, path) -> None:
     """Export per-point scores as ``csv`` (index,x,y,z,score) or ASCII ``ply``."""
     cloud = np.asarray(cloud, dtype=float)
@@ -156,12 +167,15 @@ def write_saliency(cloud, saliency, fmt: str, path) -> None:
         )
     if fmt not in ("csv", "ply"):
         raise ValueError(f"format must be csv or ply, got {fmt!r}")
+    rows = _saliency_rows(cloud, saliency)
     try:
         with open(path, "w") as fh:
             if fmt == "csv":
                 fh.write("index,x,y,z,score\n")
-                for i, (p, s) in enumerate(zip(cloud, saliency)):
-                    fh.write(f"{i},{p[0]:.6g},{p[1]:.6g},{p[2]:.6g},{s:.6g}\n")
+                fh.writelines(
+                    f"{i},{x:.6g},{y:.6g},{z:.6g},{s:.6g}\n"
+                    for i, (x, y, z, s) in enumerate(rows)
+                )
             else:
                 fh.write("ply\n")
                 fh.write("format ascii 1.0\n")
@@ -171,8 +185,7 @@ def write_saliency(cloud, saliency, fmt: str, path) -> None:
                 fh.write("property float z\n")
                 fh.write("property float scalar_saliency\n")
                 fh.write("end_header\n")
-                for p, s in zip(cloud, saliency):
-                    fh.write(f"{p[0]:.6g} {p[1]:.6g} {p[2]:.6g} {s:.6g}\n")
+                fh.writelines(f"{x:.6g} {y:.6g} {z:.6g} {s:.6g}\n" for x, y, z, s in rows)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

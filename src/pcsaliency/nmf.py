@@ -12,6 +12,15 @@ result ends the search, otherwise a fresh seeded start begins. The
 reported objective history is the best value seen after each sweep, so it
 is non-increasing; within any single start the sweep objective itself is
 non-increasing as well.
+
+``relative_tolerance`` (tol) sets both stop rules of a start. A start
+ends after a sweep whose objective is at most tol * ||A||^2 (the fit
+floor), or whose decrease from the previous sweep is below tol times the
+previous objective (a stall). Reaching the floor solves the whole
+search: no further starts and no polish follow. HALS reaches a close
+fit in a few sweeps long before its iterates settle, so without the
+floor a near-exact fit would keep shaving ~20% off a tiny objective
+until the budget ran out.
 """
 
 from __future__ import annotations
@@ -23,12 +32,17 @@ import numpy as np
 from .errors import NegativeInput, RankTooLarge
 
 _DIV_EPS = 1e-12
-_SOLVED_REL = 1e-15  # machine-level residual; stop searching further starts
 
 
 @dataclass(frozen=True)
 class NmfConfig:
-    """Factorization knobs; ``seed`` makes runs bit-reproducible."""
+    """Factorization knobs; ``seed`` makes runs bit-reproducible.
+
+    ``relative_tolerance`` bounds both the residual (a start stops, and the
+    search is solved, once the objective is at most that fraction of
+    ||A||^2) and the per-sweep decrease (a start stops once a sweep lowers
+    the objective by less than that fraction of its previous value).
+    """
 
     r: int = 64
     max_iterations: int = 200
@@ -89,9 +103,11 @@ def _hals_sweep(a, h, w):
 def factorize(a: np.ndarray, cfg: NmfConfig) -> Factorization:
     """Factorize a non-negative matrix into r non-negative concepts.
 
-    Deterministic given (A, cfg). A start ends when its relative objective
-    decrease per sweep falls below ``cfg.relative_tolerance``; the budget
-    of ``cfg.max_iterations`` sweeps is shared across starts.
+    Deterministic given (A, cfg). A start ends after a sweep whose
+    objective is at most ``cfg.relative_tolerance * ||A||^2``, which also
+    ends the search, or whose relative decrease falls below
+    ``cfg.relative_tolerance``; the budget of ``cfg.max_iterations``
+    sweeps is shared across starts and the polish of the best factors.
     """
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.size == 0:
@@ -106,7 +122,6 @@ def factorize(a: np.ndarray, cfg: NmfConfig) -> Factorization:
     if cfg.r > min(m, d):
         raise RankTooLarge(f"r={cfg.r} exceeds min(M, d)={min(m, d)}")
 
-    norm_sq = float(np.sum(a * a))
     state = _SearchState(a, cfg)
     # One slow start must not starve the rest of the budget.
     per_start_cap = max(32, cfg.max_iterations // 4)
@@ -119,7 +134,7 @@ def factorize(a: np.ndarray, cfg: NmfConfig) -> Factorization:
             state.history.append(state.best_obj)
         best_before = state.best_obj
         state.run(h, w, init_obj, per_start_cap)
-        if state.best_obj <= _SOLVED_REL * max(norm_sq, _DIV_EPS):
+        if state.solved():
             break
         if start > 0 and state.best_obj >= best_before - cfg.relative_tolerance * max(
             best_before, _DIV_EPS
@@ -127,7 +142,7 @@ def factorize(a: np.ndarray, cfg: NmfConfig) -> Factorization:
             break  # no material improvement; further seeds are unlikely to help
         start += 1
     # Spend any remaining budget polishing the best factors found.
-    if state.budget_left() > 0 and state.best_obj > _SOLVED_REL * max(norm_sq, _DIV_EPS):
+    if state.budget_left() > 0 and not state.solved():
         h, w = state.best_h.copy(), state.best_w.copy()
         state.run(h, w, state.best_obj, state.budget_left())
 
@@ -147,6 +162,7 @@ class _SearchState:
     def __init__(self, a, cfg):
         self.a = a
         self.cfg = cfg
+        self.floor = cfg.relative_tolerance * float(np.sum(a * a))
         self.best_obj = np.inf
         self.best_h = None
         self.best_w = None
@@ -156,12 +172,16 @@ class _SearchState:
     def budget_left(self) -> int:
         return self.cfg.max_iterations - self.iterations
 
+    def solved(self) -> bool:
+        return self.best_obj <= self.floor
+
     def offer(self, obj, h, w):
         if obj < self.best_obj:
             self.best_obj, self.best_h, self.best_w = obj, h.copy(), w.copy()
 
     def run(self, h, w, prev_obj, cap):
-        """Sweep until stall, cap, or budget end; returns the last objective."""
+        """Sweep until the fit floor, a stall, the cap, or the budget end;
+        returns the last objective."""
         a = self.a
         prev = prev_obj
         for _ in range(min(cap, self.budget_left())):
@@ -170,7 +190,8 @@ class _SearchState:
             obj = _objective(a, h, w)
             self.offer(obj, h, w)
             self.history.append(self.best_obj)
-            if prev - obj < self.cfg.relative_tolerance * max(prev, _DIV_EPS):
+            stalled = prev - obj < self.cfg.relative_tolerance * max(prev, _DIV_EPS)
+            if obj <= self.floor or stalled:
                 return obj
             prev = obj
         return prev

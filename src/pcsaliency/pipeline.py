@@ -26,17 +26,30 @@ ATTRIBUTE_NAMES = ("x", "y", "z", "l", "w", "h", "yaw", "s")
 
 ABLATIONS = ("full", "no_ff", "no_vu", "gradient_only")
 
+_KNOWN_ATTRIBUTES = frozenset(ATTRIBUTE_NAMES)
+# Built once: `object_loss` reads attributes in the inner loop of `grad_check`.
+_ATTRIBUTE_READERS = {
+    "x": lambda d: d.center[0],
+    "y": lambda d: d.center[1],
+    "z": lambda d: d.center[2],
+    "l": lambda d: d.size[0],
+    "w": lambda d: d.size[1],
+    "h": lambda d: d.size[2],
+    "yaw": lambda d: d.yaw,
+    "s": lambda d: d.score,
+}
+
 
 def make_mask(*names: str) -> frozenset[str]:
     """Attribute mask from names; validates against the known attributes."""
-    unknown = set(names) - set(ATTRIBUTE_NAMES)
+    unknown = set(names) - _KNOWN_ATTRIBUTES
     if unknown:
         raise ValueError(f"unknown attributes: {sorted(unknown)}")
     return frozenset(names)
 
 
 def full_mask() -> frozenset[str]:
-    return frozenset(ATTRIBUTE_NAMES)
+    return _KNOWN_ATTRIBUTES
 
 
 def mask_to_bits(mask: frozenset[str]) -> int:
@@ -67,13 +80,7 @@ class Detection:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
 
     def attribute(self, name: str) -> float:
-        x, y, z = self.center
-        l, w, h = self.size
-        return {
-            "x": x, "y": y, "z": z,
-            "l": l, "w": w, "h": h,
-            "yaw": self.yaw, "s": self.score,
-        }[name]
+        return _ATTRIBUTE_READERS[name](self)
 
     def box(self) -> OrientedBox:
         return OrientedBox(self.center, self.size, self.yaw)
@@ -110,7 +117,7 @@ def object_loss(d: Detection, mask: frozenset[str]) -> float:
     """L1 distance of the masked continuous attributes to an all-zero baseline."""
     if not mask:
         raise EmptyMask("attribute mask selects nothing")
-    unknown = set(mask) - set(ATTRIBUTE_NAMES)
+    unknown = mask - _KNOWN_ATTRIBUTES
     if unknown:
         raise ValueError(f"unknown attributes: {sorted(unknown)}")
     return float(sum(abs(d.attribute(name)) for name in mask))

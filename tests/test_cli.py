@@ -121,7 +121,8 @@ class TestEval:
         assert code == 1
 
     def test_missing_directory_is_io_failure(self, tmp_path):
-        code = main(["eval", "--scenes", str(tmp_path / "nope"), *FAST])
+        out = tmp_path / "out" / "metrics.jsonl"
+        code = main(["eval", "--scenes", str(tmp_path / "nope"), "--out", str(out), *FAST])
         assert code == 2
 
 
@@ -256,9 +257,10 @@ def test_filesystem_failure_exits_two(case, scene_dir, empty_scene_dir, tmp_path
     assert capsys.readouterr().err.startswith("error: cannot")
 
 
-def test_key_overflowing_grid_exits_one(scene_dir, capsys):
+def test_key_overflowing_grid_exits_one(scene_dir, tmp_path, capsys):
     code = main([
         "explain", "--scene", str(scene_dir / "scene000.bin"), "--detection", "0",
+        "--out", str(tmp_path / "sal.csv"),
         "--set", "detector.voxel_size=1e-6", "--set", "detector.x_max=1e6",
         "--set", "detector.y_max=1e6", "--set", "detector.z_max=1e6",
     ])

@@ -121,7 +121,53 @@ class TestDetectionsJson:
         assert read_labels_json(path) == gts
 
 
+def _write_saliency_rowwise(cloud, saliency, fmt, path):
+    """Byte oracle: the original per-row writer over numpy scalars."""
+    with open(path, "w") as fh:
+        if fmt == "csv":
+            fh.write("index,x,y,z,score\n")
+            for i, (p, s) in enumerate(zip(cloud, saliency)):
+                fh.write(f"{i},{p[0]:.6g},{p[1]:.6g},{p[2]:.6g},{s:.6g}\n")
+        else:
+            fh.write("ply\n")
+            fh.write("format ascii 1.0\n")
+            fh.write(f"element vertex {len(cloud)}\n")
+            fh.write("property float x\n")
+            fh.write("property float y\n")
+            fh.write("property float z\n")
+            fh.write("property float scalar_saliency\n")
+            fh.write("end_header\n")
+            for p, s in zip(cloud, saliency):
+                fh.write(f"{p[0]:.6g} {p[1]:.6g} {p[2]:.6g} {s:.6g}\n")
+
+
+# Zeros, signed zero, negatives, tiny and large magnitudes, and values on
+# both sides of the .6g rounding and fixed/exponent boundaries.
+_EDGE_VALUES = [
+    0.0, -0.0, -1.0, 1e-7, -1e-7, 1e6, -1e6, 1e-4, 9.99999e-5, 0.00001,
+    999999.0, 999999.5, 9999995.0, 123456.5, 1.0000005, 1.0000015, 2.5e-7,
+    0.1 + 0.2, -3.14159265, 1e300, 5e-324, 7.0,
+]
+
+
 class TestSaliencyFiles:
+    @pytest.mark.parametrize("fmt", ["csv", "ply"])
+    def test_bytes_match_rowwise_writer(self, tmp_path, fmt):
+        rng = np.random.default_rng(3)
+        edges = np.array(_EDGE_VALUES)
+        n = 9000  # spans several of the writer's row batches
+        cloud = np.column_stack([
+            np.r_[edges, rng.uniform(-80, 80, n)],
+            np.r_[np.roll(edges, 1), rng.normal(size=n) * 1e3],
+            np.r_[np.roll(edges, 2), rng.uniform(-3, 3, n).astype(np.float32)],
+            np.zeros(len(edges) + n),
+        ])
+        scores = np.r_[np.roll(edges, 3), rng.uniform(size=n) ** 8]
+        got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
+        write_saliency(cloud, scores, fmt, got)
+        _write_saliency_rowwise(cloud, scores, fmt, want)
+        assert got.read_bytes() == want.read_bytes()
+
     def test_csv_single_point_two_lines(self, tmp_path):
         path = tmp_path / "s.csv"
         write_saliency(np.array([[1.0, 2.0, 3.0, 0.0]]), np.array([0.5]), "csv", path)

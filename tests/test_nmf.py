@@ -63,7 +63,7 @@ def _reference_solver(a, r, seed, max_iterations, tol):
                 h[i][p] = max(num / max(wwt[p][p], eps), 0.0)
         return h, w
 
-    norm_sq = float(np.sum(a * a))
+    floor = tol * float(np.sum(a * a))  # a sweep at or below it ends the search
     best = None
     iterations = 0
     cap = max(32, max_iterations // 4)
@@ -81,15 +81,15 @@ def _reference_solver(a, r, seed, max_iterations, tol):
             obj = objective(h, w)
             if obj < best[0]:
                 best = (obj, [row[:] for row in h], [row[:] for row in w])
-            if prev - obj < tol * max(prev, eps):
+            if obj <= floor or prev - obj < tol * max(prev, eps):
                 break
             prev = obj
-        if best[0] <= 1e-15 * max(norm_sq, eps):
+        if best[0] <= floor:
             break
         if start > 0 and best[0] >= best_before - tol * max(best_before, eps):
             break
         start += 1
-    if iterations < max_iterations and best[0] > 1e-15 * max(norm_sq, eps):
+    if iterations < max_iterations and best[0] > floor:
         h = [row[:] for row in best[1]]
         w = [row[:] for row in best[2]]
         prev = best[0]
@@ -99,10 +99,10 @@ def _reference_solver(a, r, seed, max_iterations, tol):
             obj = objective(h, w)
             if obj < best[0]:
                 best = (obj, h, w)
-            if prev - obj < tol * max(prev, eps):
+            if obj <= floor or prev - obj < tol * max(prev, eps):
                 break
             prev = obj
-    return best[0]
+    return best[0], iterations
 
 
 def test_seeded_run_matches_independent_reference():
@@ -110,8 +110,22 @@ def test_seeded_run_matches_independent_reference():
     a = rng.uniform(size=(20, 16))
     config = cfg(r=4, seed=9, iters=60, tol=1e-7)
     f = factorize(a, config)
-    expected = _reference_solver(a, 4, seed=9, max_iterations=60, tol=1e-7)
+    expected, iterations = _reference_solver(a, 4, seed=9, max_iterations=60, tol=1e-7)
     assert f.final_objective == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert f.iterations_run == iterations
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_fit_floor_stop_matches_independent_reference(seed):
+    # An exactly low-rank matrix fits to tol * ||A||^2 within a few sweeps,
+    # long before the per-sweep decrease stalls; the search must stop there.
+    a, rank = low_rank_matrix(seed, max_size=16, max_rank=4)
+    f = factorize(a, cfg(r=rank, seed=seed, iters=200, tol=1e-5))
+    expected, iterations = _reference_solver(a, rank, seed=seed, max_iterations=200, tol=1e-5)
+    assert f.final_objective == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert f.iterations_run == iterations
+    assert f.iterations_run < 200
+    assert f.final_objective <= 1e-5 * np.sum(a * a)
 
 
 def test_global_concept_map_row_sums():

@@ -228,6 +228,43 @@ class TestExplain:
         assert np.all(np.isfinite(saliency))
 
 
+def _average_ranks(v):
+    """0-based ranks of ``v``; tied values share the mean of their ranks."""
+    v = np.asarray(v)
+    order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(v)]
+    ranks = np.empty(len(v))
+    ranks[order] = np.repeat((starts + ends - 1) / 2.0, ends - starts)
+    return ranks
+
+
+def _spearman(a, b):
+    return float(np.corrcoef(_average_ranks(a), _average_ranks(b))[0, 1])
+
+
+class TestSeedStability:
+    def test_average_ranks_share_ties(self):
+        assert _average_ranks([3.0, 1.0, 3.0, 2.0, 3.0]).tolist() == [3.0, 0.0, 3.0, 1.0, 3.0]
+
+    @pytest.mark.parametrize("scene", range(4))
+    def test_saliency_ranking_independent_of_nmf_seed(self, detector, scene):
+        # The concept map alone still moves with the seed (an over-
+        # parameterized factorization has many optima); the explanation
+        # ranks points the same way whichever optimum the seed picks.
+        cloud, _, _ = single_object_scene(scene)
+        d = detector.detect(cloud)[0]
+        maps = [
+            explain_detection(
+                detector, cloud, d, full_mask(), PipelineConfig(nmf=nmf.NmfConfig(seed=seed))
+            )
+            for seed in (0, 1, 2)
+        ]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            assert _spearman(maps[i], maps[j]) >= 0.99
+
+
 class TestConceptMemo:
     @pytest.fixture
     def factorize_calls(self, monkeypatch):
