@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DetectorFailure, EmptyCloud, EmptyMask
 from .pipeline import ATTRIBUTE_NAMES, Detection, match_detection, object_loss
-from .voxelgrid import GridSpec, SparseVoxelMap
+from .voxelgrid import GridSpec, SparseVoxelMap, _check_key_range, _group_rows
 
 _NEIGHBOR_OFFSETS_26 = [
     (dx, dy, dz)
@@ -400,46 +400,6 @@ def grad_check(
         if np.any(significant):
             worst = max(worst, float((diff[significant] / ref[significant]).max()))
     return worst
-
-
-def _check_key_range(grid: GridSpec) -> None:
-    """Reject grids whose linear voxel key (see ``_group_rows``) could wrap.
-
-    An in-range point's coordinate on an axis is at most
-    ``floor((upper - lower) / voxel_size)``, computed with the same float
-    operations as ``GridSpec.coords_for``, so the key of every occupied
-    voxel fits in int64 when the product of those extents plus one does.
-    """
-    cells = 1
-    for lo, hi in (grid.x_range, grid.y_range, grid.z_range):
-        extent = (hi - lo) / grid.voxel_size
-        if not math.isfinite(extent):
-            raise ValueError(f"grid extent ({lo}, {hi}) / {grid.voxel_size} is not finite")
-        cells *= math.floor(extent) + 1
-    if cells > np.iinfo(np.int64).max:
-        raise ValueError(
-            f"grid of {cells} voxels (voxel_size {grid.voxel_size}) exceeds the "
-            "int64 voxel key range"
-        )
-
-
-def _group_rows(coords: np.ndarray):
-    """Unique rows of a non-negative (N, 3) integer array, lex-sorted.
-
-    Returns ``(unique, inverse, counts)`` exactly as ``np.unique(coords,
-    axis=0, return_inverse=True, return_counts=True)`` does, but sorts one
-    int64 key per row instead of whole rows. The key is lexicographic
-    (x slowest, z fastest), so key order is row order.
-    """
-    if len(coords) == 0:
-        return coords.reshape(0, 3), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    span = coords.max(axis=0) + 1
-    key = (coords[:, 0] * span[1] + coords[:, 1]) * span[2] + coords[:, 2]
-    keys, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
-    unique = np.empty((len(keys), 3), dtype=np.int64)
-    keys, unique[:, 2] = np.divmod(keys, span[2])
-    unique[:, 0], unique[:, 1] = np.divmod(keys, span[1])
-    return unique, inverse, counts
 
 
 def _scatter_sum(inverse: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:

@@ -103,34 +103,27 @@ def _detection_iou(detector, scene: np.ndarray, d: Detection) -> float:
 
 def deletion_curve(detector, cloud, d: Detection, saliency, steps: int = 20) -> Curve:
     """IoU as the most salient in-region points are removed in batches."""
-    cloud, order = _region_order(cloud, d, saliency)
-    n_all = len(cloud)
-    n_region = len(order)
-    fractions = np.arange(steps + 1) / steps
-    values = []
-    for i in range(steps + 1):
-        k = round(i * n_region / steps)
-        keep = np.ones(n_all, dtype=bool)
-        keep[order[:k]] = False
-        values.append(_detection_iou(detector, cloud[keep], d))
-    return Curve(fractions, np.array(values))
+    return _perturbation_curve(detector, cloud, d, saliency, steps, inserting=False)
 
 
 def insertion_curve(detector, cloud, d: Detection, saliency, steps: int = 20) -> Curve:
     """IoU as the most salient region points are added back to an emptied region."""
+    return _perturbation_curve(detector, cloud, d, saliency, steps, inserting=True)
+
+
+def _perturbation_curve(detector, cloud, d, saliency, steps, inserting: bool) -> Curve:
+    """IoU after each step flips the keep flag of the next most salient
+    region points to ``inserting``; every region point starts flipped the
+    other way."""
     cloud, order = _region_order(cloud, d, saliency)
-    n_all = len(cloud)
-    n_region = len(order)
-    fractions = np.arange(steps + 1) / steps
-    base = np.ones(n_all, dtype=bool)
-    base[order] = False
+    start = np.ones(len(cloud), dtype=bool)
+    start[order] = not inserting
     values = []
     for i in range(steps + 1):
-        k = round(i * n_region / steps)
-        keep = base.copy()
-        keep[order[:k]] = True
+        keep = start.copy()
+        keep[order[: round(i * len(order) / steps)]] = inserting
         values.append(_detection_iou(detector, cloud[keep], d))
-    return Curve(fractions, np.array(values))
+    return Curve(np.arange(steps + 1) / steps, np.array(values))
 
 
 def auc(curve: Curve) -> float:

@@ -8,7 +8,7 @@ voxel map to per-point scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -200,7 +200,7 @@ def explain_detection(
         # Desk-scale feature maps can have fewer voxels than the requested
         # concept count; the factorization rank cannot exceed min(M, d).
         r_eff = min(cfg.nmf.r, m, values.shape[1])
-        nmf_cfg = cfg.nmf if r_eff == cfg.nmf.r else _with_rank(cfg.nmf, r_eff)
+        nmf_cfg = replace(cfg.nmf, r=r_eff)
         concept = nmf.global_concept_map(nmf.factorize(values, nmf_cfg))
         if concepts is not None:
             concepts[key] = concept
@@ -213,12 +213,3 @@ def explain_detection(
         return nearest_voxel_values(combined, cloud)
     return upsample_to_points(combined, cloud, cfg.upsample)
 
-
-def _with_rank(cfg: nmf.NmfConfig, r: int) -> nmf.NmfConfig:
-    return nmf.NmfConfig(
-        r=r,
-        max_iterations=cfg.max_iterations,
-        relative_tolerance=cfg.relative_tolerance,
-        seed=cfg.seed,
-        clamp_negatives=cfg.clamp_negatives,
-    )

@@ -2,13 +2,18 @@
 
 Points are assigned to cubic cells of side ``voxel_size`` by flooring
 ``(coord - lower_bound) / voxel_size`` per axis. Occupied cells live in a
-``SparseVoxelMap`` keyed by integer coordinates; neighbor queries walk the
-Manhattan ball around a cell, and activation maps are transferred back to
-points with a Gaussian kernel over neighbor distances.
+``SparseVoxelMap`` keyed by integer coordinates, and one int64 linear key
+per cell (``_linear_key``, range-checked by ``_check_key_range``) groups
+points into cells. Activation maps are transferred back to points with a
+Gaussian kernel over the Manhattan ball around each point's cell: every
+(cell, offset) neighbor is gathered at once from the map's sorted keys.
+``neighbor_query`` walks one ball with a dict and is the reference the
+gather is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,78 +152,120 @@ def neighbor_query(center, vmap: SparseVoxelMap, cfg: UpsampleConfig):
     return [(coord, vmap.values[row], dist) for dist, coord, row in found[: cfg.k]]
 
 
+def _check_key_range(grid: GridSpec, pad: int = 0) -> np.ndarray:
+    """Cells per axis of ``grid`` widened by ``pad`` on each side, after
+    rejecting grids whose linear voxel key (see ``_linear_key``) could wrap.
+
+    An in-range point's coordinate on an axis is at most
+    ``floor((upper - lower) / voxel_size)``, computed with the same float
+    operations as ``GridSpec.coords_for``, so the key of every voxel in the
+    widened box fits in int64 when the product of its extents does.
+    """
+    cells = []
+    for lo, hi in (grid.x_range, grid.y_range, grid.z_range):
+        extent = (hi - lo) / grid.voxel_size
+        if not math.isfinite(extent):
+            raise ValueError(f"grid extent ({lo}, {hi}) / {grid.voxel_size} is not finite")
+        cells.append(math.floor(extent) + 1 + 2 * pad)
+    total = math.prod(cells)
+    if total > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"grid of {total} voxels (voxel_size {grid.voxel_size}) exceeds the "
+            "int64 voxel key range"
+        )
+    return np.array(cells, dtype=np.int64)
+
+
+def _linear_key(coords: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """One int64 per row of non-negative (N, 3) coordinates below ``span``;
+    lexicographic (x slowest, z fastest), so key order is row order."""
+    return (coords[:, 0] * span[1] + coords[:, 1]) * span[2] + coords[:, 2]
+
+
+def _group_rows(coords: np.ndarray):
+    """Unique rows of a non-negative (N, 3) integer array, lex-sorted.
+
+    Returns ``(unique, inverse, counts)`` exactly as ``np.unique(coords,
+    axis=0, return_inverse=True, return_counts=True)`` does, but sorts one
+    ``_linear_key`` per row instead of whole rows.
+    """
+    if len(coords) == 0:
+        return coords.reshape(0, 3), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    span = coords.max(axis=0) + 1
+    keys, inverse, counts = np.unique(
+        _linear_key(coords, span), return_inverse=True, return_counts=True
+    )
+    unique = np.empty((len(keys), 3), dtype=np.int64)
+    keys, unique[:, 2] = np.divmod(keys, span[2])
+    unique[:, 0], unique[:, 1] = np.divmod(keys, span[1])
+    return unique, inverse, counts
+
+
 def upsample_to_points(
     activation: SparseVoxelMap, cloud: np.ndarray, cfg: UpsampleConfig
 ) -> np.ndarray:
     """Transfer per-voxel activations to per-point saliency scores.
 
-    Each point queries its own voxel's Manhattan neighborhood on the
-    activation map and takes the kernel-weighted average of neighbor
-    values, with weights ``exp(-distance^2 / 2)``. Points outside the grid
-    or with no occupied neighbors score 0.
+    Each point takes the kernel-weighted average, with weights
+    ``exp(-distance^2 / 2)``, of the ``neighbor_query`` result around its
+    own voxel. Points sharing a voxel share a score, so the in-grid points
+    are grouped into cells and every (cell, offset) neighbor is looked up
+    at once in the map's sorted linear keys. Offsets ordered by (distance,
+    offset) give ``neighbor_query``'s order around any center, and the
+    k-cap is a running count of the neighbors found. Points outside the
+    grid or with no occupied neighbors score 0.
+
+    Raises ValueError for a non-empty map with repeated coordinates, or
+    for a grid whose voxel key could wrap int64.
     """
     cloud = np.asarray(cloud, dtype=float)
-    n = len(cloud)
-    scores = np.zeros(n)
-    if n == 0 or len(activation) == 0:
+    scores = np.zeros(len(cloud))
+    if len(activation) == 0:
         return scores
+    grid, r = activation.grid, cfg.range_threshold
+    span = _check_key_range(grid, pad=r)
 
-    grid = activation.grid
+    order = np.lexsort(activation.coords.T[::-1])
+    coords = activation.coords[order]
+    if np.any(np.all(coords[1:] == coords[:-1], axis=1)):
+        raise ValueError("voxel coordinates are not unique")
+    # Only voxels within r of the grid can neighbor an in-grid cell. Their
+    # keys ascend with the lexicographic order; the int64 max sentinel keeps
+    # every searchsorted position a valid index and matches no query.
+    near = np.all((coords >= -r) & (coords < span - r), axis=1)
+    keys = np.append(_linear_key(coords[near] + r, span), np.iinfo(np.int64).max)
+    near_values = np.append(np.asarray(activation.values, dtype=float)[order[near]], 0.0)
+
     inside = grid.contains(cloud)
-    coords = grid.coords_for(cloud)
+    cells, inverse, _ = _group_rows(grid.coords_for(cloud[inside]))
+    offsets = np.array(_offsets_within(r), dtype=np.int64)  # lexicographic
+    dist = np.abs(offsets).sum(axis=1)
+    by_distance = np.argsort(dist, kind="stable")
+    offsets, dist = offsets[by_distance], dist[by_distance]
 
-    # Cells farther than the threshold from every non-zero voxel can only
-    # average zeros; dilating the non-zero support once avoids querying
-    # each of them. The k-cap is unaffected: skipped cells would have
-    # scored 0 from whatever neighbor set they see.
-    values = np.asarray(activation.values, dtype=float)
-    offsets = _offsets_within(cfg.range_threshold)
-    reachable: set[tuple[int, int, int]] = set()
-    for cx, cy, cz in activation.coords[values != 0].tolist():
-        for dx, dy, dz in offsets:
-            reachable.add((cx + dx, cy + dy, cz + dz))
+    query = _linear_key((cells[:, None, :] + offsets + r).reshape(-1, 3), span)
+    pos = np.searchsorted(keys, query).reshape(len(cells), len(offsets))
+    found = keys[pos] == query.reshape(pos.shape)
+    found &= np.cumsum(found, axis=1) <= cfg.k
+    hit = found.any(axis=1)
+    found, pos = found[hit], pos[hit]
 
-    # Points sharing a voxel share a neighbor set; resolve per unique cell.
-    cell_score: dict[tuple[int, int, int], float] = {}
-    for i in np.flatnonzero(inside):
-        key = (int(coords[i, 0]), int(coords[i, 1]), int(coords[i, 2]))
-        score = cell_score.get(key)
-        if score is None:
-            if key not in reachable:
-                cell_score[key] = 0.0
-                continue
-            neighbors = neighbor_query(key, activation, cfg)
-            if not neighbors:
-                score = 0.0
-            else:
-                dists = np.array([d for _, _, d in neighbors], dtype=float)
-                vals = np.array([v for _, v, _ in neighbors], dtype=float)
-                weights = np.exp(-0.5 * dists**2)
-                # anchored at the first value so single-neighbor and
-                # constant-activation cases come out bit-exact
-                anchor = vals[0]
-                score = float(
-                    anchor + np.dot(weights, vals - anchor) / weights.sum()
-                )
-            cell_score[key] = score
-        scores[i] = score
+    # anchored at the first neighbor's value so single-neighbor and
+    # constant-activation cells come out bit-exact; slots without a
+    # neighbor hold the anchor, so they deviate by 0 with weight 0
+    anchor = near_values[pos[np.arange(len(pos)), found.argmax(axis=1)]]
+    deviations = np.where(found, near_values[pos], anchor[:, None]) - anchor[:, None]
+    weights = np.where(found, np.exp(-0.5 * dist**2), 0.0)
+    cell_scores = np.zeros(len(cells))
+    cell_scores[hit] = anchor + (weights * deviations).sum(axis=1) / weights.sum(axis=1)
+    scores[inside] = cell_scores[inverse]
     return scores
 
 
 def nearest_voxel_values(activation: SparseVoxelMap, cloud: np.ndarray) -> np.ndarray:
-    """Raw activation of each point's own voxel; 0 when unoccupied or out of range."""
-    cloud = np.asarray(cloud, dtype=float)
-    n = len(cloud)
-    scores = np.zeros(n)
-    if n == 0 or len(activation) == 0:
-        return scores
-    values = np.asarray(activation.values, dtype=float)
-    grid = activation.grid
-    inside = grid.contains(cloud)
-    coords = grid.coords_for(cloud)
-    index = activation.index
-    for i in np.flatnonzero(inside):
-        row = index.get((int(coords[i, 0]), int(coords[i, 1]), int(coords[i, 2])))
-        if row is not None:
-            scores[i] = values[row]
-    return scores
+    """Activation of each point's own voxel; 0 when unoccupied or out of range.
+
+    This is ``upsample_to_points`` at range 0 and k 1, so a ``-0.0`` voxel
+    reads as ``0.0``.
+    """
+    return upsample_to_points(activation, cloud, UpsampleConfig(range_threshold=0, k=1))

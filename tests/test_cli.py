@@ -268,6 +268,30 @@ def test_key_overflowing_grid_exits_one(scene_dir, tmp_path, capsys):
     assert "int64" in capsys.readouterr().err
 
 
+def test_key_wrapping_dump_grid_exits_one(tmp_path, detector, capsys):
+    # the replay detector takes its grid from the file unchecked; 1e-6 m
+    # voxels over the default extent would wrap the upsampler's voxel key
+    from dataclasses import replace
+
+    from pcsaliency.dumps import dump_from_detector, save_dump
+    from pcsaliency.pipeline import full_mask
+    from pcsaliency.voxelgrid import GridSpec
+
+    cloud, _, _ = single_object_scene(0)
+    bin_path = tmp_path / "scene.bin"
+    write_kitti_bin(bin_path, cloud)
+    dump = dump_from_detector(detector, cloud, 3, masks=(full_mask(),))
+    dump_path = tmp_path / "scene.ffdp"
+    save_dump(dump_path, replace(dump, grid=GridSpec(1e-6, (0.0, 24.0), (0.0, 24.0), (0.0, 4.0))))
+    code = main([
+        "explain", "--scene", str(bin_path), "--detection", "0",
+        "--out", str(tmp_path / "sal.csv"),
+        "--set", "detector.kind=dump", "--set", f"detector.dump_path={dump_path}", *FAST,
+    ])
+    assert code == 1
+    assert "int64" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # one forward and one concept factorization per scene
 

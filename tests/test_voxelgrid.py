@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pcsaliency.detector import _group_rows
 from pcsaliency.voxelgrid import (
     GridSpec,
     SparseVoxelMap,
     UpsampleConfig,
+    _group_rows,
     nearest_voxel_values,
     neighbor_query,
     upsample_to_points,
@@ -204,3 +206,120 @@ def test_nearest_voxel_values():
 def test_unique_coords_enforced():
     with pytest.raises(ValueError):
         SparseVoxelMap(np.array([[1, 1, 1], [1, 1, 1]]), np.array([1.0, 2.0]), GRID).index
+
+
+@pytest.mark.parametrize("repeated", [(1, 1, 1), (-50, 3, 99)])
+@pytest.mark.parametrize("values", [[0.0, 0.0, 0.5], [1.0, 2.0, 0.5]])
+def test_repeated_coords_rejected_by_every_upsampling_call(repeated, values):
+    # all-zero repeats, repeats outside the grid, no point within reach of
+    # any voxel, an empty cloud: the map is malformed all the same
+    vmap = scalar_map([repeated, repeated, (5, 5, 5)], values)
+    for cloud in (np.array([[9.5, 0.5, 9.5, 0.0]]), np.zeros((0, 4))):
+        with pytest.raises(ValueError, match="not unique"):
+            upsample_to_points(vmap, cloud, UpsampleConfig())
+        with pytest.raises(ValueError, match="not unique"):
+            nearest_voxel_values(vmap, cloud)
+
+
+def test_key_wrapping_grid_rejected():
+    # 1e-6 m voxels over the default 24 x 24 x 4 m extent: ~2e21 cells, so a
+    # linear voxel key would wrap int64 and match the wrong voxels
+    grid = GridSpec(1e-6, (0.0, 24.0), (0.0, 24.0), (0.0, 4.0))
+    vmap = scalar_map([(1, 1, 1)], [1.0], grid)
+    cloud = np.array([[1.5e-6, 1.5e-6, 1.5e-6, 0.0]])
+    with pytest.raises(ValueError, match="int64"):
+        upsample_to_points(vmap, cloud, UpsampleConfig())
+    with pytest.raises(ValueError, match="int64"):
+        nearest_voxel_values(vmap, cloud)
+
+
+def test_voxel_out_of_reach_does_not_alias_a_neighbor():
+    # at range 1 the keyed box of this 4 x 3 x 3 grid spans z in [-1, 4]
+    # (z cell floor(3 / 1) = 3 is kept for rounding); the voxel at z = 5
+    # would share its linear key with (1, 1, -1), the neighbor below cell
+    # (1, 1, 0), if it were keyed
+    grid = GridSpec(1.0, (0.0, 4.0), (0.0, 3.0), (0.0, 3.0))
+    vmap = scalar_map([(1, 0, 5)], [1.0], grid)
+    cloud = np.array([[1.5, 1.5, 0.5, 0.0]])
+    out = upsample_to_points(vmap, cloud, UpsampleConfig(range_threshold=1, k=4))
+    assert np.array_equal(out, [0.0])
+
+
+# ----------------------------------------------------------------------
+# the gather against the per-point loop it replaced
+
+# 4 x 3 x 3 cells; voxels drawn on and next to it are dense enough for the
+# k-cap to bind, and a few lie anywhere, far outside
+_PROPERTY_GRID = GridSpec(1.0, (0.0, 4.0), (0.0, 3.0), (0.0, 3.0))
+_VALUE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+def _sized_lists(element, min_size, max_size):
+    """Lists whose length is drawn first, so long lists are as likely as short."""
+    return st.integers(min_size, max_size).flatmap(
+        lambda n: st.lists(element, min_size=n, max_size=n)
+    )
+
+
+def _voxels(axis, min_size, max_size):
+    return _sized_lists(st.tuples(st.tuples(axis, axis, axis), _VALUE), min_size, max_size)
+
+
+def upsample_oracle(vmap, cloud, cfg):
+    """Per point: ``neighbor_query`` around its cell, then the anchored
+    ``np.dot`` average. Returns the scores and each point's neighbor count."""
+    scores, counts = np.zeros(len(cloud)), np.zeros(len(cloud), dtype=int)
+    inside = vmap.grid.contains(cloud)
+    for i, cell in enumerate(vmap.grid.coords_for(cloud)):
+        neighbors = neighbor_query(cell, vmap, cfg) if inside[i] else []
+        counts[i] = len(neighbors)
+        if neighbors:
+            dists = np.array([d for _, _, d in neighbors], dtype=float)
+            vals = np.array([v for _, v, _ in neighbors], dtype=float)
+            weights = np.exp(-0.5 * dists**2)
+            scores[i] = vals[0] + np.dot(weights, vals - vals[0]) / weights.sum()
+    return scores, counts
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    near=_voxels(st.integers(-1, 3), 1, 36),
+    far=_voxels(st.integers(-1000, 1000), 0, 4),
+    points=_sized_lists(
+        st.tuples(st.floats(-0.5, 4.5), st.floats(-0.5, 3.5), st.floats(-0.5, 3.5)), 1, 20
+    ),
+    range_threshold=st.integers(0, 3),
+    k=st.integers(1, 4) | st.integers(5, 32),  # small k half the time: the cap binds
+    constant=_VALUE,
+)
+def test_upsample_matches_per_point_loop(near, far, points, range_threshold, k, constant):
+    voxels = dict(near + far)  # one value per coordinate
+    coords, values = zip(*voxels.items())
+    vmap = scalar_map(coords, values, _PROPERTY_GRID)
+    cloud = np.array(points)
+    cfg = UpsampleConfig(range_threshold, k)
+    got = upsample_to_points(vmap, cloud, cfg)
+    expected, counts = upsample_oracle(vmap, cloud, cfg)
+    # same terms in another summation order
+    tol = 4 * np.finfo(float).eps * np.abs(vmap.values).max()
+    assert np.all(np.abs(got - expected) <= tol)
+    # zero or one neighbor: no sum at all
+    assert np.array_equal(bits(got[counts <= 1]), bits(expected[counts <= 1]))
+
+    # a constant map gives the loop's anchor + 0.0 wherever a point has a neighbor
+    flat = vmap.with_values(np.full(len(vmap), constant))
+    assert np.array_equal(
+        bits(upsample_to_points(flat, cloud, cfg)), bits(np.where(counts > 0, constant + 0.0, 0.0))
+    )
+
+    own = [
+        vmap.values[vmap.index[tuple(c)]] if inside and tuple(c) in vmap.index else 0.0
+        for c, inside in zip(_PROPERTY_GRID.coords_for(cloud).tolist(),
+                             _PROPERTY_GRID.contains(cloud))
+    ]
+    # + 0.0: a -0.0 voxel reads as 0.0, every other value bit for bit
+    assert np.array_equal(bits(nearest_voxel_values(vmap, cloud)), bits(np.array(own) + 0.0))
