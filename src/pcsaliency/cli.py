@@ -414,10 +414,11 @@ def _cmd_modes(args) -> int:
 # selftest
 
 def _mc_iou(a: OrientedBox, b: OrientedBox, n: int, seed: int) -> float:
+    """Monte Carlo IoU from uniform samples over both boxes' bounding box."""
     rng = np.random.default_rng(seed)
-    corners = np.vstack([_aabb(a), _aabb(b)])
-    lo = corners.min(axis=0)
-    hi = corners.max(axis=0)
+    boxes = (a, b)
+    lo = np.min([(*x.footprint().min(axis=0), x.center[2] - x.size[2] / 2) for x in boxes], axis=0)
+    hi = np.max([(*x.footprint().max(axis=0), x.center[2] + x.size[2] / 2) for x in boxes], axis=0)
     pts = rng.uniform(lo, hi, size=(n, 3))
     in_a = points_in_box(pts, a)
     in_b = points_in_box(pts, b)
@@ -425,17 +426,6 @@ def _mc_iou(a: OrientedBox, b: OrientedBox, n: int, seed: int) -> float:
     if union == 0:
         return 0.0
     return int(np.count_nonzero(in_a & in_b)) / union
-
-
-def _aabb(box: OrientedBox) -> np.ndarray:
-    corners2d = box.footprint()
-    z_lo = box.center[2] - box.size[2] / 2
-    z_hi = box.center[2] + box.size[2] / 2
-    out = np.zeros((2, 3))
-    out[0, :2] = corners2d.min(axis=0)
-    out[1, :2] = corners2d.max(axis=0)
-    out[0, 2], out[1, 2] = z_lo, z_hi
-    return out
 
 
 def _cmd_selftest(args) -> int:

@@ -32,7 +32,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .pipeline import Detection, bits_to_mask, mask_to_bits, match_detection
-from .voxelgrid import GridSpec, SparseVoxelMap
+from .voxelgrid import GridSpec, SparseVoxelMap, _check_key_range
 
 _MAGIC = b"FFDP"
 _VERSION = 1
@@ -155,6 +155,7 @@ def read_dump(path, classes: tuple[str, ...] = DEFAULT_CLASSES) -> FeatureDump:
     s, x_lo, x_hi, y_lo, y_hi, z_lo, z_hi = r.unpack("<7d")
     try:
         grid = GridSpec(s, (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi))
+        _check_key_range(grid)
     except ValueError as exc:
         raise MalformedDump(f"invalid grid: {exc}") from exc
     (block_index,) = r.unpack("<I")

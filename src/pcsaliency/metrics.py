@@ -68,14 +68,20 @@ class Curve:
         object.__setattr__(self, "values", values)
 
 
-def _region_order(cloud, d: Detection, saliency):
-    """In-region point indices, sorted by descending saliency then index."""
-    cloud = np.asarray(cloud, dtype=float)
+def _paired(saliency, cloud):
+    """``(saliency, cloud)`` as float arrays, one saliency per cloud point."""
     saliency = np.asarray(saliency, dtype=float)
+    cloud = np.asarray(cloud, dtype=float)
     if len(saliency) != len(cloud):
         raise LengthMismatch(
             f"saliency length {len(saliency)} != cloud length {len(cloud)}"
         )
+    return saliency, cloud
+
+
+def _region_order(cloud, d: Detection, saliency):
+    """In-region point indices, sorted by descending saliency then index."""
+    saliency, cloud = _paired(saliency, cloud)
     radius = 2.0 * box_diagonal(d.box())
     dist = np.linalg.norm(cloud[:, :3] - np.array(d.center), axis=1)
     region = np.flatnonzero(dist <= radius)
@@ -142,12 +148,7 @@ def vea(saliency, cloud, gt_box: OrientedBox, thresholds=DEFAULT_VEA_THRESHOLDS)
     inside the box. Returns the maximum over thresholds; an all-zero map
     scores 0.
     """
-    saliency = np.asarray(saliency, dtype=float)
-    cloud = np.asarray(cloud, dtype=float)
-    if len(saliency) != len(cloud):
-        raise LengthMismatch(
-            f"saliency length {len(saliency)} != cloud length {len(cloud)}"
-        )
+    saliency, cloud = _paired(saliency, cloud)
     gt_mask = points_in_box(cloud, gt_box)
     if not gt_mask.any():
         raise EmptyGroundTruth("no cloud points inside the ground-truth box")
@@ -168,26 +169,16 @@ def vea(saliency, cloud, gt_box: OrientedBox, thresholds=DEFAULT_VEA_THRESHOLDS)
 
 def pointing_game(saliency, cloud, gt_box: OrientedBox) -> bool:
     """Hit iff the highest-saliency point (ties: lowest index) lies in the box."""
-    saliency = np.asarray(saliency, dtype=float)
-    if saliency.size == 0:
+    if np.size(saliency) == 0:
         raise ValueError("saliency map is empty")
-    cloud = np.asarray(cloud, dtype=float)
-    if len(saliency) != len(cloud):
-        raise LengthMismatch(
-            f"saliency length {len(saliency)} != cloud length {len(cloud)}"
-        )
+    saliency, cloud = _paired(saliency, cloud)
     top = int(np.argmax(saliency))
     return bool(points_in_box(cloud[top : top + 1], gt_box)[0])
 
 
 def energy_pg(saliency, cloud, gt_box: OrientedBox) -> float:
     """Fraction of total saliency mass inside the ground-truth box."""
-    saliency = np.asarray(saliency, dtype=float)
-    cloud = np.asarray(cloud, dtype=float)
-    if len(saliency) != len(cloud):
-        raise LengthMismatch(
-            f"saliency length {len(saliency)} != cloud length {len(cloud)}"
-        )
+    saliency, cloud = _paired(saliency, cloud)
     total = float(saliency.sum())
     if total <= 0:
         raise ZeroEnergy("saliency map has no mass")

@@ -6,21 +6,22 @@ concept vectors; row sums of H give the per-voxel concept activation used
 as the global activation map.
 
 The solver is coordinate descent (HALS: each factor column solved exactly
-in closed form and clipped at zero), run as seeded multi-starts under one
-iteration budget: a start that stalls without improving on the best
-result ends the search, otherwise a fresh seeded start begins. The
+in closed form and clipped at zero), run as seeded starts 0, 1, 2, ... in
+turn under one budget of sweeps. The search keeps the best factors seen
+and stops once they reach the fit floor or the budget is spent. The
 reported objective history is the best value seen after each sweep, so it
 is non-increasing; within any single start the sweep objective itself is
 non-increasing as well.
 
 ``relative_tolerance`` (tol) sets both stop rules of a start. A start
 ends after a sweep whose objective is at most tol * ||A||^2 (the fit
-floor), or whose decrease from the previous sweep is below tol times the
-previous objective (a stall). Reaching the floor solves the whole
-search: no further starts and no polish follow. HALS reaches a close
-fit in a few sweeps long before its iterates settle, so without the
-floor a near-exact fit would keep shaving ~20% off a tiny objective
-until the budget ran out.
+floor, which also ends the search), or whose decrease from the previous
+sweep is below tol times the previous objective (a stall: the start sits
+in a local minimum, so the next seed gets the budget). HALS reaches a
+close fit in a few sweeps long before its iterates settle, so without the
+floor a near-exact fit would keep shaving ~20% off a tiny objective until
+the budget ran out. An input that never reaches the floor spends the
+whole budget on fresh starts.
 """
 
 from __future__ import annotations
@@ -38,10 +39,12 @@ _DIV_EPS = 1e-12
 class NmfConfig:
     """Factorization knobs; ``seed`` makes runs bit-reproducible.
 
-    ``relative_tolerance`` bounds both the residual (a start stops, and the
-    search is solved, once the objective is at most that fraction of
-    ||A||^2) and the per-sweep decrease (a start stops once a sweep lowers
-    the objective by less than that fraction of its previous value).
+    ``max_iterations`` is the sweep budget shared by all starts; one start
+    runs at most ``max(32, max_iterations // 4)`` sweeps.
+    ``relative_tolerance`` bounds both the residual (the search stops once
+    the objective is at most that fraction of ||A||^2) and the per-sweep
+    decrease (a start stops once a sweep lowers the objective by less than
+    that fraction of its previous value).
     """
 
     r: int = 64
@@ -103,11 +106,10 @@ def _hals_sweep(a, h, w):
 def factorize(a: np.ndarray, cfg: NmfConfig) -> Factorization:
     """Factorize a non-negative matrix into r non-negative concepts.
 
-    Deterministic given (A, cfg). A start ends after a sweep whose
-    objective is at most ``cfg.relative_tolerance * ||A||^2``, which also
-    ends the search, or whose relative decrease falls below
-    ``cfg.relative_tolerance``; the budget of ``cfg.max_iterations``
-    sweeps is shared across starts and the polish of the best factors.
+    Deterministic given (A, cfg). Seeded starts run in turn, each until
+    the fit floor ``cfg.relative_tolerance * ||A||^2``, a stall or its
+    sweep cap; the best factors found are returned once they reach the
+    floor or ``cfg.max_iterations`` sweeps have been spent.
     """
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.size == 0:
@@ -122,79 +124,37 @@ def factorize(a: np.ndarray, cfg: NmfConfig) -> Factorization:
     if cfg.r > min(m, d):
         raise RankTooLarge(f"r={cfg.r} exceeds min(M, d)={min(m, d)}")
 
-    state = _SearchState(a, cfg)
+    floor = cfg.relative_tolerance * float(np.sum(a * a))
     # One slow start must not starve the rest of the budget.
     per_start_cap = max(32, cfg.max_iterations // 4)
-    start = 0
-    while state.budget_left() > 0:
+    best_obj, best_h, best_w, history = np.inf, None, None, []
+    start = iterations = 0
+    while best_obj > floor and iterations < cfg.max_iterations:
         h, w = _seeded_init(a, cfg.r, cfg.seed, start)
-        init_obj = _objective(a, h, w)
+        prev = _objective(a, h, w)
         if start == 0:
-            state.offer(init_obj, h, w)
-            state.history.append(state.best_obj)
-        best_before = state.best_obj
-        state.run(h, w, init_obj, per_start_cap)
-        if state.solved():
-            break
-        if start > 0 and state.best_obj >= best_before - cfg.relative_tolerance * max(
-            best_before, _DIV_EPS
-        ):
-            break  # no material improvement; further seeds are unlikely to help
+            best_obj, best_h, best_w = prev, h.copy(), w.copy()
+            history.append(best_obj)
+        for _ in range(min(per_start_cap, cfg.max_iterations - iterations)):
+            h, w = _hals_sweep(a, h, w)
+            iterations += 1
+            obj = _objective(a, h, w)
+            if obj < best_obj:
+                best_obj, best_h, best_w = obj, h.copy(), w.copy()
+            history.append(best_obj)
+            if obj <= floor or prev - obj < cfg.relative_tolerance * max(prev, _DIV_EPS):
+                break
+            prev = obj
         start += 1
-    # Spend any remaining budget polishing the best factors found.
-    if state.budget_left() > 0 and not state.solved():
-        h, w = state.best_h.copy(), state.best_w.copy()
-        state.run(h, w, state.best_obj, state.budget_left())
 
     return Factorization(
-        h=state.best_h,
-        w=state.best_w,
+        h=best_h,
+        w=best_w,
         r=cfg.r,
-        iterations_run=state.iterations,
-        final_objective=state.best_obj,
-        objective_history=np.array(state.history),
+        iterations_run=iterations,
+        final_objective=best_obj,
+        objective_history=np.array(history),
     )
-
-
-class _SearchState:
-    """Best-so-far bookkeeping shared by the start and polish phases."""
-
-    def __init__(self, a, cfg):
-        self.a = a
-        self.cfg = cfg
-        self.floor = cfg.relative_tolerance * float(np.sum(a * a))
-        self.best_obj = np.inf
-        self.best_h = None
-        self.best_w = None
-        self.history: list[float] = []
-        self.iterations = 0
-
-    def budget_left(self) -> int:
-        return self.cfg.max_iterations - self.iterations
-
-    def solved(self) -> bool:
-        return self.best_obj <= self.floor
-
-    def offer(self, obj, h, w):
-        if obj < self.best_obj:
-            self.best_obj, self.best_h, self.best_w = obj, h.copy(), w.copy()
-
-    def run(self, h, w, prev_obj, cap):
-        """Sweep until the fit floor, a stall, the cap, or the budget end;
-        returns the last objective."""
-        a = self.a
-        prev = prev_obj
-        for _ in range(min(cap, self.budget_left())):
-            h, w = _hals_sweep(a, h, w)
-            self.iterations += 1
-            obj = _objective(a, h, w)
-            self.offer(obj, h, w)
-            self.history.append(self.best_obj)
-            stalled = prev - obj < self.cfg.relative_tolerance * max(prev, _DIV_EPS)
-            if obj <= self.floor or stalled:
-                return obj
-            prev = obj
-        return prev
 
 
 def global_concept_map(f: Factorization) -> np.ndarray:

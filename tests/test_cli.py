@@ -268,11 +268,12 @@ def test_key_overflowing_grid_exits_one(scene_dir, tmp_path, capsys):
     assert "int64" in capsys.readouterr().err
 
 
-def test_key_wrapping_dump_grid_exits_one(tmp_path, detector, capsys):
-    # the replay detector takes its grid from the file unchecked; 1e-6 m
-    # voxels over the default extent would wrap the upsampler's voxel key
+def test_key_wrapping_dump_grid_exits_one(tmp_path, detector, capsys, monkeypatch):
+    # 1e-6 m voxels over the default extent would wrap the upsampler's
+    # voxel key; the dump is rejected at load, before any factorization
     from dataclasses import replace
 
+    from pcsaliency import nmf
     from pcsaliency.dumps import dump_from_detector, save_dump
     from pcsaliency.pipeline import full_mask
     from pcsaliency.voxelgrid import GridSpec
@@ -283,6 +284,7 @@ def test_key_wrapping_dump_grid_exits_one(tmp_path, detector, capsys):
     dump = dump_from_detector(detector, cloud, 3, masks=(full_mask(),))
     dump_path = tmp_path / "scene.ffdp"
     save_dump(dump_path, replace(dump, grid=GridSpec(1e-6, (0.0, 24.0), (0.0, 24.0), (0.0, 4.0))))
+    monkeypatch.setattr(nmf, "factorize", None)
     code = main([
         "explain", "--scene", str(bin_path), "--detection", "0",
         "--out", str(tmp_path / "sal.csv"),

@@ -95,6 +95,17 @@ class TestMalformed:
         with pytest.raises(MalformedDump, match="truncated"):
             read_dump(path)
 
+    def test_key_wrapping_grid(self, scene_dump, tmp_path):
+        # 1e-6 m voxels over 24 x 24 x 4 m is a valid GridSpec whose voxel
+        # key would wrap int64; the file is rejected before any use
+        from dataclasses import replace
+
+        _, dump, _ = scene_dump
+        path = tmp_path / "wrapping.ffdp"
+        save_dump(path, replace(dump, grid=GridSpec(1e-6, (0.0, 24.0), (0.0, 24.0), (0.0, 4.0))))
+        with pytest.raises(MalformedDump, match="int64"):
+            read_dump(path)
+
     def test_shape_mismatch_on_construction(self):
         grid = GridSpec(1.0, (0, 4), (0, 4), (0, 4))
         with pytest.raises(ShapeMismatch):

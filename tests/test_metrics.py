@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pcsaliency.boxes import OrientedBox, box_diagonal, iou_3d, points_in_box
-from pcsaliency.errors import EmptyGroundTruth, NoRegionPoints, ZeroEnergy
+from pcsaliency.errors import EmptyGroundTruth, LengthMismatch, NoRegionPoints, ZeroEnergy
 from pcsaliency.metrics import (
     Curve,
     EvalThresholds,
@@ -263,6 +263,26 @@ class TestEnergyPg:
         assert energy_pg(saliency, cloud, self.BOX) == pytest.approx(
             energy_pg(saliency * 42.0, cloud, self.BOX), rel=1e-12
         )
+
+
+
+def _deletion_without_reruns(saliency, cloud, box):
+    d = Detection(box.center, box.size, box.yaw, 1.0, "car")
+    return deletion_curve(None, cloud, d, saliency)
+
+
+@pytest.mark.parametrize("metric", [_deletion_without_reruns, vea, pointing_game, energy_pg])
+def test_saliency_must_pair_with_cloud(metric):
+    box = OrientedBox((0.0, 0.0, 0.0), (2.0, 2.0, 2.0), 0.0)
+    cloud = [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]
+    with pytest.raises(LengthMismatch, match="saliency length 3 != cloud length 2"):
+        metric([1.0, 0.5, 0.2], cloud, box)
+
+
+def test_pointing_game_rejects_empty_map_first():
+    box = OrientedBox((0.0, 0.0, 0.0), (2.0, 2.0, 2.0), 0.0)
+    with pytest.raises(ValueError, match="empty"):
+        pointing_game([], [[0.0, 0.0, 0.0]], box)
 
 
 class TestWellDetected:

@@ -24,8 +24,9 @@ def test_rank_one_matrix_is_exact():
 def _reference_solver(a, r, seed, max_iterations, tol):
     """Independent plain-loop reimplementation of the factorizer.
 
-    Same seeding scheme and search structure, written with explicit loops
-    so a bug in the vectorized code cannot hide in its oracle.
+    Same seeding scheme and search structure (seeded starts in turn until
+    the fit floor or the budget), written with explicit loops so a bug in
+    the vectorized code cannot hide in its oracle.
     """
     m, n = a.shape
     eps = 1e-12
@@ -68,14 +69,12 @@ def _reference_solver(a, r, seed, max_iterations, tol):
     iterations = 0
     cap = max(32, max_iterations // 4)
     start = 0
-    while iterations < max_iterations:
+    while iterations < max_iterations and (best is None or best[0] > floor):
         h, w = init(start)
         prev = objective(h, w)
         if start == 0:
             best = (prev, [row[:] for row in h], [row[:] for row in w])
-        best_before = best[0]
-        budget = min(cap, max_iterations - iterations)
-        for _ in range(budget):
+        for _ in range(min(cap, max_iterations - iterations)):
             h, w = sweep(h, w)
             iterations += 1
             obj = objective(h, w)
@@ -84,24 +83,7 @@ def _reference_solver(a, r, seed, max_iterations, tol):
             if obj <= floor or prev - obj < tol * max(prev, eps):
                 break
             prev = obj
-        if best[0] <= floor:
-            break
-        if start > 0 and best[0] >= best_before - tol * max(best_before, eps):
-            break
         start += 1
-    if iterations < max_iterations and best[0] > floor:
-        h = [row[:] for row in best[1]]
-        w = [row[:] for row in best[2]]
-        prev = best[0]
-        while iterations < max_iterations:
-            h, w = sweep(h, w)
-            iterations += 1
-            obj = objective(h, w)
-            if obj < best[0]:
-                best = (obj, h, w)
-            if obj <= floor or prev - obj < tol * max(prev, eps):
-                break
-            prev = obj
     return best[0], iterations
 
 
@@ -197,3 +179,14 @@ def test_low_rank_exactness_small():
         a, rank = low_rank_matrix(seed, max_size=32, max_rank=8)
         f = factorize(a, cfg(r=rank, seed=seed))
         assert f.final_objective / np.sum(a * a) <= 1e-6
+
+
+@pytest.mark.parametrize("seed, iters", [(270, 500), (135, 200)])
+def test_restarts_spend_the_budget_until_the_floor(seed, iters):
+    # Early starts stall in local minima on these inputs, and later seeds
+    # reach the floor within the budget. A search that stops restarting
+    # once a restart fails to improve on the best start leaves them at
+    # relative objectives of 2.1e-2 and 6.9e-3.
+    a, rank = low_rank_matrix(seed)
+    f = factorize(a, cfg(r=rank, seed=seed, iters=iters))
+    assert f.final_objective / np.sum(a * a) <= 1e-6
