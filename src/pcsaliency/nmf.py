@@ -2,8 +2,10 @@
 
 Factorizes A (M x d) into H (M x r) and W (r x d), both entrywise
 non-negative, minimizing the squared Frobenius residual. Rows of W act as
-concept vectors; row sums of H give the per-voxel concept activation used
-as the global activation map.
+concept vectors. The global activation map weights each voxel's concept
+activations (a row of H) by the l2 norms of the concept vectors. HW is
+unchanged under H -> HD, W -> D^-1 W for any positive diagonal D; the map
+is too, so it does not hinge on which of those equal optima a seed finds.
 
 The solver is coordinate descent (HALS: each factor column solved exactly
 in closed form and clipped at zero), run as seeded starts 0, 1, 2, ... in
@@ -158,5 +160,5 @@ def factorize(a: np.ndarray, cfg: NmfConfig) -> Factorization:
 
 
 def global_concept_map(f: Factorization) -> np.ndarray:
-    """Per-voxel sum of concept weights (row sums of H)."""
-    return f.h.sum(axis=1)
+    """Per-voxel concept activation: H times the l2 norm of each W row."""
+    return f.h @ np.linalg.norm(f.w, axis=1)

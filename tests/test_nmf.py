@@ -110,17 +110,17 @@ def test_fit_floor_stop_matches_independent_reference(seed):
     assert f.final_objective <= 1e-5 * np.sum(a * a)
 
 
-def test_global_concept_map_row_sums():
+def test_global_concept_map_weights_h_by_w_row_norms():
     f = Factorization(
-        h=np.array([[1.0, 2.0], [3.0, 4.0]]), w=np.zeros((2, 2)),
+        h=np.array([[1.0, 2.0], [3.0, 4.0]]), w=np.array([[3.0, 4.0], [0.0, 2.0]]),
         r=2, iterations_run=0, final_objective=0.0,
     )
-    assert np.array_equal(global_concept_map(f), np.array([3.0, 7.0]))
+    assert np.array_equal(global_concept_map(f), np.array([9.0, 23.0]))
 
 
 def test_global_concept_map_zero():
     f = Factorization(
-        h=np.zeros((3, 2)), w=np.zeros((2, 2)),
+        h=np.zeros((3, 2)), w=np.ones((2, 2)),
         r=2, iterations_run=0, final_objective=0.0,
     )
     assert np.array_equal(global_concept_map(f), np.zeros(3))
@@ -129,9 +129,24 @@ def test_global_concept_map_zero():
 def test_global_concept_map_matches_fold():
     rng = np.random.default_rng(11)
     h = rng.uniform(size=(10, 64))
-    f = Factorization(h=h, w=np.zeros((64, 1)), r=64, iterations_run=0, final_objective=0.0)
-    expected = [sum(row) for row in h.tolist()]
+    w = rng.uniform(size=(64, 5))
+    f = Factorization(h=h, w=w, r=64, iterations_run=0, final_objective=0.0)
+    norms = [sum(x * x for x in row) ** 0.5 for row in w.tolist()]
+    expected = [sum(hk * nk for hk, nk in zip(row, norms)) for row in h.tolist()]
     assert np.allclose(global_concept_map(f), expected, rtol=0, atol=1e-12)
+
+
+def test_global_concept_map_invariant_to_factor_scaling():
+    # HW is unchanged under H -> HD, W -> D^-1 W for a positive diagonal D,
+    # so the concept map must be too.
+    rng = np.random.default_rng(3)
+    h = rng.uniform(size=(12, 4))
+    w = rng.uniform(size=(4, 6))
+    scale = np.array([1e-3, 0.5, 7.0, 300.0])
+    f = Factorization(h=h, w=w, r=4, iterations_run=0, final_objective=0.0)
+    g = Factorization(h=h * scale, w=w / scale[:, None], r=4, iterations_run=0, final_objective=0.0)
+    assert np.allclose(h * scale @ (w / scale[:, None]), h @ w, rtol=1e-12)
+    assert np.allclose(global_concept_map(g), global_concept_map(f), rtol=1e-12, atol=0)
 
 
 def test_negative_input_rejected_unless_clamped():

@@ -250,9 +250,8 @@ class TestSeedStability:
 
     @pytest.mark.parametrize("scene", range(4))
     def test_saliency_ranking_independent_of_nmf_seed(self, detector, scene):
-        # The concept map alone still moves with the seed (an over-
-        # parameterized factorization has many optima); the explanation
-        # ranks points the same way whichever optimum the seed picks.
+        # The explanation ranks points the same way whichever optimum the
+        # seed picks.
         cloud, _, _ = single_object_scene(scene)
         d = detector.detect(cloud)[0]
         maps = [
@@ -261,6 +260,22 @@ class TestSeedStability:
             )
             for seed in (0, 1, 2)
         ]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            assert _spearman(maps[i], maps[j]) >= 0.99
+
+    @pytest.mark.parametrize("scene", range(10))
+    def test_concept_map_ranking_independent_of_nmf_seed(self, detector, scene):
+        # An over-parameterized factorization has many optima, and H's row
+        # sums move with the scaling of each; the map weighted by W's row
+        # norms does not.
+        cloud, _, _ = single_object_scene(scene)
+        d = detector.detect(cloud)[0]
+        maps = []
+        for seed in (0, 1, 2):
+            cfg = PipelineConfig(nmf=nmf.NmfConfig(seed=seed), block_index=3)
+            concepts = {}
+            explain_detection(detector, cloud, d, full_mask(), cfg, concepts)
+            maps.append(concepts[(3, cfg.nmf)])
         for i, j in ((0, 1), (0, 2), (1, 2)):
             assert _spearman(maps[i], maps[j]) >= 0.99
 
