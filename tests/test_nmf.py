@@ -198,10 +198,9 @@ def test_low_rank_exactness_small():
 
 @pytest.mark.parametrize("seed, iters", [(270, 500), (135, 200)])
 def test_restarts_spend_the_budget_until_the_floor(seed, iters):
-    # Early starts stall in local minima on these inputs, and later seeds
-    # reach the floor within the budget. A search that stops restarting
-    # once a restart fails to improve on the best start leaves them at
-    # relative objectives of 2.1e-2 and 6.9e-3.
+    # Early starts stall in local minima on these inputs, and starts that
+    # bring no improvement must not end the search: only later seeds reach
+    # the floor within the budget.
     a, rank = low_rank_matrix(seed)
     f = factorize(a, cfg(r=rank, seed=seed, iters=iters))
     assert f.final_objective / np.sum(a * a) <= 1e-6
