@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import OrientedBox
-from .errors import IoFailure, MalformedFile
+from .errors import MalformedFile
+from .fileio import read_bytes, writing
 from .metrics import EvalThresholds, well_detected
 from .pipeline import Detection
 
@@ -139,22 +140,15 @@ def write_grid(path, grid: CanonicalGrid) -> None:
     little-endian, x-fastest ordering."""
     averages = grid.averages().astype("<f4")
     counts = grid.counts.astype("<u4")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<I", grid.resolution))
-            fh.write(averages.ravel(order="F").tobytes())
-            fh.write(counts.ravel(order="F").tobytes())
-    except OSError as exc:
-        raise IoFailure(f"cannot write grid {path}: {exc}") from exc
+    with writing(path, "wb") as fh:
+        fh.write(struct.pack("<I", grid.resolution))
+        fh.write(averages.ravel(order="F").tobytes())
+        fh.write(counts.ravel(order="F").tobytes())
 
 
 def read_grid(path):
     """Parse a grid file back into (averages, counts) arrays."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read grid {path}: {exc}") from exc
+    data = read_bytes(path)
     if len(data) < 4:
         raise MalformedFile("grid file shorter than its header")
     (resolution,) = struct.unpack("<I", data[:4])
@@ -187,16 +181,13 @@ def grid_to_csv(path, grid: CanonicalGrid) -> None:
     # a cell center's coordinate on each axis depends only on that axis' index
     axis = [f"{-0.5 + (i + 0.5) * cell:.6g}" for i in range(res)]
     xy = [f"{cx},{cy}," for cy in axis for cx in axis]
-    try:
-        with open(path, "w") as fh:
-            fh.write("cx,cy,cz,value,count\n")
-            # one z slice at a time keeps the row strings few, and with them
-            # the memory the writer holds
-            for iz, cz in enumerate(axis):
-                values = averages[:, :, iz].ravel(order="F").tolist()
-                counts = grid.counts[:, :, iz].ravel(order="F").tolist()
-                fh.write("".join([
-                    f"{p}{cz},{v:.6g},{n}\n" for p, v, n in zip(xy, values, counts)
-                ]))
-    except OSError as exc:
-        raise IoFailure(f"cannot write csv {path}: {exc}") from exc
+    with writing(path) as fh:
+        fh.write("cx,cy,cz,value,count\n")
+        # one z slice at a time keeps the row strings few, and with them
+        # the memory the writer holds
+        for iz, cz in enumerate(axis):
+            values = averages[:, :, iz].ravel(order="F").tolist()
+            counts = grid.counts[:, :, iz].ravel(order="F").tolist()
+            fh.write("".join([
+                f"{p}{cz},{v:.6g},{n}\n" for p, v, n in zip(xy, values, counts)
+            ]))

@@ -25,7 +25,7 @@ from .aggregate import (
 from .boxes import OrientedBox, canonicalize, iou_3d, points_in_box
 from .detector import grad_check
 from .errors import IoFailure, SaliencyError, ValidationError, ZeroEnergy
-from .fileio import read_kitti_bin, read_labels_json, write_saliency
+from .fileio import read_kitti_bin, read_labels_json, write_json, write_saliency, writing
 from .metrics import auc, deletion_curve, energy_pg, insertion_curve, pointing_game, vea
 from .nmf import NmfConfig, factorize
 from .pipeline import ATTRIBUTE_NAMES, explain_detection, full_mask, make_mask
@@ -133,14 +133,6 @@ def _mkdir(path: Path) -> Path:
     except OSError as exc:
         raise IoFailure(f"cannot create directory {path}: {exc}") from exc
     return path
-
-
-def _write_text(path: Path, text: str) -> None:
-    _mkdir(path.parent)
-    try:
-        path.write_text(text)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_mask(text: str):
@@ -266,7 +258,8 @@ def _cmd_eval(args) -> int:
     out = _out_file(args.out, cfg, "metrics.jsonl")
     rows = [row for rows in _map_scenes(cfg, args.scenes, _eval_worker) for row in rows]
     rows.sort(key=lambda r: (r["scene_id"], r["detection_id"], r["metric"]))
-    _write_text(out, "".join(json.dumps(row) + "\n" for row in rows))
+    with writing(out) as fh:
+        fh.writelines(json.dumps(row) + "\n" for row in rows)
     print(f"wrote {len(rows)} records to {out} (config {cfg.config_hash()})")
     return 0
 
@@ -304,7 +297,8 @@ def _cmd_sweep(args) -> int:
             f"{axis},{setting},{means['deletion']:.6g},{means['insertion']:.6g},"
             f"{means['vea']:.6g},{means['pg']:.6g},{means['enpg']:.6g}"
         )
-    _write_text(out, f"# config_hash={cfg.config_hash()}\n" + "\n".join(lines) + "\n")
+    with writing(out) as fh:
+        fh.write(f"# config_hash={cfg.config_hash()}\n" + "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} sweep rows to {out}")
     return 0
 
@@ -349,7 +343,7 @@ def _cmd_aggregate(args) -> int:
                 "points_discarded": grid.discarded,
             }
         )
-    _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    write_json(out_dir / "manifest.json", manifest)
     print(f"wrote {len(grids)} grids to {out_dir}")
     return 0
 
@@ -401,7 +395,7 @@ def _cmd_modes(args) -> int:
             "mean_points_in_box": report.fp_mean_points,
         },
     }
-    _write_text(out, json.dumps(payload, indent=2) + "\n")
+    write_json(out, payload)
     if grids_dir is not None:
         for mode, maps in (("tp", report.tp_maps), ("fp", report.fp_maps)):
             for label, grid in sorted(maps.items()):

@@ -18,7 +18,7 @@ from typing import ContextManager, Protocol
 import numpy as np
 
 from .errors import DetectorFailure, EmptyCloud, EmptyMask
-from .pipeline import ATTRIBUTE_NAMES, Detection, match_detection, object_loss
+from .pipeline import ATTRIBUTE_NAMES, CLASS_NAMES, Detection, match_detection, object_loss
 from .voxelgrid import GridSpec, SparseVoxelMap, _check_key_range, _group_rows
 
 _NEIGHBOR_OFFSETS_26 = [
@@ -68,7 +68,7 @@ class ReferenceDetectorConfig:
     excess_offset: float = 2.0
     kappa: float = 4.0
     size_floor: float = 1.0
-    classes: tuple[str, ...] = ("car", "pedestrian", "cyclist")
+    classes: tuple[str, ...] = CLASS_NAMES
 
     def __post_init__(self):
         if self.feature_dim < 5:

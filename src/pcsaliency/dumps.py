@@ -24,20 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DetectorFailure,
-    IoFailure,
-    MalformedDump,
-    MissingGradient,
-    ShapeMismatch,
-)
-from .pipeline import Detection, bits_to_mask, mask_to_bits, match_detection
+from .errors import DetectorFailure, MalformedDump, MissingGradient, ShapeMismatch
+from .fileio import read_bytes, writing
+from .pipeline import CLASS_NAMES, Detection, bits_to_mask, mask_to_bits, match_detection
 from .voxelgrid import GridSpec, SparseVoxelMap, _check_key_range
 
 _MAGIC = b"FFDP"
 _VERSION = 1
-
-DEFAULT_CLASSES = ("car", "pedestrian", "cyclist")
 
 
 @dataclass
@@ -50,7 +43,7 @@ class FeatureDump:
     features: np.ndarray  # (M, d) float32
     detections: list[Detection]
     gradients: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-    classes: tuple[str, ...] = DEFAULT_CLASSES
+    classes: tuple[str, ...] = CLASS_NAMES
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=np.int32).reshape(-1, 3)
@@ -105,11 +98,8 @@ def save_dump(path, dump: FeatureDump) -> None:
     for (det_idx, mask_bits), grad in sorted(dump.gradients.items()):
         parts.append(struct.pack("<II", det_idx, mask_bits))
         parts.append(grad.astype("<f4").tobytes())
-    try:
-        with open(path, "wb") as fh:
-            fh.write(b"".join(parts))
-    except OSError as exc:
-        raise IoFailure(f"cannot write dump {path}: {exc}") from exc
+    with writing(path, "wb") as fh:
+        fh.write(b"".join(parts))
 
 
 class _Reader:
@@ -135,17 +125,15 @@ class _Reader:
         # length check in take()
         count = math.prod(int(n) for n in shape)
         raw = self.take(count * np.dtype(dtype).itemsize)
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        try:
+            return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        except ValueError as exc:  # an empty array with a dimension numpy cannot index
+            raise MalformedDump(f"array shape {shape}: {exc}") from exc
 
 
-def read_dump(path, classes: tuple[str, ...] = DEFAULT_CLASSES) -> FeatureDump:
+def read_dump(path, classes: tuple[str, ...] = CLASS_NAMES) -> FeatureDump:
     """Parse a dump file, validating structure against the file length."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read dump {path}: {exc}") from exc
-
+    data = read_bytes(path)
     r = _Reader(data)
     if r.take(4) != _MAGIC:
         raise MalformedDump("bad magic; not a feature dump")
@@ -229,7 +217,7 @@ class DumpDetector:
             )
 
 
-def load_dump(path, classes: tuple[str, ...] = DEFAULT_CLASSES) -> DumpDetector:
+def load_dump(path, classes: tuple[str, ...] = CLASS_NAMES) -> DumpDetector:
     """Open a dump file as a replayable detector."""
     return DumpDetector(read_dump(path, classes))
 
@@ -239,7 +227,7 @@ def dump_from_detector(
     cloud: np.ndarray,
     block_index: int,
     masks=(),
-    classes: tuple[str, ...] = DEFAULT_CLASSES,
+    classes: tuple[str, ...] = CLASS_NAMES,
 ) -> FeatureDump:
     """Capture a detector's scene state; gradients for every detection x mask."""
     with detector.scene(cloud):

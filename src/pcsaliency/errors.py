@@ -1,8 +1,11 @@
 """Exception types shared across the package.
 
-Validation problems (bad arguments, malformed records) derive from
-``ValidationError``; problems talking to the filesystem derive from
-``IoFailure``. The CLI maps the former to exit code 1 and the latter to 2.
+Validation problems (bad arguments, malformed records, text that is not
+UTF-8) derive from ``ValidationError``; problems talking to the filesystem
+derive from ``IoFailure``. The CLI maps the former to exit code 1 and the
+latter to 2. ``fileio``'s ``read_bytes``, ``read_text`` and ``writing`` are
+where an ``OSError`` becomes an ``IoFailure`` and a ``UnicodeDecodeError`` a
+``MalformedFile``; every reader, given any bytes, raises only these types.
 """
 
 
@@ -86,4 +89,4 @@ class SchemaViolation(ValidationError):
 
 
 class MalformedFile(ValidationError):
-    """Binary file has an impossible length or structure."""
+    """File has an impossible length or structure, or text that is not UTF-8."""

@@ -3,10 +3,16 @@
 KITTI-style clouds are flat little-endian float32 quadruples; detections
 and ground-truth labels share a JSON schema; saliency maps export as CSV
 or ASCII PLY.
+
+This module is the package's only place that opens files. ``read_bytes``,
+``read_text`` and ``writing`` own the error mapping: a filesystem failure
+becomes an ``IoFailure`` naming the path (exit code 2), and text that is
+not UTF-8 a ``MalformedFile`` naming the path (exit code 1).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 import numpy as np
@@ -16,13 +22,39 @@ from .errors import IoFailure, LengthMismatch, MalformedFile, SchemaViolation
 from .pipeline import Detection
 
 
-def read_kitti_bin(path) -> np.ndarray:
-    """Point cloud from little-endian f32 (x, y, z, intensity) quadruples."""
+def read_bytes(path) -> bytes:
+    """The whole file; an ``OSError`` becomes an ``IoFailure``."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            return fh.read()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+def read_text(path) -> str:
+    """The whole file decoded as UTF-8. Line endings are kept as stored."""
+    data = read_bytes(path)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+@contextlib.contextmanager
+def writing(path, mode: str = "w"):
+    """``path`` opened for writing (UTF-8 in text modes); an ``OSError``
+    while opening, writing or closing becomes an ``IoFailure``."""
+    encoding = None if "b" in mode else "utf-8"
+    try:
+        with open(path, mode, encoding=encoding) as fh:
+            yield fh
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def read_kitti_bin(path) -> np.ndarray:
+    """Point cloud from little-endian f32 (x, y, z, intensity) quadruples."""
+    data = read_bytes(path)
     if len(data) % 16 != 0:
         raise MalformedFile(
             f"{path}: length {len(data)} is not a multiple of 16 bytes"
@@ -34,11 +66,8 @@ def write_kitti_bin(path, cloud: np.ndarray) -> None:
     cloud = np.asarray(cloud, dtype=float)
     if cloud.ndim != 2 or cloud.shape[1] != 4:
         raise ValueError(f"expected an (N, 4) cloud, got shape {cloud.shape}")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(cloud.astype("<f4").tobytes())
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with writing(path, "wb") as fh:
+        fh.write(cloud.astype("<f4").tobytes())
 
 
 def _require(record, key, path):
@@ -50,7 +79,10 @@ def _require(record, key, path):
 def _number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaViolation(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise SchemaViolation(path, f"number out of range: {value}") from None
 
 
 def _triple(value, path):
@@ -60,14 +92,10 @@ def _triple(value, path):
 
 
 def _parse_records(path, require_score: bool):
-    try:
-        with open(path) as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    raw = read_text(path)
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, huge ints, deep nesting
         raise SchemaViolation("$", f"invalid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise SchemaViolation("$", "expected a top-level array")
@@ -129,21 +157,19 @@ def write_detections_json(path, detections: list[Detection]) -> None:
     records = [
         _record_dict(d.center, d.size, d.yaw, d.label, d.score) for d in detections
     ]
-    _write_json(path, records)
+    write_json(path, records)
 
 
 def write_labels_json(path, gts: list[tuple[OrientedBox, str]]) -> None:
     records = [_record_dict(b.center, b.size, b.yaw, label) for b, label in gts]
-    _write_json(path, records)
+    write_json(path, records)
 
 
-def _write_json(path, payload) -> None:
-    try:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+def write_json(path, payload) -> None:
+    """``payload`` as two-space indented JSON plus a final newline."""
+    with writing(path) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 _WRITE_ROWS = 4096  # rows converted per batch; bounds the float lists held
@@ -168,42 +194,36 @@ def write_saliency(cloud, saliency, fmt: str, path) -> None:
     if fmt not in ("csv", "ply"):
         raise ValueError(f"format must be csv or ply, got {fmt!r}")
     rows = _saliency_rows(cloud, saliency)
-    try:
-        with open(path, "w") as fh:
-            if fmt == "csv":
-                fh.write("index,x,y,z,score\n")
-                fh.writelines(
-                    f"{i},{x:.6g},{y:.6g},{z:.6g},{s:.6g}\n"
-                    for i, (x, y, z, s) in enumerate(rows)
-                )
-            else:
-                fh.write("ply\n")
-                fh.write("format ascii 1.0\n")
-                fh.write(f"element vertex {len(cloud)}\n")
-                fh.write("property float x\n")
-                fh.write("property float y\n")
-                fh.write("property float z\n")
-                fh.write("property float scalar_saliency\n")
-                fh.write("end_header\n")
-                fh.writelines(f"{x:.6g} {y:.6g} {z:.6g} {s:.6g}\n" for x, y, z, s in rows)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with writing(path) as fh:
+        if fmt == "csv":
+            fh.write("index,x,y,z,score\n")
+            fh.writelines(
+                f"{i},{x:.6g},{y:.6g},{z:.6g},{s:.6g}\n"
+                for i, (x, y, z, s) in enumerate(rows)
+            )
+        else:
+            fh.write("ply\n")
+            fh.write("format ascii 1.0\n")
+            fh.write(f"element vertex {len(cloud)}\n")
+            fh.write("property float x\n")
+            fh.write("property float y\n")
+            fh.write("property float z\n")
+            fh.write("property float scalar_saliency\n")
+            fh.write("end_header\n")
+            fh.writelines(f"{x:.6g} {y:.6g} {z:.6g} {s:.6g}\n" for x, y, z, s in rows)
 
 
 def read_saliency_csv(path):
     """Parse a saliency CSV back into (points (N, 3), scores (N,))."""
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != "index,x,y,z,score":
         raise MalformedFile(f"{path}: missing saliency CSV header")
     points, scores = [], []
     for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise MalformedFile(f"{path}: bad row {line!r}")
-        points.append([float(parts[1]), float(parts[2]), float(parts[3])])
-        scores.append(float(parts[4]))
+        try:  # a field that is not a number, or not four after the index
+            x, y, z, score = map(float, line.split(",")[1:])
+        except ValueError as exc:
+            raise MalformedFile(f"{path}: bad row {line!r}") from exc
+        points.append([x, y, z])
+        scores.append(score)
     return np.array(points).reshape(-1, 3), np.array(scores)

@@ -23,6 +23,7 @@ from .voxelgrid import (
 )
 
 ATTRIBUTE_NAMES = ("x", "y", "z", "l", "w", "h", "yaw", "s")
+CLASS_NAMES = ("car", "pedestrian", "cyclist")  # class ids index this table
 
 ABLATIONS = ("full", "no_ff", "no_vu", "gradient_only")
 

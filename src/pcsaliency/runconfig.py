@@ -16,6 +16,7 @@ from pathlib import Path
 from .detector import ReferenceDetector, ReferenceDetectorConfig
 from .dumps import load_dump
 from .errors import IoFailure, ValidationError
+from .fileio import read_text
 from .metrics import EvalThresholds
 from .nmf import NmfConfig
 from .pipeline import PipelineConfig
@@ -85,12 +86,8 @@ def _canonical(value) -> str:
 
 def parse_config_file(path) -> dict[str, str]:
     """Read ``key = value`` lines; '#' starts a comment."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise IoFailure(f"cannot read config {path}: {exc}") from exc
     out: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -13,10 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from .boxes import OrientedBox
+from .pipeline import CLASS_NAMES
 
 DEFAULT_EXTENT = ((0.0, 24.0), (0.0, 24.0), (0.0, 4.0))
 _BASE_CELL_VOLUME = 0.25**3  # default detector voxel size, cubed
-_LABELS = ("car", "pedestrian", "cyclist")
 
 
 def _cluster_points(
@@ -80,7 +80,7 @@ def single_object_scene(
     """
     rng = np.random.default_rng(seed)
     box = _random_box(rng, extent)
-    label = _LABELS[int(rng.integers(len(_LABELS)))]
+    label = CLASS_NAMES[int(rng.integers(len(CLASS_NAMES)))]
     cloud = np.vstack(
         [
             _cluster_points(rng, box, body_density, core_density),
@@ -114,7 +114,7 @@ def multi_object_scene(
             boxes.append(candidate)
     parts = [_cluster_points(rng, b) for b in boxes]
     parts.append(_noise_points(rng, extent, n_noise_points))
-    labels = [_LABELS[int(rng.integers(len(_LABELS)))] for _ in boxes]
+    labels = [CLASS_NAMES[int(rng.integers(len(CLASS_NAMES)))] for _ in boxes]
     return np.vstack(parts), list(zip(boxes, labels))
 
 

@@ -87,10 +87,9 @@ class UpsampleConfig:
 class SparseVoxelMap:
     """Occupied voxel coordinates with a per-voxel payload.
 
-    ``values`` is indexed by row: an (M,) array for scalar payloads, an
-    (M, d) array for vector payloads, or a list (e.g. of point-index
-    arrays). Coordinates must be unique; the coordinate -> row index is
-    built lazily on first lookup.
+    ``values`` is indexed by row: an (M,) array for scalar payloads or an
+    (M, d) array for vector payloads. Coordinates must be unique; the
+    coordinate -> row index is built lazily on first lookup.
     """
 
     def __init__(self, coords: np.ndarray, values, grid: GridSpec):

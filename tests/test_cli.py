@@ -199,6 +199,13 @@ def test_selftest_passes():
     assert main(["selftest"]) == 0
 
 
+def test_config_that_is_not_utf8_exits_one(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"nmf.r = \xff\n")
+    assert main(["selftest", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {config}: not UTF-8")
+
+
 def test_usage_error_exits_one():
     assert main(["explain"]) == 1  # missing required flags
     assert main(["no-such-command"]) == 1
@@ -255,6 +262,39 @@ def test_filesystem_failure_exits_two(case, scene_dir, empty_scene_dir, tmp_path
     argv = _FS_FAILURES[case](scene_dir, empty_scene_dir, blocker, out_dir)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: cannot")
+
+
+# Each case builds its argv from (object scene dir, a missing path, a
+# directory, a scene directory whose labels file is a directory).
+_READ_FAILURES = {
+    "explain-scene-missing": lambda sd, missing, dr, bad: [
+        "explain", "--scene", str(missing), "--detection", "0",
+    ],
+    "explain-scene-directory": lambda sd, missing, dr, bad: [
+        "explain", "--scene", str(dr), "--detection", "0",
+    ],
+    "config-directory": lambda sd, missing, dr, bad: [
+        "explain", "--scene", str(sd / "scene000.bin"), "--detection", "0", "--config", str(dr),
+    ],
+    "dump-missing": lambda sd, missing, dr, bad: [
+        "explain", "--scene", str(sd / "scene000.bin"), "--detection", "0",
+        "--set", "detector.kind=dump", "--set", f"detector.dump_path={missing}",
+    ],
+    "eval-labels-directory": lambda sd, missing, dr, bad: ["eval", "--scenes", str(bad)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_READ_FAILURES))
+def test_read_failure_exits_two(case, scene_dir, tmp_path, capsys):
+    directory = tmp_path / "adir"
+    directory.mkdir()
+    bad_scenes = tmp_path / "bad_scenes"
+    bad_scenes.mkdir()
+    (bad_scenes / "s.bin").write_bytes((scene_dir / "scene000.bin").read_bytes())
+    (bad_scenes / "s.labels.json").mkdir()
+    argv = _READ_FAILURES[case](scene_dir, tmp_path / "missing", directory, bad_scenes)
+    assert main([*argv, "--set", f"output.dir={tmp_path / 'out'}", *FAST]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read")
 
 
 def test_key_overflowing_grid_exits_one(scene_dir, tmp_path, capsys):

@@ -95,6 +95,20 @@ class TestMalformed:
         with pytest.raises(MalformedDump, match="truncated"):
             read_dump(path)
 
+    def test_zero_rows_with_huge_channel_count(self, tmp_path):
+        # zero rows pass the length check, but no numpy array has 2**63 columns
+        path = tmp_path / "wide.ffdp"
+        path.write_bytes(
+            b"FFDP"
+            + struct.pack("<I", 1)
+            + struct.pack("<7d", 0.25, 0.0, 24.0, 0.0, 24.0, 0.0, 4.0)
+            + struct.pack("<I", 3)
+            + struct.pack("<QQ", 0, 2**63)
+            + struct.pack("<QQ", 0, 0)
+        )
+        with pytest.raises(MalformedDump, match="shape"):
+            read_dump(path)
+
     def test_key_wrapping_grid(self, scene_dump, tmp_path):
         # 1e-6 m voxels over 24 x 24 x 4 m is a valid GridSpec whose voxel
         # key would wrap int64; the file is rejected before any use

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -17,6 +18,7 @@ from pcsaliency.fileio import (
     write_saliency,
 )
 from pcsaliency.pipeline import Detection
+from pcsaliency.runconfig import parse_config_file
 
 
 class TestKittiBin:
@@ -100,6 +102,23 @@ class TestDetectionsJson:
         path = tmp_path / "d.json"
         path.write_text("{nope")
         with pytest.raises(SchemaViolation):
+            read_detections_json(path)
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000,  # nested deeper than the parser recurses
+        "[" + "1" * 5000 + "]",  # more digits than int() converts
+    ], ids=["deep", "long-int"])
+    def test_unparseable_json(self, tmp_path, text):
+        path = tmp_path / "d.json"
+        path.write_text(text)
+        with pytest.raises(SchemaViolation, match=r"^\$: invalid JSON"):
+            read_detections_json(path)
+
+    def test_integer_beyond_float_range(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text('[{"center": [1' + "0" * 400 + ', 0, 0], "size": [1, 1, 1], '
+                        '"yaw": 0, "score": 0.5, "class": "car"}]')
+        with pytest.raises(SchemaViolation, match=r"^\[0\]\.center\[0\]: number out of range"):
             read_detections_json(path)
 
     def test_round_trip(self, tmp_path):
@@ -195,3 +214,29 @@ class TestSaliencyFiles:
         points, parsed = read_saliency_csv(path)
         assert np.allclose(points, cloud[:, :3], rtol=1e-5)
         assert np.allclose(parsed, scores, rtol=1e-5)
+
+
+# reader -> a valid file of its kind with one byte that is not UTF-8
+_NOT_UTF8 = {
+    read_labels_json: b'[{"center": [0, 0, 0], "size": [1, 1, 1], "yaw": 0, "class": "c\xffr"}]',
+    read_detections_json: b'[{"center": [0, 0, 0], "size": [1, 1, 1], "yaw": 0, '
+                          b'"score": 0.5, "class": "c\xffr"}]',
+    read_saliency_csv: b"index,x,y,z,score\n0,1,2,3,0.5\xff\n",
+    parse_config_file: b"nmf.r = \xff\n",
+}
+
+
+@pytest.mark.parametrize("reader", list(_NOT_UTF8), ids=lambda r: r.__name__)
+def test_text_that_is_not_utf8_is_malformed_file(reader, tmp_path):
+    path = tmp_path / "input"
+    path.write_bytes(_NOT_UTF8[reader])
+    with pytest.raises(MalformedFile, match=re.escape(f"{path}: not UTF-8")):
+        reader(path)
+
+
+@pytest.mark.parametrize("row", ["0,a,1,2,3", "0,1,2,3", "0,1,2,3,4,5"])
+def test_saliency_csv_bad_row(tmp_path, row):
+    path = tmp_path / "s.csv"
+    path.write_text(f"index,x,y,z,score\n0,1,2,3,0.5\n{row}\n")
+    with pytest.raises(MalformedFile, match=f"bad row '{row}'"):
+        read_saliency_csv(path)
