@@ -149,8 +149,8 @@ def _explain_scene(cfg: RunConfig, cloud, pick, masks):
 
     ``pick(detections)`` returns tuples led by a detection index. Returns the
     detector, the detections and ``(pick, [saliency per mask])`` per pick; one
-    scene scope and concept memo serve them all, and the scope closes before
-    the return, so the caller may rerun the detector on perturbed copies."""
+    scene scope and concept memo serve them all. The scope closes before the
+    return, which frees the scene forward's block values."""
     detector = cfg.build_detector()
     pcfg = cfg.pipeline_config()
     with detector.scene(cloud):
@@ -226,30 +226,32 @@ def _eval_worker(cfg: RunConfig, scene):
     steps = cfg.get("eval.steps")
     config_hash = cfg.config_hash()
     rows = []
-    for (pi, gi, _), [saliency] in explained:
-        det = detections[pi]
-        gt_box = gts[gi][0]
-        try:
-            enpg = energy_pg(saliency, cloud, gt_box)
-        except ZeroEnergy:
-            enpg = 0.0
-        values = {
-            "deletion": auc(deletion_curve(detector, cloud, det, saliency, steps)),
-            "insertion": auc(insertion_curve(detector, cloud, det, saliency, steps)),
-            "vea": vea(saliency, cloud, gt_box),
-            "pg": 1.0 if pointing_game(saliency, cloud, gt_box) else 0.0,
-            "enpg": enpg,
-        }
-        for metric in sorted(values):
-            rows.append(
-                {
-                    "scene_id": scene_id,
-                    "detection_id": pi,
-                    "metric": metric,
-                    "value": values[metric],
-                    "config_hash": config_hash,
-                }
-            )
+    # every curve rerun of this scene shares one layout of the cloud's voxels
+    with detector.scene(cloud):
+        for (pi, gi, _), [saliency] in explained:
+            det = detections[pi]
+            gt_box = gts[gi][0]
+            try:
+                enpg = energy_pg(saliency, cloud, gt_box)
+            except ZeroEnergy:
+                enpg = 0.0
+            values = {
+                "deletion": auc(deletion_curve(detector, cloud, det, saliency, steps)),
+                "insertion": auc(insertion_curve(detector, cloud, det, saliency, steps)),
+                "vea": vea(saliency, cloud, gt_box),
+                "pg": 1.0 if pointing_game(saliency, cloud, gt_box) else 0.0,
+                "enpg": enpg,
+            }
+            for metric in sorted(values):
+                rows.append(
+                    {
+                        "scene_id": scene_id,
+                        "detection_id": pi,
+                        "metric": metric,
+                        "value": values[metric],
+                        "config_hash": config_hash,
+                    }
+                )
     return rows
 
 

@@ -17,7 +17,7 @@ from typing import ContextManager, Protocol
 
 import numpy as np
 
-from .errors import DetectorFailure, EmptyCloud, EmptyMask
+from .errors import DetectorFailure, EmptyCloud, EmptyMask, LengthMismatch
 from .pipeline import ATTRIBUTE_NAMES, CLASS_NAMES, Detection, match_detection, object_loss
 from .voxelgrid import GridSpec, SparseVoxelMap, _check_key_range, _group_rows
 
@@ -36,6 +36,10 @@ class DetectorInterface(Protocol):
     def scene(self, cloud: np.ndarray) -> ContextManager[None]: ...
 
     def detect(self, cloud: np.ndarray) -> list[Detection]: ...
+
+    def detect_subset(self, cloud: np.ndarray, keep: np.ndarray) -> list[Detection]:
+        """``detect(cloud[keep])`` for a boolean mask ``keep`` over ``cloud``."""
+        ...
 
     def features(self, cloud: np.ndarray, block_index: int) -> SparseVoxelMap: ...
 
@@ -81,10 +85,28 @@ class ReferenceDetectorConfig:
 
 @dataclass
 class _SceneHold:
-    """The cloud a ``scene`` scope serves, and its forward once computed."""
+    """The cloud a ``scene`` scope serves, and its layout and forward once
+    computed."""
 
     cloud: np.ndarray
+    layout: "_Layout | None" = None
     forward: "_Forward | None" = None
+
+
+@dataclass
+class _Layout:
+    """Everything of one cloud's forward that sorts or locates.
+
+    The voxels of any subset of the cloud, their parents at every block and
+    the row order of both are sub-selections of these, in the same order,
+    so a subset's forward needs only counting, no sorting.
+    """
+
+    inside: np.ndarray  # cloud point -> in the grid
+    base_rows: np.ndarray  # in-grid point -> block-1 row
+    per_point: np.ndarray  # in-grid point: offset from its voxel corner, intensity
+    block_coords: list[np.ndarray]  # per block 1..B, lex-sorted voxel coords
+    parent_rows: list[np.ndarray]  # block b>=2: child row -> parent row
 
 
 @dataclass
@@ -132,13 +154,16 @@ class ReferenceDetector:
 
         The first ``detect``/``features``/``gradient`` call on this very
         array object computes the forward and later calls on it reuse it;
-        any other array, such as a perturbed copy, gets a fresh forward as
+        ``detect_subset`` calls on it share one layout of its voxels. Any
+        other array, such as a perturbed copy, gets a fresh forward as
         outside the block. The match is by identity, not content, so the
-        cloud must not be mutated inside the block. Leaving the block,
-        also by an exception, releases the held forward.
+        cloud must not be mutated inside the block. A block nested in one
+        on the same array reuses the outer block's hold. Leaving the
+        outermost block, also by an exception, releases what is held.
         """
         outer = self._hold
-        self._hold = _SceneHold(cloud)
+        if outer is None or outer.cloud is not cloud:
+            self._hold = _SceneHold(cloud)
         try:
             yield
         finally:
@@ -146,6 +171,24 @@ class ReferenceDetector:
 
     def detect(self, cloud: np.ndarray) -> list[Detection]:
         return list(self._forward(cloud).detections)
+
+    def detect_subset(self, cloud: np.ndarray, keep: np.ndarray) -> list[Detection]:
+        """``detect(cloud[keep])``, bit for bit, from the layout of ``cloud``
+        that a ``scene`` scope on it holds; outside one the layout is built
+        for this call."""
+        keep = np.asarray(keep, dtype=bool)
+        if keep.shape != (len(cloud),):
+            raise LengthMismatch(f"keep mask of shape {keep.shape} != cloud length {len(cloud)}")
+        if not keep.any():
+            raise EmptyCloud("detector requires a non-empty point cloud")
+        hold = self._hold
+        if hold is None or cloud is not hold.cloud:
+            layout = self._layout(cloud)
+        else:
+            if hold.layout is None:
+                hold.layout = self._layout(cloud)
+            layout = hold.layout
+        return self._values_pass(layout, keep).detections
 
     def features(self, cloud: np.ndarray, block_index: int) -> SparseVoxelMap:
         self._check_block(block_index)
@@ -196,25 +239,56 @@ class ReferenceDetector:
         return hold.forward
 
     def _compute_forward(self, cloud: np.ndarray) -> _Forward:
+        return self._values_pass(self._layout(cloud))
+
+    def _layout(self, cloud: np.ndarray) -> _Layout:
+        """Lex-sorted occupied voxels of every block, each in-grid point's
+        base voxel row and each child voxel's parent row."""
         cloud = np.asarray(cloud, dtype=float)
         if len(cloud) == 0:
             raise EmptyCloud("detector requires a non-empty point cloud")
+        inside = self.grid.contains(cloud)
+        pts = cloud[inside]
+        coords, base_rows, _ = _group_rows(self.grid.coords_for(pts))
+        corners = self.grid.lower + coords * self.grid.voxel_size
+        per_point = pts[:, :4].copy()
+        per_point[:, :3] -= corners[base_rows]
+        block_coords = [coords]
+        parent_rows: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        for _ in range(1, self.cfg.num_blocks):
+            coords, inverse, _ = _group_rows(coords // 2)
+            block_coords.append(coords)
+            parent_rows.append(inverse)
+        return _Layout(inside, base_rows, per_point, block_coords, parent_rows)
 
-        coords, base = self._base_descriptors(cloud)
+    def _values_pass(self, layout: _Layout, keep: np.ndarray | None = None) -> _Forward:
+        """The forward of the cloud's points under ``keep`` (all when None).
+
+        Each block's voxels are the held ones with something beneath them,
+        renumbered in held order, so every scatter and product below gets
+        exactly the operands a forward on ``cloud[keep]`` computes.
+        """
+        rows, per_point = layout.base_rows, layout.per_point
+        if keep is not None:
+            # np.compress: a boolean row gather several times faster than a[mask]
+            kept = np.compress(layout.inside, keep)
+            rows, per_point = np.compress(kept, rows), np.compress(kept, per_point, axis=0)
+        live, rows, counts = _compact(rows, len(layout.block_coords[0]))
+        values = self._base_descriptors(rows, counts, per_point)
         block_coords, block_values = [], []
         parent_rows: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-
-        values = base
         for b in range(self.cfg.num_blocks):
             if b > 0:
+                live, inverse, counts = _compact(
+                    np.compress(live, layout.parent_rows[b]), len(layout.block_coords[b])
+                )
                 # sum pooling: a parent's feature is the accumulated evidence
                 # of everything beneath it, so removing points anywhere under
                 # a cell always lowers its activation
-                coords, inverse, _ = _group_rows(coords // 2)
-                values = _scatter_sum(inverse, values, len(coords))
+                values = _scatter_sum(inverse, values, len(counts))
                 parent_rows.append(inverse)
             values = self._block_output(b, values)
-            block_coords.append(coords)
+            block_coords.append(np.compress(live, layout.block_coords[b], axis=0))
             block_values.append(values)
 
         activations, clusters, detections = self._head(block_coords[-1], block_values[-1])
@@ -229,8 +303,9 @@ class ReferenceDetector:
         # in place: a second (M, d) temporary costs more than the product
         return np.maximum(out, 0.0, out=out)
 
-    def _base_descriptors(self, cloud: np.ndarray):
-        """Lex-sorted occupied base voxels and their descriptor rows.
+    def _base_descriptors(self, rows, counts, per_point) -> np.ndarray:
+        """Descriptor rows of the base voxels that ``counts`` counts and
+        ``rows`` indexes, one row per ``per_point`` row.
 
         Descriptor: excess point count (count - excess_offset, clipped at
         0), mean point offset from the voxel's lower corner (per axis, in
@@ -240,23 +315,13 @@ class ReferenceDetector:
         contribute no occupancy signal, so isolated noise and uniformly
         thinned clouds score near zero.
         """
-        d = self.cfg.feature_dim
-        inside = self.grid.contains(cloud)
-        pts = cloud[inside]
-        if len(pts) == 0:
-            return np.zeros((0, 3), dtype=np.int64), np.zeros((0, d))
-        point_coords = self.grid.coords_for(pts)
-        coords, inverse, counts = _group_rows(point_coords)
-        m = len(coords)
-        values = np.zeros((m, d))
+        m = len(counts)
+        values = np.zeros((m, self.cfg.feature_dim))
         values[:, 0] = np.maximum(counts - self.cfg.excess_offset, 0.0)
-        corners = self.grid.lower + coords * self.grid.voxel_size
         # offsets and intensity share one scatter; columns sum independently
-        per_point = pts[:, :4].copy()
-        per_point[:, :3] -= corners[inverse]
-        sums = _scatter_sum(inverse, per_point, m)
+        sums = _scatter_sum(rows, per_point, m)
         values[:, 1 : per_point.shape[1] + 1] = sums / counts[:, None]
-        return coords, values
+        return values
 
     def _head(self, coords: np.ndarray, values: np.ndarray):
         activations = values @ self._score_vec
@@ -416,6 +481,16 @@ def _scatter_sum(inverse: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     flat = (inverse[:, None] * cols + np.arange(cols)).ravel()
     sums = np.bincount(flat, weights=values.ravel(), minlength=n * cols)
     return sums.reshape(n, cols)
+
+
+def _compact(held: np.ndarray, n: int):
+    """``(live, rows, counts)`` of the used ones among ``n`` held rows:
+    ``live`` marks the held rows that ``held`` references, ``rows`` is
+    ``held`` renumbered to rank among them and ``counts`` their use counts,
+    as ``_group_rows`` would return them for the subset."""
+    counts = np.bincount(held, minlength=n)
+    live = counts > 0
+    return live, (np.cumsum(live) - 1).take(held), np.compress(live, counts)
 
 
 def _connected_components(coords: np.ndarray, active: np.ndarray) -> list[np.ndarray]:

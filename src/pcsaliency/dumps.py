@@ -178,9 +178,9 @@ def read_dump(path, classes: tuple[str, ...] = CLASS_NAMES) -> FeatureDump:
 class DumpDetector:
     """Detector interface replaying a stored FeatureDump.
 
-    ``detect`` and ``features`` ignore the cloud argument (the dump was
-    produced for exactly one scene); ``gradient`` serves only the stored
-    (detection, mask) records.
+    ``detect``, ``detect_subset`` and ``features`` ignore the cloud
+    argument (the dump was produced for exactly one scene); ``gradient``
+    serves only the stored (detection, mask) records.
     """
 
     def __init__(self, dump: FeatureDump):
@@ -191,6 +191,9 @@ class DumpDetector:
         return contextlib.nullcontext()
 
     def detect(self, cloud) -> list[Detection]:
+        return list(self.dump.detections)
+
+    def detect_subset(self, cloud, keep) -> list[Detection]:
         return list(self.dump.detections)
 
     def features(self, cloud, block_index: int) -> SparseVoxelMap:

@@ -21,6 +21,17 @@ class IoFailure(SaliencyError):
     """Filesystem-level failure while reading or writing an artifact."""
 
 
+class InvalidConfig(ValidationError):
+    """Configuration key unknown, or its value of the wrong type or range.
+
+    Carries the offending key, e.g. ``nmf.r``.
+    """
+
+    def __init__(self, key, message):
+        super().__init__(f"{key}: {message}")
+        self.key = key
+
+
 class NegativeInput(ValidationError):
     """Matrix handed to the factorizer has negative entries."""
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 
 import numpy as np
 
@@ -80,9 +81,13 @@ def _number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaViolation(path, f"expected a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:  # an integer beyond the float range
         raise SchemaViolation(path, f"number out of range: {value}") from None
+    # json reads NaN, Infinity and overflowing literals such as 1e999 as floats
+    if not math.isfinite(number):
+        raise SchemaViolation(path, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _triple(value, path):

@@ -14,10 +14,10 @@ import numpy as np
 
 from .boxes import OrientedBox, box_diagonal, iou_3d, points_in_box
 from .errors import (
-    EmptyCloud,
     EmptyGroundTruth,
     LengthMismatch,
     NoRegionPoints,
+    ValidationError,
     ZeroEnergy,
 )
 from .pipeline import Detection
@@ -91,17 +91,14 @@ def _region_order(cloud, d: Detection, saliency):
     return cloud, order
 
 
-def _detection_iou(detector, scene: np.ndarray, d: Detection) -> float:
-    """Best same-class IoU against d's box after rerunning the detector."""
-    if len(scene) == 0:
-        return 0.0
-    try:
-        detections = detector.detect(scene)
-    except EmptyCloud:
+def _detection_iou(detector, cloud: np.ndarray, keep: np.ndarray, d: Detection) -> float:
+    """Best same-class IoU against d's box after rerunning the detector on
+    the points of ``cloud`` under ``keep``; 0 when none are kept."""
+    if not keep.any():
         return 0.0
     box = d.box()
     best = 0.0
-    for found in detections:
+    for found in detector.detect_subset(cloud, keep):
         if found.label == d.label:
             best = max(best, iou_3d(box, found.box()))
     return best
@@ -120,15 +117,18 @@ def insertion_curve(detector, cloud, d: Detection, saliency, steps: int = 20) ->
 def _perturbation_curve(detector, cloud, d, saliency, steps, inserting: bool) -> Curve:
     """IoU after each step flips the keep flag of the next most salient
     region points to ``inserting``; every region point starts flipped the
-    other way."""
+    other way. One scene scope on the cloud serves every step's rerun."""
+    if steps < 1:
+        raise ValidationError(f"steps must be >= 1, got {steps}")
     cloud, order = _region_order(cloud, d, saliency)
     start = np.ones(len(cloud), dtype=bool)
     start[order] = not inserting
     values = []
-    for i in range(steps + 1):
-        keep = start.copy()
-        keep[order[: round(i * len(order) / steps)]] = inserting
-        values.append(_detection_iou(detector, cloud[keep], d))
+    with detector.scene(cloud):
+        for i in range(steps + 1):
+            keep = start.copy()
+            keep[order[: round(i * len(order) / steps)]] = inserting
+            values.append(_detection_iou(detector, cloud, keep, d))
     return Curve(np.arange(steps + 1) / steps, np.array(values))
 
 

@@ -60,7 +60,7 @@ class NmfConfig:
             raise ValueError("r must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.relative_tolerance <= 0:
+        if not self.relative_tolerance > 0:  # also rejects NaN
             raise ValueError("relative_tolerance must be > 0")
 
 

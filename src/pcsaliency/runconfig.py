@@ -10,16 +10,17 @@ recognizable byte-for-byte.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .detector import ReferenceDetector, ReferenceDetectorConfig
 from .dumps import load_dump
-from .errors import IoFailure, ValidationError
+from .errors import InvalidConfig, IoFailure, ValidationError
 from .fileio import read_text
 from .metrics import EvalThresholds
 from .nmf import NmfConfig
-from .pipeline import PipelineConfig
+from .pipeline import ABLATIONS, PipelineConfig
 from .voxelgrid import UpsampleConfig
 
 _DEFAULTS: dict[str, object] = {
@@ -55,6 +56,40 @@ _DEFAULTS: dict[str, object] = {
 }
 
 
+def _at_least(low):
+    return (lambda v: v >= low), f"must be >= {low}"
+
+
+def _above(low):
+    return (lambda v: v > low), f"must be > {low}"
+
+
+_FRACTION = (lambda v: 0.0 < v <= 1.0), "must be in (0, 1]"
+
+# Accepted values of every key that has a range; each float key must also be
+# finite. A RunConfig checks them when it is made, so a bad value fails before
+# any work and names its key.
+_RULES = {
+    "detector.seed": _at_least(0),
+    "detector.voxel_size": _above(0.0),
+    "detector.feature_dim": _at_least(5),
+    "detector.size_floor": _above(0.0),
+    "nmf.r": _at_least(1),
+    "nmf.max_iterations": _at_least(1),
+    "nmf.relative_tolerance": _above(0.0),
+    "nmf.seed": _at_least(0),
+    "upsample.range_threshold": _at_least(0),
+    "upsample.k": _at_least(1),
+    "pipeline.block_index": ((lambda v: 1 <= v <= 4), "must be in 1..4"),
+    "pipeline.ablation": ((lambda v: v in ABLATIONS), f"must be one of {ABLATIONS}"),
+    "thresholds.car": _FRACTION,
+    "thresholds.pedestrian": _FRACTION,
+    "thresholds.cyclist": _FRACTION,
+    "eval.steps": _at_least(1),
+    "parallelism": _at_least(1),
+}
+
+
 def _coerce(key: str, raw: str):
     default = _DEFAULTS[key]
     if isinstance(default, bool):
@@ -62,18 +97,33 @@ def _coerce(key: str, raw: str):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ValidationError(f"{key}: expected a boolean, got {raw!r}")
+        raise InvalidConfig(key, f"expected a boolean, got {raw!r}")
     if isinstance(default, int):
         try:
             return int(raw)
         except ValueError as exc:
-            raise ValidationError(f"{key}: expected an integer, got {raw!r}") from exc
+            raise InvalidConfig(key, f"expected an integer, got {raw!r}") from exc
     if isinstance(default, float):
         try:
             return float(raw)
         except ValueError as exc:
-            raise ValidationError(f"{key}: expected a number, got {raw!r}") from exc
+            raise InvalidConfig(key, f"expected a number, got {raw!r}") from exc
     return raw
+
+
+def _check(values: dict[str, object]) -> None:
+    """Raise ``InvalidConfig`` for the first key whose value is out of range."""
+    for key, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidConfig(key, f"expected a finite number, got {value!r}")
+        if key in _RULES:
+            within, rule = _RULES[key]
+            if not within(value):
+                raise InvalidConfig(key, f"{rule}, got {value!r}")
+    for axis in "xyz":
+        low, high = f"detector.{axis}_min", f"detector.{axis}_max"
+        if not values[low] < values[high]:
+            raise InvalidConfig(high, f"must be > {low}, got {values[high]!r}")
 
 
 def _canonical(value) -> str:
@@ -104,6 +154,9 @@ class RunConfig:
 
     values: tuple[tuple[str, object], ...]
 
+    def __post_init__(self):
+        _check(dict(self.values))
+
     @classmethod
     def from_sources(cls, config_file=None, overrides=()) -> "RunConfig":
         merged = dict(_DEFAULTS)
@@ -117,12 +170,9 @@ class RunConfig:
             raw[key.strip()] = value.strip()
         for key, value in raw.items():
             if key not in _DEFAULTS:
-                raise ValidationError(f"unknown configuration key {key!r}")
+                raise InvalidConfig(key, "unknown configuration key")
             merged[key] = _coerce(key, value)
-        cfg = cls(tuple(sorted(merged.items())))
-        cfg.pipeline_config()  # validate eagerly
-        cfg.thresholds()
-        return cfg
+        return cls(tuple(sorted(merged.items())))
 
     def get(self, key: str):
         for k, v in self.values:
@@ -135,7 +185,7 @@ class RunConfig:
         merged = dict(self.values)
         for key, value in updates.items():
             if key not in _DEFAULTS:
-                raise ValidationError(f"unknown configuration key {key!r}")
+                raise InvalidConfig(key, "unknown configuration key")
             merged[key] = value
         return RunConfig(tuple(sorted(merged.items())))
 

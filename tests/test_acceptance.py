@@ -13,7 +13,7 @@ import pytest
 
 from pcsaliency.aggregate import CanonicalGrid, read_grid, write_grid
 from pcsaliency.boxes import OrientedBox, iou_3d, points_in_box
-from pcsaliency.cli import main
+from pcsaliency.cli import _mc_iou, main
 from pcsaliency.detector import ReferenceDetector, grad_check
 from pcsaliency.dumps import dump_from_detector, read_dump, save_dump
 from pcsaliency.fileio import (
@@ -82,21 +82,6 @@ def test_criterion_2_gradient_fidelity():
         worst <= 1e-4 and elapsed < 60.0,
         f"max rel error {worst:.2e} over 10 scenes, {elapsed:.1f}s (< 60s)",
     )
-
-
-def _mc_iou(a, b, n, seed):
-    rng = np.random.default_rng(seed)
-    corners = []
-    for box in (a, b):
-        bev = box.footprint()
-        corners.append([bev[:, 0].min(), bev[:, 1].min(), box.center[2] - box.size[2] / 2])
-        corners.append([bev[:, 0].max(), bev[:, 1].max(), box.center[2] + box.size[2] / 2])
-    corners = np.array(corners)
-    pts = rng.uniform(corners.min(axis=0), corners.max(axis=0), size=(n, 3))
-    in_a = points_in_box(pts, a)
-    in_b = points_in_box(pts, b)
-    union = int(np.count_nonzero(in_a | in_b))
-    return 0.0 if union == 0 else int(np.count_nonzero(in_a & in_b)) / union
 
 
 def test_criterion_3_rotated_iou():

@@ -44,6 +44,39 @@ class TestRunConfig:
         with pytest.raises(ValidationError):
             RunConfig.from_sources(None, ["bogus.key=1"])
 
+    @pytest.mark.parametrize("override", [
+        "eval.steps=0",
+        "eval.steps=-1",
+        "parallelism=-3",
+        "parallelism=0",
+        "nmf.relative_tolerance=nan",
+        "nmf.relative_tolerance=0",
+        "detector.kappa=inf",
+        "nmf.r=-1",
+        "nmf.seed=-1",
+        "upsample.k=0",
+        "pipeline.block_index=5",
+        "pipeline.ablation=none",
+        "thresholds.car=1.5",
+        "detector.voxel_size=0",
+        "detector.x_max=-1",
+    ])
+    def test_out_of_range_value_names_its_key(self, override):
+        from pcsaliency.errors import InvalidConfig
+
+        key = override.split("=")[0]
+        with pytest.raises(InvalidConfig) as err:
+            RunConfig.from_sources(None, [override])
+        assert err.value.key == key
+        assert str(err.value).startswith(f"{key}: ")
+
+    def test_mistyped_value_names_its_key(self):
+        from pcsaliency.errors import InvalidConfig
+
+        with pytest.raises(InvalidConfig) as err:
+            RunConfig.from_sources(None, ["nmf.r=many"])
+        assert err.value.key == "nmf.r"
+
     def test_hash_stable_and_sensitive(self):
         a = RunConfig.from_sources()
         b = RunConfig.from_sources()
@@ -119,6 +152,15 @@ class TestEval:
         code = main(["eval", "--scenes", str(tmp_path), *FAST,
                      "--set", f"output.dir={tmp_path / 'out'}"])
         assert code == 1
+
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_steps_below_one_exit_one_naming_the_key(self, scene_dir, tmp_path, capsys, steps):
+        out = tmp_path / "m.jsonl"
+        code = main(["eval", "--scenes", str(scene_dir), "--out", str(out),
+                     *FAST, "--set", f"eval.steps={steps}"])
+        assert code == 1
+        assert "eval.steps" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_directory_is_io_failure(self, tmp_path):
         out = tmp_path / "out" / "metrics.jsonl"
@@ -395,19 +437,25 @@ def test_parallel_matches_serial(command, multi_scene_dir, tmp_path, monkeypatch
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts of real detector forwards and concept factorizations, plus
-    every detector the CLI builds."""
+    """Counts of real detector forwards (whole cloud or subset), of the voxel
+    layouts they sort and of concept factorizations, plus every detector the
+    CLI builds."""
     from pcsaliency import nmf
     from pcsaliency.detector import ReferenceDetector
 
-    counts = {"forward": 0, "factorize": 0, "detectors": []}
-    compute, factorize, build = (
-        ReferenceDetector._compute_forward, nmf.factorize, RunConfig.build_detector,
+    counts = {"forward": 0, "layout": 0, "factorize": 0, "detectors": []}
+    compute, layout, factorize, build = (
+        ReferenceDetector._values_pass, ReferenceDetector._layout, nmf.factorize,
+        RunConfig.build_detector,
     )
 
-    def counted_forward(self, cloud):
+    def counted_forward(self, *args):
         counts["forward"] += 1
-        return compute(self, cloud)
+        return compute(self, *args)
+
+    def counted_layout(self, cloud):
+        counts["layout"] += 1
+        return layout(self, cloud)
 
     def counted_factorize(a, cfg):
         counts["factorize"] += 1
@@ -418,7 +466,8 @@ def work(monkeypatch):
         counts["detectors"].append(detector)
         return detector
 
-    monkeypatch.setattr(ReferenceDetector, "_compute_forward", counted_forward)
+    monkeypatch.setattr(ReferenceDetector, "_values_pass", counted_forward)
+    monkeypatch.setattr(ReferenceDetector, "_layout", counted_layout)
     monkeypatch.setattr(nmf, "factorize", counted_factorize)
     monkeypatch.setattr(RunConfig, "build_detector", recorded_build)
     return counts
@@ -449,6 +498,9 @@ def test_eval_factorizes_once_per_scene(multi_scene_dir, tmp_path, work):
     assert work["factorize"] == 2
     # one scene forward, then two curves of eval.steps + 1 reruns per detection
     assert work["forward"] == 2 * (1 + 2 * 2 * 6)
+    # the reruns sort nothing: one layout for the scene forward, one shared
+    # by every curve step
+    assert work["layout"] == 2 * 2
 
 
 def test_modes_factorizes_once_per_scene(multi_scene_dir, tmp_path, work):

@@ -8,8 +8,11 @@ from pcsaliency.detector import (
     _scatter_sum,
     grad_check,
 )
-from pcsaliency.errors import DetectionNotFound, DetectorFailure, EmptyCloud
-from pcsaliency.pipeline import Detection, full_mask, make_mask
+from pcsaliency.errors import DetectionNotFound, DetectorFailure, EmptyCloud, LengthMismatch
+from pcsaliency.metrics import deletion_curve, insertion_curve
+from pcsaliency.pipeline import (
+    Detection, PipelineConfig, explain_detection, full_mask, make_mask,
+)
 from pcsaliency.synthetic import multi_object_scene, noise_scene, single_object_scene
 
 
@@ -338,6 +341,119 @@ def test_forward_bit_identical_on_random_clouds(seed, n, with_intensity, clump):
     assert_forward_matches_reference(detector, cloud)
 
 
+# ----------------------------------------------------------------------
+# subset forwards: a curve step's forward compacted from the cloud's layout
+# must carry the bits of a fresh forward on the thinned copy
+
+
+def assert_same_forward(got, want):
+    for a, b in (
+        (got.block_coords, want.block_coords),
+        (got.block_values, want.block_values),
+        (got.parent_rows, want.parent_rows),
+        (got.clusters, want.clusters),
+    ):
+        assert [bits(x) for x in a] == [bits(x) for x in b]
+    assert bits(got.activations) == bits(want.activations)
+    assert got.detections == want.detections
+
+
+def assert_subset_matches_fresh(detector, cloud, keep):
+    subset = detector._values_pass(detector._layout(cloud), keep)
+    assert_same_forward(subset, detector._compute_forward(cloud[keep]))
+
+
+class RecordingDetector:
+    """Passes a curve's calls on to ``detector``, recording every keep mask."""
+
+    def __init__(self, detector):
+        self.detector, self.masks = detector, []
+
+    def scene(self, cloud):
+        return self.detector.scene(cloud)
+
+    def detect_subset(self, cloud, keep):
+        self.masks.append(keep.copy())
+        return self.detector.detect_subset(cloud, keep)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_subset_forward_bit_identical_on_curve_steps(detector, seed):
+    cloud, _, _ = single_object_scene(seed)
+    d = detector.detect(cloud)[0]
+    saliency = explain_detection(detector, cloud, d, full_mask(), PipelineConfig())
+    recorder = RecordingDetector(detector)
+    deletion_curve(recorder, cloud, d, saliency, 20)
+    insertion_curve(recorder, cloud, d, saliency, 20)
+    assert len(recorder.masks) == 2 * 21
+    layout = detector._layout(cloud)
+    for keep in recorder.masks:
+        subset = detector._values_pass(layout, keep)
+        assert_same_forward(subset, detector._compute_forward(cloud[keep]))
+
+
+def _with_outside_points(cloud):
+    outside = np.array([[-1.0, 5.0, 1.0, 0.2], [30.0, 5.0, 1.0, 0.3], [5.0, 5.0, 9.0, 0.1]])
+    return np.vstack([cloud, outside])
+
+
+def _random_half(cloud):
+    return np.random.default_rng(len(cloud)).uniform(size=len(cloud)) < 0.5
+
+
+_SUBSET_CASES = {
+    "all-kept": (lambda: single_object_scene(0)[0], lambda c: np.ones(len(c), dtype=bool)),
+    "only-outside": (
+        lambda: _with_outside_points(single_object_scene(0)[0]),
+        lambda c: ~ReferenceDetector().grid.contains(c),
+    ),
+    "single-point": (
+        lambda: single_object_scene(0)[0], lambda c: np.arange(len(c)) == len(c) // 2,
+    ),
+    "boundaries": (lambda: boundary_cloud(ReferenceDetector().grid), _random_half),
+    "no-intensity": (lambda: single_object_scene(2)[0][:, :3], _random_half),
+    "60k-noise-scene": (
+        lambda: single_object_scene(1, n_noise_points=60_000)[0], _random_half,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SUBSET_CASES))
+def test_subset_forward_bit_identical_on_masks(detector, case):
+    make_cloud, make_keep = _SUBSET_CASES[case]
+    cloud = make_cloud()
+    keep = make_keep(cloud)
+    assert keep.any()
+    assert_subset_matches_fresh(detector, cloud, keep)
+    assert detector.detect_subset(cloud, keep) == detector.detect(cloud[keep])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 400),
+    with_intensity=st.booleans(),
+    clump=st.floats(0.05, 8.0),
+    kept=st.floats(0.0, 1.0),
+)
+def test_subset_forward_bit_identical_on_random_clouds(seed, n, with_intensity, clump, kept):
+    detector = ReferenceDetector(_SMALL_GRID)
+    rng = np.random.default_rng(seed)
+    xyz = rng.normal((3.0, 3.0, 1.5), clump, size=(n, 3))
+    cloud = np.hstack([xyz, rng.uniform(size=(n, 1))]) if with_intensity else xyz
+    keep = rng.uniform(size=n) < kept
+    keep[rng.integers(n)] = True
+    assert_subset_matches_fresh(detector, cloud, keep)
+
+
+def test_detect_subset_rejects_bad_masks(detector):
+    cloud, _, _ = single_object_scene(0)
+    with pytest.raises(EmptyCloud):
+        detector.detect_subset(cloud, np.zeros(len(cloud), dtype=bool))
+    with pytest.raises(LengthMismatch):
+        detector.detect_subset(cloud, np.ones(len(cloud) - 1, dtype=bool))
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -432,6 +548,56 @@ class TestSceneScope:
         assert detector._hold is None
         detector.detect(cloud)
         assert len(count_forwards) == 2
+
+    def test_nested_scope_on_the_same_cloud_reuses_the_hold(self, count_forwards):
+        detector = ReferenceDetector()
+        cloud, _, _ = single_object_scene(0)
+        other = cloud[::2]
+        with detector.scene(cloud):
+            detector.detect(cloud)
+            hold = detector._hold
+            with detector.scene(cloud):
+                assert detector._hold is hold
+                detector.detect(cloud)
+                with detector.scene(other):
+                    assert detector._hold.cloud is other
+                    detector.detect(other)
+                assert detector._hold is hold
+            assert detector._hold is hold
+            detector.detect(cloud)
+        assert detector._hold is None
+        assert [c is cloud for c in count_forwards] == [True, False]
+
+    def test_subset_layout_held_and_released(self, monkeypatch):
+        detector = ReferenceDetector()
+        cloud, _, _ = single_object_scene(0)
+        layouts = []
+        build = ReferenceDetector._layout
+
+        def counted(self, c):
+            layouts.append(c)
+            return build(self, c)
+
+        monkeypatch.setattr(ReferenceDetector, "_layout", counted)
+        keep = np.arange(len(cloud)) % 3 != 0
+        with pytest.raises(DetectorFailure):
+            with detector.scene(cloud):
+                first = detector.detect_subset(cloud, keep)
+                with detector.scene(cloud):
+                    assert detector.detect_subset(cloud, keep) == first
+                detector.detect_subset(cloud, ~keep)
+                assert len(layouts) == 1
+                detector.features(cloud, 9)
+        assert detector._hold is None
+        assert detector.detect_subset(cloud, keep) == first
+        assert len(layouts) == 2
+
+    def test_unscoped_subset_equals_detect_of_the_copy(self):
+        detector = ReferenceDetector()
+        cloud, _ = multi_object_scene(11, n_objects=2)
+        for keep in (np.arange(len(cloud)) % 2 == 0, cloud[:, 0] < 12.0):
+            assert detector.detect_subset(cloud, keep) == detector.detect(cloud[keep])
+        assert detector._hold is None
 
     def test_detect_list_is_the_callers(self):
         detector = ReferenceDetector()

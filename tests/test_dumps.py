@@ -157,6 +157,15 @@ class TestDumpDetector:
             np.asarray(grad.values), dump.gradients[(0, mask_to_bits(full_mask()))]
         )
 
+    def test_subset_replays_stored_detections(self, scene_dump):
+        cloud, _, path = scene_dump
+        replay = load_dump(path)
+        keep = np.arange(len(cloud)) % 2 == 0
+        detections = replay.detect_subset(cloud, keep)
+        assert detections == replay.detect(cloud)
+        detections.clear()
+        assert replay.detect_subset(cloud, keep) == replay.detect(cloud)
+
     def test_missing_gradient(self, scene_dump):
         cloud, _, path = scene_dump
         replay = load_dump(path)

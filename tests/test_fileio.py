@@ -121,6 +121,26 @@ class TestDetectionsJson:
         with pytest.raises(SchemaViolation, match=r"^\[0\]\.center\[0\]: number out of range"):
             read_detections_json(path)
 
+    @pytest.mark.parametrize("field, text, where", [
+        ("size", "[NaN, 1, 1]", "size[0]"),
+        ("center", "[0, 1e999, 0]", "center[1]"),
+        ("center", "[0, 0, -Infinity]", "center[2]"),
+        ("yaw", "Infinity", "yaw"),
+    ])
+    @pytest.mark.parametrize("reader", [read_detections_json, read_labels_json])
+    def test_non_finite_number_reports_field_path(self, tmp_path, reader, field, text, where):
+        # json accepts NaN, Infinity and overflowing literals such as 1e999
+        record = {"center": "[0, 0, 0]", "size": "[1, 1, 1]", "yaw": "0"}
+        record[field] = text
+        path = tmp_path / "d.json"
+        path.write_text(
+            '[{"center": %(center)s, "size": %(size)s, "yaw": %(yaw)s, '
+            '"score": 0.5, "class": "car"}]' % record
+        )
+        with pytest.raises(SchemaViolation, match="finite") as err:
+            reader(path)
+        assert err.value.path == f"[0].{where}"
+
     def test_round_trip(self, tmp_path):
         dets = [
             Detection((1.25, -2.5, 0.75), (3.5, 1.5, 1.25), 0.5, 0.625, "cyclist"),

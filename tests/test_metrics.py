@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from pcsaliency.boxes import OrientedBox, box_diagonal, iou_3d, points_in_box
-from pcsaliency.errors import EmptyGroundTruth, LengthMismatch, NoRegionPoints, ZeroEnergy
+from pcsaliency.errors import (
+    EmptyGroundTruth, LengthMismatch, NoRegionPoints, ValidationError, ZeroEnergy,
+)
 from pcsaliency.metrics import (
     Curve,
     EvalThresholds,
@@ -131,6 +133,13 @@ class TestDeletionInsertion:
         base = deletion_curve(detector, cloud, d, saliency, steps=3)
         with_spike = deletion_curve(detector, cloud, d, spiked, steps=3)
         assert np.allclose(base.values, with_spike.values, atol=1e-12)
+
+    @pytest.mark.parametrize("curve", [deletion_curve, insertion_curve])
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_below_one_rejected(self, explained_scene, curve, steps):
+        cloud, _, d, saliency = explained_scene
+        with pytest.raises(ValidationError, match="steps"):
+            curve(None, cloud, d, saliency, steps=steps)
 
     def test_no_region_points(self, detector):
         cloud, _, _ = single_object_scene(2)

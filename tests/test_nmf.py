@@ -162,6 +162,12 @@ def test_rank_too_large_rejected():
         factorize(np.ones((3, 5)), cfg(r=4))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-5, float("nan")])
+def test_tolerance_must_be_positive(tol):
+    with pytest.raises(ValueError, match="relative_tolerance"):
+        NmfConfig(relative_tolerance=tol)
+
+
 def test_factors_stay_non_negative():
     a, rank = low_rank_matrix(2, max_size=24, max_rank=6)
     f = factorize(a, cfg(r=rank, seed=1))
