@@ -75,12 +75,21 @@ class ReferenceDetectorConfig:
     classes: tuple[str, ...] = CLASS_NAMES
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_key_range(self.grid)
         if self.feature_dim < 5:
-            raise ValueError("feature_dim must be >= 5 to hold the base descriptor")
+            raise ValueError(
+                f"feature_dim must be >= 5 to hold the base descriptor, got {self.feature_dim}"
+            )
         if self.num_blocks < 1:
             raise ValueError("num_blocks must be >= 1")
         if self.size_floor <= 0:
-            raise ValueError("size_floor must be > 0")
+            raise ValueError(f"size_floor must be > 0, got {self.size_floor}")
+
+    @property
+    def grid(self) -> GridSpec:
+        return GridSpec(self.voxel_size, self.x_range, self.y_range, self.z_range)
 
 
 @dataclass
@@ -126,10 +135,7 @@ class ReferenceDetector:
 
     def __init__(self, cfg: ReferenceDetectorConfig | None = None):
         self.cfg = cfg or ReferenceDetectorConfig()
-        self.grid = GridSpec(
-            self.cfg.voxel_size, self.cfg.x_range, self.cfg.y_range, self.cfg.z_range
-        )
-        _check_key_range(self.grid)
+        self.grid = self.cfg.grid
         d = self.cfg.feature_dim
         rng = np.random.default_rng(self.cfg.seed)
         # Strictly positive weights keep every occupied voxel's pre-activation

@@ -12,7 +12,9 @@ Binary layout (little-endian):
     gradient record count u64
     per record: detection index u32, attribute-mask bitfield u32, M x d f32
 
-Every count is validated against the remaining file length.
+Every count is validated against the remaining file length; voxel
+coordinates must be unique and every detection, feature and gradient
+value finite.
 """
 
 from __future__ import annotations
@@ -131,6 +133,13 @@ class _Reader:
             raise MalformedDump(f"array shape {shape}: {exc}") from exc
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise MalformedDump(f"{what}: row {int(finite.argmin())} is not finite")
+    return values
+
+
 def read_dump(path, classes: tuple[str, ...] = CLASS_NAMES) -> FeatureDump:
     """Parse a dump file, validating structure against the file length."""
     data = read_bytes(path)
@@ -149,12 +158,17 @@ def read_dump(path, classes: tuple[str, ...] = CLASS_NAMES) -> FeatureDump:
     (block_index,) = r.unpack("<I")
     m, d = r.unpack("<QQ")
     coords = r.array("<i4", (m, 3))
-    features = r.array("<f4", (m, d))
+    unique, counts = np.unique(coords, axis=0, return_counts=True)
+    if len(unique) != m:
+        raise MalformedDump(f"voxel coordinate {unique[counts > 1][0].tolist()} repeats")
+    features = _finite(r.array("<f4", (m, d)), "features")
     (n_det,) = r.unpack("<Q")
     detections = []
-    for _ in range(n_det):
-        x, y, z, l, w, h, yaw, score = r.unpack("<8f")
+    for i in range(n_det):
+        x, y, z, l, w, h, yaw, score = record = r.unpack("<8f")
         (class_id,) = r.unpack("<I")
+        if not all(map(math.isfinite, record)):
+            raise MalformedDump(f"detection record {i} is not finite")
         if class_id >= len(classes):
             raise MalformedDump(f"class id {class_id} outside class table")
         try:
@@ -165,11 +179,13 @@ def read_dump(path, classes: tuple[str, ...] = CLASS_NAMES) -> FeatureDump:
             raise MalformedDump(f"invalid detection record: {exc}") from exc
     (n_grad,) = r.unpack("<Q")
     gradients = {}
-    for _ in range(n_grad):
+    for i in range(n_grad):
         det_idx, mask_bits = r.unpack("<II")
         if det_idx >= n_det:
             raise MalformedDump(f"gradient references detection {det_idx} of {n_det}")
-        gradients[(det_idx, mask_bits)] = r.array("<f4", (m, d))
+        gradients[(det_idx, mask_bits)] = _finite(
+            r.array("<f4", (m, d)), f"gradient record {i}"
+        )
     if r.pos != len(data):
         raise MalformedDump(f"{len(data) - r.pos} trailing bytes after records")
     return FeatureDump(grid, block_index, coords, features, detections, gradients, classes)

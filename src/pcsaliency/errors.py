@@ -36,6 +36,10 @@ class NegativeInput(ValidationError):
     """Matrix handed to the factorizer has negative entries."""
 
 
+class NonFiniteInput(ValidationError):
+    """Matrix handed to the factorizer has NaN or infinite entries."""
+
+
 class RankTooLarge(ValidationError):
     """Requested concept count exceeds min(rows, cols)."""
 

@@ -54,13 +54,18 @@ def writing(path, mode: str = "w"):
 
 
 def read_kitti_bin(path) -> np.ndarray:
-    """Point cloud from little-endian f32 (x, y, z, intensity) quadruples."""
+    """Point cloud from little-endian f32 (x, y, z, intensity) quadruples,
+    every one finite."""
     data = read_bytes(path)
     if len(data) % 16 != 0:
         raise MalformedFile(
             f"{path}: length {len(data)} is not a multiple of 16 bytes"
         )
-    return np.frombuffer(data, dtype="<f4").reshape(-1, 4).astype(float)
+    cloud = np.frombuffer(data, dtype="<f4").reshape(-1, 4).astype(float)
+    finite = np.isfinite(cloud).all(axis=1)
+    if not finite.all():
+        raise MalformedFile(f"{path}: point {int(finite.argmin())} is not finite")
+    return cloud
 
 
 def write_kitti_bin(path, cloud: np.ndarray) -> None:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NegativeInput, RankTooLarge
+from .errors import NegativeInput, NonFiniteInput, RankTooLarge
 
 _DIV_EPS = 1e-12
 
@@ -57,11 +57,13 @@ class NmfConfig:
 
     def __post_init__(self):
         if self.r < 1:
-            raise ValueError("r must be >= 1")
+            raise ValueError(f"r must be >= 1, got {self.r}")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not self.relative_tolerance > 0:  # also rejects NaN
-            raise ValueError("relative_tolerance must be > 0")
+            raise ValueError(f"relative_tolerance must be > 0, got {self.relative_tolerance}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -116,6 +118,8 @@ def factorize(a: np.ndarray, cfg: NmfConfig) -> Factorization:
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"expected a non-empty 2-D matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFiniteInput("matrix has NaN or infinite entries")
     if np.any(a < 0):
         if not cfg.clamp_negatives:
             raise NegativeInput(

@@ -111,7 +111,7 @@ class PipelineConfig:
         if self.block_index not in (1, 2, 3, 4):
             raise ValueError(f"block_index must be in 1..4, got {self.block_index}")
         if self.ablation not in ABLATIONS:
-            raise ValueError(f"ablation must be one of {ABLATIONS}")
+            raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
 
 
 def object_loss(d: Detection, mask: frozenset[str]) -> float:

@@ -1,10 +1,11 @@
 """Run configuration: defaults, key-value files, flag overrides, hashing.
 
-Configuration is a flat dotted-key map. Files hold ``key = value`` lines
-(# comments allowed); command-line ``--set key=value`` overrides win over
-the file, which wins over defaults. The hash of the effective
-configuration is embedded in result artifacts so identical runs are
-recognizable byte-for-byte.
+Configuration is a flat dotted-key map over the fields of the typed
+configs, which own every default and accepted range. Files hold ``key =
+value`` lines (# comments allowed); command-line ``--set key=value``
+overrides win over the file, which wins over defaults. The hash of the
+effective configuration is embedded in result artifacts so identical runs
+are recognizable byte-for-byte.
 """
 
 from __future__ import annotations
@@ -20,77 +21,58 @@ from .errors import InvalidConfig, IoFailure, ValidationError
 from .fileio import read_text
 from .metrics import EvalThresholds
 from .nmf import NmfConfig
-from .pipeline import ABLATIONS, PipelineConfig
+from .pipeline import PipelineConfig
 from .voxelgrid import UpsampleConfig
 
+# Section prefix -> the typed config that owns its keys and the fields of it
+# that are keys; a ``<axis>_range`` field is the key pair ``<axis>_min`` and
+# ``<axis>_max``. Defaults and accepted ranges live only in those configs.
+_SECTIONS = {
+    "detector": (ReferenceDetectorConfig, ("seed", "voxel_size", "x_range", "y_range", "z_range",
+                                           "feature_dim", "activation_threshold", "kappa",
+                                           "size_floor")),
+    "nmf": (NmfConfig, ("r", "max_iterations", "relative_tolerance", "seed", "clamp_negatives")),
+    "upsample": (UpsampleConfig, ("range_threshold", "k")),
+    "pipeline": (PipelineConfig, ("block_index", "ablation")),
+    "thresholds": (EvalThresholds, ("car", "pedestrian", "cyclist")),
+}
+
+
+def _keys(prefix: str, name: str) -> tuple[str, ...]:
+    ends = ("min", "max") if name.endswith("_range") else ("",)
+    return tuple(f"{prefix}.{name.removesuffix('range')}{end}" for end in ends)
+
+
+def _field(values, prefix: str, name: str):
+    """One config field's value, read from its key or its range's key pair."""
+    value = tuple(values[key] for key in _keys(prefix, name))
+    return value if name.endswith("_range") else value[0]
+
+
+def _section_defaults() -> dict[str, object]:
+    out = {}
+    for prefix, (config, names) in _SECTIONS.items():
+        defaults = config()
+        for name in names:
+            value = getattr(defaults, name)
+            out.update(zip(_keys(prefix, name), value if name.endswith("_range") else (value,)))
+    return out
+
+
+# Keys that no typed config owns come last.
 _DEFAULTS: dict[str, object] = {
+    **_section_defaults(),
     "detector.kind": "reference",
     "detector.dump_path": "",
-    "detector.seed": 0,
-    "detector.voxel_size": 0.25,
-    "detector.x_min": 0.0,
-    "detector.x_max": 24.0,
-    "detector.y_min": 0.0,
-    "detector.y_max": 24.0,
-    "detector.z_min": 0.0,
-    "detector.z_max": 4.0,
-    "detector.feature_dim": 32,
-    "detector.activation_threshold": 100.0,
-    "detector.kappa": 4.0,
-    "detector.size_floor": 1.0,
-    "nmf.r": 64,
-    "nmf.max_iterations": 200,
-    "nmf.relative_tolerance": 1e-5,
-    "nmf.seed": 0,
-    "nmf.clamp_negatives": False,
-    "upsample.range_threshold": 2,
-    "upsample.k": 16,
-    "pipeline.block_index": 3,
-    "pipeline.ablation": "full",
-    "thresholds.car": 0.7,
-    "thresholds.pedestrian": 0.5,
-    "thresholds.cyclist": 0.5,
     "eval.steps": 20,
     "output.dir": "out",
     "parallelism": 1,
 }
 
 
-def _at_least(low):
-    return (lambda v: v >= low), f"must be >= {low}"
-
-
-def _above(low):
-    return (lambda v: v > low), f"must be > {low}"
-
-
-_FRACTION = (lambda v: 0.0 < v <= 1.0), "must be in (0, 1]"
-
-# Accepted values of every key that has a range; each float key must also be
-# finite. A RunConfig checks them when it is made, so a bad value fails before
-# any work and names its key.
-_RULES = {
-    "detector.seed": _at_least(0),
-    "detector.voxel_size": _above(0.0),
-    "detector.feature_dim": _at_least(5),
-    "detector.size_floor": _above(0.0),
-    "nmf.r": _at_least(1),
-    "nmf.max_iterations": _at_least(1),
-    "nmf.relative_tolerance": _above(0.0),
-    "nmf.seed": _at_least(0),
-    "upsample.range_threshold": _at_least(0),
-    "upsample.k": _at_least(1),
-    "pipeline.block_index": ((lambda v: 1 <= v <= 4), "must be in 1..4"),
-    "pipeline.ablation": ((lambda v: v in ABLATIONS), f"must be one of {ABLATIONS}"),
-    "thresholds.car": _FRACTION,
-    "thresholds.pedestrian": _FRACTION,
-    "thresholds.cyclist": _FRACTION,
-    "eval.steps": _at_least(1),
-    "parallelism": _at_least(1),
-}
-
-
 def _coerce(key: str, raw: str):
+    if key not in _DEFAULTS:
+        raise InvalidConfig(key, "unknown configuration key")
     default = _DEFAULTS[key]
     if isinstance(default, bool):
         if raw.lower() in ("true", "1", "yes"):
@@ -112,18 +94,23 @@ def _coerce(key: str, raw: str):
 
 
 def _check(values: dict[str, object]) -> None:
-    """Raise ``InvalidConfig`` for the first key whose value is out of range."""
+    """Raise ``InvalidConfig`` for the first key whose value is out of range:
+    each section's config is built up one field at a time, and the field whose
+    addition fails the config's checks names the key (a range its ``_max``)."""
     for key, value in values.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise InvalidConfig(key, f"expected a finite number, got {value!r}")
-        if key in _RULES:
-            within, rule = _RULES[key]
-            if not within(value):
-                raise InvalidConfig(key, f"{rule}, got {value!r}")
-    for axis in "xyz":
-        low, high = f"detector.{axis}_min", f"detector.{axis}_max"
-        if not values[low] < values[high]:
-            raise InvalidConfig(high, f"must be > {low}, got {values[high]!r}")
+    for key in ("eval.steps", "parallelism"):
+        if values[key] < 1:
+            raise InvalidConfig(key, f"must be >= 1, got {values[key]!r}")
+    for prefix, (config, names) in _SECTIONS.items():
+        fields = {}
+        for name in names:
+            fields[name] = _field(values, prefix, name)
+            try:
+                config(**fields)
+            except ValueError as exc:
+                raise InvalidConfig(_keys(prefix, name)[-1], str(exc)) from None
 
 
 def _canonical(value) -> str:
@@ -168,17 +155,11 @@ class RunConfig:
                 raise ValidationError(f"override {item!r} must look like key=value")
             key, value = item.split("=", 1)
             raw[key.strip()] = value.strip()
-        for key, value in raw.items():
-            if key not in _DEFAULTS:
-                raise InvalidConfig(key, "unknown configuration key")
-            merged[key] = _coerce(key, value)
+        merged.update((key, _coerce(key, value)) for key, value in raw.items())
         return cls(tuple(sorted(merged.items())))
 
     def get(self, key: str):
-        for k, v in self.values:
-            if k == key:
-                return v
-        raise KeyError(key)
+        return dict(self.values)[key]
 
     def with_values(self, updates: dict[str, object]) -> "RunConfig":
         """Copy with some keys replaced by already-typed values."""
@@ -195,18 +176,13 @@ class RunConfig:
             digest.update(f"{key}={_canonical(value)}\n".encode())
         return digest.hexdigest()[:12]
 
+    def _build(self, prefix: str, **nested):
+        config, names = _SECTIONS[prefix]
+        values = dict(self.values)
+        return config(**{name: _field(values, prefix, name) for name in names}, **nested)
+
     def detector_config(self) -> ReferenceDetectorConfig:
-        return ReferenceDetectorConfig(
-            seed=self.get("detector.seed"),
-            voxel_size=self.get("detector.voxel_size"),
-            x_range=(self.get("detector.x_min"), self.get("detector.x_max")),
-            y_range=(self.get("detector.y_min"), self.get("detector.y_max")),
-            z_range=(self.get("detector.z_min"), self.get("detector.z_max")),
-            feature_dim=self.get("detector.feature_dim"),
-            activation_threshold=self.get("detector.activation_threshold"),
-            kappa=self.get("detector.kappa"),
-            size_floor=self.get("detector.size_floor"),
-        )
+        return self._build("detector")
 
     def build_detector(self):
         kind = self.get("detector.kind")
@@ -220,28 +196,10 @@ class RunConfig:
         raise ValidationError(f"unknown detector kind {kind!r}")
 
     def pipeline_config(self) -> PipelineConfig:
-        return PipelineConfig(
-            nmf=NmfConfig(
-                r=self.get("nmf.r"),
-                max_iterations=self.get("nmf.max_iterations"),
-                relative_tolerance=self.get("nmf.relative_tolerance"),
-                seed=self.get("nmf.seed"),
-                clamp_negatives=self.get("nmf.clamp_negatives"),
-            ),
-            upsample=UpsampleConfig(
-                range_threshold=self.get("upsample.range_threshold"),
-                k=self.get("upsample.k"),
-            ),
-            block_index=self.get("pipeline.block_index"),
-            ablation=self.get("pipeline.ablation"),
-        )
+        return self._build("pipeline", nmf=self._build("nmf"), upsample=self._build("upsample"))
 
     def thresholds(self) -> EvalThresholds:
-        return EvalThresholds(
-            car=self.get("thresholds.car"),
-            pedestrian=self.get("thresholds.pedestrian"),
-            cyclist=self.get("thresholds.cyclist"),
-        )
+        return self._build("thresholds")
 
 
 def find_scene_files(directory) -> list[tuple[str, Path, Path | None]]:

@@ -7,8 +7,6 @@ per cell (``_linear_key``, range-checked by ``_check_key_range``) groups
 points into cells. Activation maps are transferred back to points with a
 Gaussian kernel over the Manhattan ball around each point's cell: every
 (cell, offset) neighbor is gathered at once from the map's sorted keys.
-``neighbor_query`` walks one ball with a dict and is the reference the
-gather is tested against.
 """
 
 from __future__ import annotations
@@ -79,17 +77,17 @@ class UpsampleConfig:
 
     def __post_init__(self):
         if self.range_threshold < 0:
-            raise ValueError("range_threshold must be >= 0")
+            raise ValueError(f"range_threshold must be >= 0, got {self.range_threshold}")
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise ValueError(f"k must be >= 1, got {self.k}")
 
 
 class SparseVoxelMap:
     """Occupied voxel coordinates with a per-voxel payload.
 
     ``values`` is indexed by row: an (M,) array for scalar payloads or an
-    (M, d) array for vector payloads. Coordinates must be unique; the
-    coordinate -> row index is built lazily on first lookup.
+    (M, d) array for vector payloads. Coordinates must be unique;
+    ``upsample_to_points`` rejects a map that repeats one.
     """
 
     def __init__(self, coords: np.ndarray, values, grid: GridSpec):
@@ -101,25 +99,13 @@ class SparseVoxelMap:
         self.coords = coords
         self.values = values
         self.grid = grid
-        self._index: dict[tuple[int, int, int], int] | None = None
 
     def __len__(self) -> int:
         return len(self.coords)
 
-    @property
-    def index(self) -> dict[tuple[int, int, int], int]:
-        if self._index is None:
-            index = {tuple(c): i for i, c in enumerate(self.coords.tolist())}
-            if len(index) != len(self.coords):
-                raise ValueError("voxel coordinates are not unique")
-            self._index = index
-        return self._index
-
     def with_values(self, values) -> "SparseVoxelMap":
         """New map on the same coordinates carrying a different payload."""
-        out = SparseVoxelMap(self.coords, values, self.grid)
-        out._index = self._index
-        return out
+        return SparseVoxelMap(self.coords, values, self.grid)
 
 
 def _offsets_within(threshold: int) -> list[tuple[int, int, int]]:
@@ -131,24 +117,6 @@ def _offsets_within(threshold: int) -> list[tuple[int, int, int]]:
             for dz in range(-rem_y, rem_y + 1):
                 out.append((dx, dy, dz))
     return out
-
-
-def neighbor_query(center, vmap: SparseVoxelMap, cfg: UpsampleConfig):
-    """Occupied voxels within the Manhattan ball around ``center``.
-
-    Returns up to ``cfg.k`` tuples ``(coord, value, distance)`` sorted by
-    ascending distance, ties broken by lexicographic coordinate.
-    """
-    cx, cy, cz = int(center[0]), int(center[1]), int(center[2])
-    index = vmap.index
-    found = []
-    for dx, dy, dz in _offsets_within(cfg.range_threshold):
-        coord = (cx + dx, cy + dy, cz + dz)
-        row = index.get(coord)
-        if row is not None:
-            found.append((abs(dx) + abs(dy) + abs(dz), coord, row))
-    found.sort(key=lambda item: (item[0], item[1]))
-    return [(coord, vmap.values[row], dist) for dist, coord, row in found[: cfg.k]]
 
 
 def _check_key_range(grid: GridSpec, pad: int = 0) -> np.ndarray:
@@ -206,12 +174,14 @@ def upsample_to_points(
     """Transfer per-voxel activations to per-point saliency scores.
 
     Each point takes the kernel-weighted average, with weights
-    ``exp(-distance^2 / 2)``, of the ``neighbor_query`` result around its
-    own voxel. Points sharing a voxel share a score, so the in-grid points
-    are grouped into cells and every (cell, offset) neighbor is looked up
-    at once in the map's sorted linear keys. Offsets ordered by (distance,
-    offset) give ``neighbor_query``'s order around any center, and the
-    k-cap is a running count of the neighbors found. Points outside the
+    ``exp(-distance^2 / 2)``, of the occupied voxels within Manhattan
+    distance ``cfg.range_threshold`` of its own voxel: the ``cfg.k``
+    nearest, ties broken by lexicographic coordinate. Points sharing a
+    voxel share a score, so the in-grid points are grouped into cells and
+    every (cell, offset) neighbor is looked up at once in the map's sorted
+    linear keys. Offsets ordered by (distance, offset) give that order
+    around any center, and the k-cap is a running count of the neighbors
+    found. Points outside the
     grid or with no occupied neighbors score 0.
 
     Raises ValueError for a non-empty map with repeated coordinates, or

@@ -1,6 +1,9 @@
+import functools
+
 import pytest
 
 from pcsaliency.detector import ReferenceDetector, ReferenceDetectorConfig
+from pcsaliency.voxelgrid import _offsets_within
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +43,32 @@ def write_scene_dir(tmp_path, detector, seeds, self_label=True):
             gts = [(box, label)]
         write_labels_json(tmp_path / f"scene{seed:03d}.labels.json", gts)
     return tmp_path
+
+
+@functools.lru_cache(maxsize=16)
+def voxel_index(vmap):
+    """Coordinate tuple -> row of a ``SparseVoxelMap``; one dict per map,
+    held while the map is among the last few looked up."""
+    index = {tuple(c): i for i, c in enumerate(vmap.coords.tolist())}
+    assert len(index) == len(vmap.coords), "voxel coordinates are not unique"
+    return index
+
+
+def neighbor_query(center, vmap, cfg):
+    """Occupied voxels within the Manhattan ball around ``center``, found
+    by one dict lookup per offset: the reference ``upsample_to_points`` is
+    tested against.
+
+    Returns up to ``cfg.k`` tuples ``(coord, value, distance)`` sorted by
+    ascending distance, ties broken by lexicographic coordinate.
+    """
+    cx, cy, cz = int(center[0]), int(center[1]), int(center[2])
+    index = voxel_index(vmap)
+    found = []
+    for dx, dy, dz in _offsets_within(cfg.range_threshold):
+        coord = (cx + dx, cy + dy, cz + dz)
+        row = index.get(coord)
+        if row is not None:
+            found.append((abs(dx) + abs(dy) + abs(dz), coord, row))
+    found.sort(key=lambda item: (item[0], item[1]))
+    return [(coord, vmap.values[row], dist) for dist, coord, row in found[: cfg.k]]

@@ -38,11 +38,10 @@ from pcsaliency.voxelgrid import (
     GridSpec,
     SparseVoxelMap,
     UpsampleConfig,
-    neighbor_query,
     upsample_to_points,
 )
 
-from conftest import write_scene_dir
+from conftest import neighbor_query, write_scene_dir
 
 
 def _report(criterion, ok, detail):

@@ -59,7 +59,9 @@ class TestRunConfig:
         "pipeline.ablation=none",
         "thresholds.car=1.5",
         "detector.voxel_size=0",
+        "detector.voxel_size=1e-7",
         "detector.x_max=-1",
+        "detector.seed=-1",
     ])
     def test_out_of_range_value_names_its_key(self, override):
         from pcsaliency.errors import InvalidConfig
@@ -76,6 +78,32 @@ class TestRunConfig:
         with pytest.raises(InvalidConfig) as err:
             RunConfig.from_sources(None, ["nmf.r=many"])
         assert err.value.key == "nmf.r"
+
+    def test_keys_types_and_hashes_pinned(self):
+        # artifacts embed the hash: the key set, the value types and the
+        # defaults must not move
+        cfg = RunConfig.from_sources()
+        types = {
+            "bool": ["nmf.clamp_negatives"],
+            "int": [
+                "detector.feature_dim", "detector.seed", "eval.steps", "nmf.max_iterations",
+                "nmf.r", "nmf.seed", "parallelism", "pipeline.block_index", "upsample.k",
+                "upsample.range_threshold",
+            ],
+            "float": [
+                "detector.activation_threshold", "detector.kappa", "detector.size_floor",
+                "detector.voxel_size", "detector.x_max", "detector.x_min", "detector.y_max",
+                "detector.y_min", "detector.z_max", "detector.z_min",
+                "nmf.relative_tolerance", "thresholds.car", "thresholds.cyclist",
+                "thresholds.pedestrian",
+            ],
+            "str": ["detector.dump_path", "detector.kind", "output.dir", "pipeline.ablation"],
+        }
+        assert [key for key, _ in cfg.values] == sorted(sum(types.values(), []))
+        for name, keys in types.items():
+            assert all(type(cfg.get(key)).__name__ == name for key in keys), name
+        assert cfg.config_hash() == "b59241dece1e"
+        assert RunConfig.from_sources(None, FAST[1::2]).config_hash() == "0215be90bb86"
 
     def test_hash_stable_and_sensitive(self):
         a = RunConfig.from_sources()
@@ -348,6 +376,53 @@ def test_key_overflowing_grid_exits_one(scene_dir, tmp_path, capsys):
     ])
     assert code == 1
     assert "int64" in capsys.readouterr().err
+
+
+def test_key_wrapping_voxel_size_exits_one_naming_its_key(scene_dir, tmp_path, capsys):
+    code = main([
+        "explain", "--scene", str(scene_dir / "scene000.bin"), "--detection", "0",
+        "--out", str(tmp_path / "sal.csv"), "--set", "detector.voxel_size=1e-7",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: detector.voxel_size: ")
+
+
+def test_non_finite_point_exits_one(tmp_path, capsys):
+    cloud, _, _ = single_object_scene(0)
+    cloud = np.vstack([cloud, [10.0, 10.0, 1.0, np.inf]])
+    bin_path = tmp_path / "scene.bin"
+    write_kitti_bin(bin_path, cloud)
+    code = main([
+        "explain", "--scene", str(bin_path), "--detection", "0",
+        "--out", str(tmp_path / "sal.csv"), *FAST,
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bin_path}: point {len(cloud) - 1} is not finite\n"
+
+
+def test_dump_with_repeated_voxel_exits_one_at_load(tmp_path, detector, capsys, monkeypatch):
+    from dataclasses import replace
+
+    from pcsaliency import nmf
+    from pcsaliency.dumps import dump_from_detector, save_dump
+    from pcsaliency.pipeline import full_mask
+
+    cloud, _, _ = single_object_scene(0)
+    bin_path = tmp_path / "scene.bin"
+    write_kitti_bin(bin_path, cloud)
+    dump = dump_from_detector(detector, cloud, 3, masks=(full_mask(),))
+    coords = dump.coords.copy()
+    coords[1] = coords[0]
+    dump_path = tmp_path / "scene.ffdp"
+    save_dump(dump_path, replace(dump, coords=coords))
+    monkeypatch.setattr(nmf, "factorize", None)
+    code = main([
+        "explain", "--scene", str(bin_path), "--detection", "0",
+        "--out", str(tmp_path / "sal.csv"),
+        "--set", "detector.kind=dump", "--set", f"detector.dump_path={dump_path}", *FAST,
+    ])
+    assert code == 1
+    assert f"voxel coordinate {coords[0].tolist()} repeats" in capsys.readouterr().err
 
 
 def test_key_wrapping_dump_grid_exits_one(tmp_path, detector, capsys, monkeypatch):

@@ -192,6 +192,11 @@ def test_feature_dim_floor():
         ReferenceDetectorConfig(feature_dim=4)
 
 
+def test_seed_floor():
+    with pytest.raises(ValueError, match="seed"):
+        ReferenceDetectorConfig(seed=-1)
+
+
 def test_key_overflowing_grid_rejected():
     with pytest.raises(ValueError, match="int64"):
         ReferenceDetector(ReferenceDetectorConfig(

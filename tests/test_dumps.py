@@ -1,4 +1,6 @@
+import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,12 +114,51 @@ class TestMalformed:
     def test_key_wrapping_grid(self, scene_dump, tmp_path):
         # 1e-6 m voxels over 24 x 24 x 4 m is a valid GridSpec whose voxel
         # key would wrap int64; the file is rejected before any use
-        from dataclasses import replace
-
         _, dump, _ = scene_dump
         path = tmp_path / "wrapping.ffdp"
         save_dump(path, replace(dump, grid=GridSpec(1e-6, (0.0, 24.0), (0.0, 24.0), (0.0, 4.0))))
         with pytest.raises(MalformedDump, match="int64"):
+            read_dump(path)
+
+    def test_repeated_voxel_coordinate(self, scene_dump, tmp_path):
+        _, dump, _ = scene_dump
+        coords = dump.coords.copy()
+        coords[2] = coords[0]
+        path = tmp_path / "repeated.ffdp"
+        save_dump(path, replace(dump, coords=coords))
+        message = f"voxel coordinate {coords[0].tolist()} repeats"
+        with pytest.raises(MalformedDump, match=re.escape(message)):
+            read_dump(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_features(self, scene_dump, tmp_path, value):
+        _, dump, _ = scene_dump
+        features = dump.features.copy()
+        features[3, 1] = value
+        path = tmp_path / "features.ffdp"
+        save_dump(path, replace(dump, features=features))
+        with pytest.raises(MalformedDump, match="features: row 3 is not finite"):
+            read_dump(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), -float("inf")])
+    def test_non_finite_gradient(self, scene_dump, tmp_path, value):
+        _, dump, _ = scene_dump
+        gradients = {key: grad.copy() for key, grad in dump.gradients.items()}
+        last = sorted(gradients)[-1]
+        gradients[last][4, 0] = value
+        path = tmp_path / "gradient.ffdp"
+        save_dump(path, replace(dump, gradients=gradients))
+        record = len(gradients) - 1
+        with pytest.raises(MalformedDump, match=f"gradient record {record}: row 4 is not finite"):
+            read_dump(path)
+
+    @pytest.mark.parametrize("change", [{"center": (np.nan, 1.0, 1.0)}, {"yaw": np.inf}])
+    def test_non_finite_detection(self, scene_dump, tmp_path, change):
+        _, dump, _ = scene_dump
+        bad = replace(dump.detections[0], **change)
+        path = tmp_path / "detection.ffdp"
+        save_dump(path, replace(dump, detections=[dump.detections[0], bad]))
+        with pytest.raises(MalformedDump, match="detection record 1 is not finite"):
             read_dump(path)
 
     def test_shape_mismatch_on_construction(self):

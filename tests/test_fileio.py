@@ -40,6 +40,16 @@ class TestKittiBin:
         with pytest.raises(MalformedFile):
             read_kitti_bin(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("column", [0, 3])
+    def test_non_finite_point_is_malformed(self, tmp_path, value, column):
+        cloud = np.ones((3, 4))
+        cloud[1, column] = value
+        path = tmp_path / "cloud.bin"
+        write_kitti_bin(path, cloud)
+        with pytest.raises(MalformedFile, match="point 1 is not finite"):
+            read_kitti_bin(path)
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         cloud = rng.uniform(-10, 10, size=(100, 4)).astype(np.float32).astype(float)

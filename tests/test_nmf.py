@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcsaliency.errors import NegativeInput, RankTooLarge
+from pcsaliency.errors import NegativeInput, NonFiniteInput, RankTooLarge
 from pcsaliency.nmf import NmfConfig, Factorization, factorize, global_concept_map
 from pcsaliency.synthetic import low_rank_matrix
 
@@ -155,6 +155,19 @@ def test_negative_input_rejected_unless_clamped():
         factorize(a, cfg(r=1))
     f = factorize(a, NmfConfig(r=1, clamp_negatives=True))
     assert np.all(f.h >= 0) and np.all(f.w >= 0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("clamp", [False, True])
+def test_non_finite_input_rejected(value, clamp):
+    a = np.array([[1.0, value], [0.2, 0.3]])
+    with pytest.raises(NonFiniteInput):
+        factorize(a, NmfConfig(r=1, clamp_negatives=clamp))
+
+
+def test_seed_must_be_non_negative():
+    with pytest.raises(ValueError, match="seed"):
+        NmfConfig(seed=-1)
 
 
 def test_rank_too_large_rejected():

@@ -11,9 +11,10 @@ from pcsaliency.voxelgrid import (
     UpsampleConfig,
     _group_rows,
     nearest_voxel_values,
-    neighbor_query,
     upsample_to_points,
 )
+
+from conftest import neighbor_query, voxel_index
 
 GRID = GridSpec(1.0, (0.0, 10.0), (0.0, 10.0), (0.0, 10.0))
 
@@ -203,11 +204,6 @@ def test_nearest_voxel_values():
     assert np.array_equal(out, [0.9, 0.0, 0.0])
 
 
-def test_unique_coords_enforced():
-    with pytest.raises(ValueError):
-        SparseVoxelMap(np.array([[1, 1, 1], [1, 1, 1]]), np.array([1.0, 2.0]), GRID).index
-
-
 @pytest.mark.parametrize("repeated", [(1, 1, 1), (-50, 3, 99)])
 @pytest.mark.parametrize("values", [[0.0, 0.0, 0.5], [1.0, 2.0, 0.5]])
 def test_repeated_coords_rejected_by_every_upsampling_call(repeated, values):
@@ -316,8 +312,9 @@ def test_upsample_matches_per_point_loop(near, far, points, range_threshold, k, 
         bits(upsample_to_points(flat, cloud, cfg)), bits(np.where(counts > 0, constant + 0.0, 0.0))
     )
 
+    index = voxel_index(vmap)
     own = [
-        vmap.values[vmap.index[tuple(c)]] if inside and tuple(c) in vmap.index else 0.0
+        vmap.values[index[tuple(c)]] if inside and tuple(c) in index else 0.0
         for c, inside in zip(_PROPERTY_GRID.coords_for(cloud).tolist(),
                              _PROPERTY_GRID.contains(cloud))
     ]
