@@ -8,15 +8,12 @@ Canonicalized points (object-centered, yaw-aligned, size-normalized into
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import OrientedBox
 from .errors import MalformedFile
 from .fileio import read_bytes, writing
-from .metrics import EvalThresholds, well_detected
-from .pipeline import Detection
 
 
 class CanonicalGrid:
@@ -55,23 +52,6 @@ class CanonicalGrid:
         return out
 
 
-def tp_fp_split(
-    predictions: list[Detection],
-    gts: list[tuple[OrientedBox, str]],
-    thresholds: EvalThresholds,
-):
-    """Greedy-matched true positives and the remaining false positives.
-
-    Returns ``(tp, fp)`` where tp is a list of (pred_idx, gt_idx) pairs and
-    fp the sorted indices of unmatched predictions.
-    """
-    matches = well_detected(predictions, gts, thresholds)
-    tp = sorted((pi, gi) for pi, gi, _ in matches)
-    matched = {pi for pi, _ in tp}
-    fp = [i for i in range(len(predictions)) if i not in matched]
-    return tp, fp
-
-
 @dataclass
 class ObjectExplanation:
     """One explained detection prepared for mode aggregation."""
@@ -83,56 +63,20 @@ class ObjectExplanation:
     in_box_points: int
 
 
-@dataclass
-class ModeReport:
-    """Class mixture, point density and average maps per TP/FP mode."""
-
-    tp_count: int
-    fp_count: int
-    tp_class_ratios: dict[str, float]
-    fp_class_ratios: dict[str, float]
-    tp_mean_points: float
-    fp_mean_points: float
-    tp_maps: dict[str, CanonicalGrid] = field(default_factory=dict)
-    fp_maps: dict[str, CanonicalGrid] = field(default_factory=dict)
-
-
-def mode_report(records: list[ObjectExplanation], resolution: int = 32) -> ModeReport:
-    """Aggregate explained detections into per-mode class stats and maps."""
-    sides = {True: [], False: []}
-    for rec in records:
-        sides[rec.is_tp].append(rec)
-
-    def ratios(group):
-        if not group:
-            return {}
-        counts: dict[str, int] = {}
-        for rec in group:
-            counts[rec.label] = counts.get(rec.label, 0) + 1
-        return {label: counts[label] / len(group) for label in sorted(counts)}
-
-    def mean_points(group):
-        if not group:
-            return 0.0
-        return float(np.mean([rec.in_box_points for rec in group]))
-
-    def maps(group):
-        out: dict[str, CanonicalGrid] = {}
-        for rec in group:
-            grid = out.setdefault(rec.label, CanonicalGrid(resolution))
-            grid.accumulate(rec.canonical_points, rec.saliency)
-        return out
-
-    return ModeReport(
-        tp_count=len(sides[True]),
-        fp_count=len(sides[False]),
-        tp_class_ratios=ratios(sides[True]),
-        fp_class_ratios=ratios(sides[False]),
-        tp_mean_points=mean_points(sides[True]),
-        fp_mean_points=mean_points(sides[False]),
-        tp_maps=maps(sides[True]),
-        fp_maps=maps(sides[False]),
-    )
+def mode_report(records: list[ObjectExplanation]) -> dict[str, dict]:
+    """Per mode, ``"tp"`` then ``"fp"``: the explained detections' count,
+    class mixture and mean number of points inside their boxes."""
+    report = {}
+    for mode, is_tp in (("tp", True), ("fp", False)):
+        group = [rec for rec in records if rec.is_tp == is_tp]
+        labels = [rec.label for rec in group]
+        points = [rec.in_box_points for rec in group]
+        report[mode] = {
+            "count": len(group),
+            "class_ratios": {k: labels.count(k) / len(group) for k in sorted(set(labels))},
+            "mean_points_in_box": float(np.mean(points)) if group else 0.0,
+        }
+    return report
 
 
 def write_grid(path, grid: CanonicalGrid) -> None:

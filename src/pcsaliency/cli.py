@@ -19,9 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .aggregate import (
-    CanonicalGrid, ObjectExplanation, grid_to_csv, mode_report, tp_fp_split, write_grid,
-)
+from .aggregate import CanonicalGrid, ObjectExplanation, grid_to_csv, mode_report, write_grid
 from .boxes import OrientedBox, canonicalize, iou_3d, points_in_box
 from .detector import grad_check
 from .errors import IoFailure, SaliencyError, ValidationError, ZeroEnergy
@@ -181,6 +179,8 @@ def _map_scenes(cfg: RunConfig, scenes_dir, worker, *args):
     scenes = find_scene_files(scenes_dir)
     if not scenes:
         raise ValidationError(f"no .bin scenes found in {scenes_dir}")
+    if cfg.get("detector.kind") == "dump" and len(scenes) > 1:
+        raise ValidationError(f"a feature dump holds one scene; {scenes_dir} has {len(scenes)}")
     task = functools.partial(worker, cfg, *args)
     parallelism = cfg.get("parallelism")
     if parallelism <= 1 or len(scenes) <= 1:
@@ -320,9 +320,11 @@ def _aggregate_worker(cfg: RunConfig, masks, scene):
 
 def _cmd_aggregate(args) -> int:
     cfg = _runconfig(args)
-    out_dir = _mkdir(Path(args.out_dir) if args.out_dir else _out_dir(cfg) / "aggregate")
     names = [t.strip() for t in args.masks.split(",") if t.strip()]
+    if not names or len(set(names)) != len(names):
+        raise ValidationError(f"--masks must name one or more masks once each, got {args.masks!r}")
     masks = [full_mask() if t == "all" else make_mask(t) for t in names]
+    out_dir = _mkdir(Path(args.out_dir) if args.out_dir else _out_dir(cfg) / "aggregate")
 
     grids: dict[tuple[str, str], CanonicalGrid] = {}
     for objects in _map_scenes(cfg, args.scenes, _aggregate_worker, masks):
@@ -358,7 +360,7 @@ def _modes_worker(cfg: RunConfig, scene):
     cloud, gts = _load_scene(bin_path, labels_path)
 
     def every_detection(detections):
-        tp_set = {pi for pi, _ in tp_fp_split(detections, gts, cfg.thresholds())[0]}
+        tp_set = {pi for pi, _, _ in metrics.well_detected(detections, gts, cfg.thresholds())}
         return [(pi, pi in tp_set) for pi in range(len(detections))]
 
     _, detections, explained = _explain_scene(cfg, cloud, every_detection, [full_mask()])
@@ -383,25 +385,14 @@ def _cmd_modes(args) -> int:
     grids_dir = _mkdir(Path(args.grids_dir)) if args.grids_dir else None
     records = [rec for recs in _map_scenes(cfg, args.scenes, _modes_worker) for rec in recs]
 
-    report = mode_report(records)
-    payload = {
-        "config_hash": cfg.config_hash(),
-        "tp": {
-            "count": report.tp_count,
-            "class_ratios": report.tp_class_ratios,
-            "mean_points_in_box": report.tp_mean_points,
-        },
-        "fp": {
-            "count": report.fp_count,
-            "class_ratios": report.fp_class_ratios,
-            "mean_points_in_box": report.fp_mean_points,
-        },
-    }
-    write_json(out, payload)
+    write_json(out, {"config_hash": cfg.config_hash(), **mode_report(records)})
     if grids_dir is not None:
-        for mode, maps in (("tp", report.tp_maps), ("fp", report.fp_maps)):
-            for label, grid in sorted(maps.items()):
-                write_grid(grids_dir / f"{mode}_{label}.grid", grid)
+        grids: dict[str, CanonicalGrid] = {}
+        for rec in records:
+            grid = grids.setdefault(f"{'tp' if rec.is_tp else 'fp'}_{rec.label}", CanonicalGrid())
+            grid.accumulate(rec.canonical_points, rec.saliency)
+        for stem, grid in sorted(grids.items()):
+            write_grid(grids_dir / f"{stem}.grid", grid)
     print(f"wrote {out}")
     return 0
 

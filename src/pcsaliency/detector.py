@@ -72,7 +72,6 @@ class ReferenceDetectorConfig:
     excess_offset: float = 2.0
     kappa: float = 4.0
     size_floor: float = 1.0
-    classes: tuple[str, ...] = CLASS_NAMES
 
     def __post_init__(self):
         if self.seed < 0:
@@ -148,7 +147,7 @@ class ReferenceDetector:
         self._score_vec = rng.uniform(0.5, 1.5, size=d)
         # Zero-mean class vectors: the argmax then keys on the channel mix of
         # a cluster rather than its overall magnitude.
-        self._class_vecs = rng.normal(size=(len(self.cfg.classes), d))
+        self._class_vecs = rng.normal(size=(len(CLASS_NAMES), d))
         self._hold: _SceneHold | None = None
 
     # ------------------------------------------------------------------
@@ -364,7 +363,7 @@ class ReferenceDetector:
 
     def _cluster_detection(self, coords, values, activations, cluster):
         logits = self._class_vecs @ values[cluster].sum(axis=0)
-        label = self.cfg.classes[int(np.argmax(logits))]
+        label = CLASS_NAMES[int(np.argmax(logits))]
         return self._cluster_box(coords, cluster, activations[cluster], label)
 
     # ------------------------------------------------------------------
@@ -418,23 +417,17 @@ class ReferenceDetector:
             values = self._block_output(b, pooled)
         w = values[cluster] @ self._score_vec
         # the loss reads continuous attributes only, so any label serves
-        box = self._cluster_box(fw.block_coords[-1], cluster, w, self.cfg.classes[0])
+        box = self._cluster_box(fw.block_coords[-1], cluster, w, CLASS_NAMES[0])
         return object_loss(box, mask)
 
 
-def grad_check(
-    cfg: ReferenceDetectorConfig | None = None,
-    scene_seed: int = 0,
-    block_index: int = 3,
-    step: float = 1e-4,
-    atol_floor: float = 1e-8,
-) -> float:
+def grad_check(cfg: ReferenceDetectorConfig | None = None, scene_seed: int = 0) -> float:
     """Max relative analytic-vs-finite-difference gradient error on a scene.
 
     Builds a seeded synthetic scene, explains every detection with the full
-    attribute mask, and central-differences every feature entry of the
-    requested block. Differences below ``atol_floor`` are ignored; the rest
-    are measured relative to the larger of the two gradients. Returns 0 for
+    attribute mask, and central-differences (step 1e-4) every feature entry
+    of block 3. Differences of at most 1e-8 are ignored; the rest are
+    measured relative to the larger of the two gradients. Returns 0 for
     scenes without detections.
     """
     from .synthetic import single_object_scene
@@ -447,27 +440,26 @@ def grad_check(
     if not fw.detections:
         return 0.0
 
+    block, step = 3, 1e-4
     mask = frozenset(ATTRIBUTE_NAMES)
     worst = 0.0
-    base_values = fw.block_values[block_index - 1]
+    base_values = fw.block_values[block - 1]
     for det_idx, detection in enumerate(fw.detections):
         cluster = fw.clusters[det_idx]
-        analytic = np.asarray(
-            detector.gradient(cloud, detection, mask, block_index).values
-        )
+        analytic = np.asarray(detector.gradient(cloud, detection, mask, block).values)
         fd = np.zeros_like(analytic)
         values = base_values.copy()
         for flat in range(values.size):
             orig = values.flat[flat]
             values.flat[flat] = orig + step
-            hi = detector._loss_from_block(fw, block_index, values, cluster, mask)
+            hi = detector._loss_from_block(fw, block, values, cluster, mask)
             values.flat[flat] = orig - step
-            lo = detector._loss_from_block(fw, block_index, values, cluster, mask)
+            lo = detector._loss_from_block(fw, block, values, cluster, mask)
             values.flat[flat] = orig
             fd.flat[flat] = (hi - lo) / (2.0 * step)
         diff = np.abs(analytic - fd)
         ref = np.maximum(np.abs(analytic), np.abs(fd))
-        significant = diff > atol_floor
+        significant = diff > 1e-8
         if np.any(significant):
             worst = max(worst, float((diff[significant] / ref[significant]).max()))
     return worst

@@ -45,7 +45,6 @@ class FeatureDump:
     features: np.ndarray  # (M, d) float32
     detections: list[Detection]
     gradients: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-    classes: tuple[str, ...] = CLASS_NAMES
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=np.int32).reshape(-1, 3)
@@ -68,7 +67,7 @@ class FeatureDump:
             if not 0 <= det_idx < len(self.detections):
                 raise ShapeMismatch(f"gradient record references detection {det_idx}")
         for d in self.detections:
-            if d.label not in self.classes:
+            if d.label not in CLASS_NAMES:
                 raise ShapeMismatch(f"label {d.label!r} not in class table")
 
 
@@ -95,7 +94,7 @@ def save_dump(path, dump: FeatureDump) -> None:
         parts.append(
             struct.pack("<8f", *det.center, *det.size, det.yaw, det.score)
         )
-        parts.append(struct.pack("<I", dump.classes.index(det.label)))
+        parts.append(struct.pack("<I", CLASS_NAMES.index(det.label)))
     parts.append(struct.pack("<Q", len(dump.gradients)))
     for (det_idx, mask_bits), grad in sorted(dump.gradients.items()):
         parts.append(struct.pack("<II", det_idx, mask_bits))
@@ -140,7 +139,7 @@ def _finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def read_dump(path, classes: tuple[str, ...] = CLASS_NAMES) -> FeatureDump:
+def read_dump(path) -> FeatureDump:
     """Parse a dump file, validating structure against the file length."""
     data = read_bytes(path)
     r = _Reader(data)
@@ -169,11 +168,11 @@ def read_dump(path, classes: tuple[str, ...] = CLASS_NAMES) -> FeatureDump:
         (class_id,) = r.unpack("<I")
         if not all(map(math.isfinite, record)):
             raise MalformedDump(f"detection record {i} is not finite")
-        if class_id >= len(classes):
+        if class_id >= len(CLASS_NAMES):
             raise MalformedDump(f"class id {class_id} outside class table")
         try:
             detections.append(
-                Detection((x, y, z), (l, w, h), yaw, score, classes[class_id])
+                Detection((x, y, z), (l, w, h), yaw, score, CLASS_NAMES[class_id])
             )
         except ValueError as exc:
             raise MalformedDump(f"invalid detection record: {exc}") from exc
@@ -188,15 +187,16 @@ def read_dump(path, classes: tuple[str, ...] = CLASS_NAMES) -> FeatureDump:
         )
     if r.pos != len(data):
         raise MalformedDump(f"{len(data) - r.pos} trailing bytes after records")
-    return FeatureDump(grid, block_index, coords, features, detections, gradients, classes)
+    return FeatureDump(grid, block_index, coords, features, detections, gradients)
 
 
 class DumpDetector:
     """Detector interface replaying a stored FeatureDump.
 
-    ``detect``, ``detect_subset`` and ``features`` ignore the cloud
-    argument (the dump was produced for exactly one scene); ``gradient``
-    serves only the stored (detection, mask) records.
+    ``detect`` and ``features`` ignore the cloud argument (the dump was
+    produced for exactly one scene); ``gradient`` serves only the stored
+    (detection, mask) records. ``detect_subset`` refuses: a replay holds no
+    detections for a perturbed cloud, so it cannot score faithfulness.
     """
 
     def __init__(self, dump: FeatureDump):
@@ -210,7 +210,10 @@ class DumpDetector:
         return list(self.dump.detections)
 
     def detect_subset(self, cloud, keep) -> list[Detection]:
-        return list(self.dump.detections)
+        raise DetectorFailure(
+            "a feature dump replays one unperturbed scene; it cannot rerun the "
+            "detector on a subset of the cloud (deletion and insertion curves)"
+        )
 
     def features(self, cloud, block_index: int) -> SparseVoxelMap:
         self._check_block(block_index)
@@ -236,18 +239,12 @@ class DumpDetector:
             )
 
 
-def load_dump(path, classes: tuple[str, ...] = CLASS_NAMES) -> DumpDetector:
+def load_dump(path) -> DumpDetector:
     """Open a dump file as a replayable detector."""
-    return DumpDetector(read_dump(path, classes))
+    return DumpDetector(read_dump(path))
 
 
-def dump_from_detector(
-    detector,
-    cloud: np.ndarray,
-    block_index: int,
-    masks=(),
-    classes: tuple[str, ...] = CLASS_NAMES,
-) -> FeatureDump:
+def dump_from_detector(detector, cloud: np.ndarray, block_index: int, masks=()) -> FeatureDump:
     """Capture a detector's scene state; gradients for every detection x mask."""
     with detector.scene(cloud):
         feats = detector.features(cloud, block_index)
@@ -264,5 +261,4 @@ def dump_from_detector(
         features=np.asarray(feats.values, dtype=np.float32),
         detections=detections,
         gradients=gradients,
-        classes=classes,
     )

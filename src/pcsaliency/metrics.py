@@ -22,7 +22,7 @@ from .errors import (
 )
 from .pipeline import Detection
 
-DEFAULT_VEA_THRESHOLDS = tuple(np.round(np.arange(1, 20) * 0.05, 2))
+_VEA_THRESHOLDS = tuple(np.round(np.arange(1, 20) * 0.05, 2))
 
 
 @dataclass(frozen=True)
@@ -140,13 +140,13 @@ def auc(curve: Curve) -> float:
     return area / float(steps[-1] - steps[0])
 
 
-def vea(saliency, cloud, gt_box: OrientedBox, thresholds=DEFAULT_VEA_THRESHOLDS) -> float:
+def vea(saliency, cloud, gt_box: OrientedBox) -> float:
     """Best point-set IoU between thresholded saliency and box membership.
 
-    The map is normalized by its maximum; at each threshold t the predicted
-    set is {saliency >= t} and the score is its IoU with the set of points
-    inside the box. Returns the maximum over thresholds; an all-zero map
-    scores 0.
+    The map is normalized by its maximum; at each threshold t in 0.05, 0.10,
+    ..., 0.95 the predicted set is {saliency >= t} and the score is its IoU
+    with the set of points inside the box. Returns the maximum over
+    thresholds; an all-zero map scores 0.
     """
     saliency, cloud = _paired(saliency, cloud)
     gt_mask = points_in_box(cloud, gt_box)
@@ -157,7 +157,7 @@ def vea(saliency, cloud, gt_box: OrientedBox, thresholds=DEFAULT_VEA_THRESHOLDS)
         return 0.0
     normalized = saliency / peak
     best = 0.0
-    for t in thresholds:
+    for t in _VEA_THRESHOLDS:
         pred = normalized >= t
         union = int(np.count_nonzero(pred | gt_mask))
         if union == 0:

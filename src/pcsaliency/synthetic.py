@@ -15,17 +15,17 @@ import numpy as np
 from .boxes import OrientedBox
 from .pipeline import CLASS_NAMES
 
-DEFAULT_EXTENT = ((0.0, 24.0), (0.0, 24.0), (0.0, 4.0))
+_EXTENT = ((0.0, 24.0), (0.0, 24.0), (0.0, 4.0))  # default detector grid, x/y/z
 _BASE_CELL_VOLUME = 0.25**3  # default detector voxel size, cubed
+# points per base voxel in an object's body and in its dense core, and the
+# share of the box volume the core fills
+_BODY_DENSITY = 3.0
+_CORE_DENSITY = 12.0
+_CORE_VOLUME_FRACTION = 0.4
+_MIN_SEPARATION = 10.0  # between object centers in a multi-object scene, in x-y
 
 
-def _cluster_points(
-    rng,
-    box: OrientedBox,
-    body_density: float = 3.0,
-    core_density: float = 12.0,
-    core_volume_fraction: float = 0.4,
-) -> np.ndarray:
+def _cluster_points(rng, box: OrientedBox) -> np.ndarray:
     """Dense core inside a moderate-density body, densities per base voxel.
 
     The body alone sits near the detector's density gate while the core is
@@ -35,93 +35,77 @@ def _cluster_points(
     center = np.array(box.center)
     size = np.array(box.size)
     volume = float(size.prod())
-    n_core = int(core_density * volume * core_volume_fraction / _BASE_CELL_VOLUME)
-    n_body = int(body_density * volume / _BASE_CELL_VOLUME)
-    core_scale = core_volume_fraction ** (1.0 / 3.0)
+    n_core = int(_CORE_DENSITY * volume * _CORE_VOLUME_FRACTION / _BASE_CELL_VOLUME)
+    n_body = int(_BODY_DENSITY * volume / _BASE_CELL_VOLUME)
+    core_scale = _CORE_VOLUME_FRACTION ** (1.0 / 3.0)
     core = center + (rng.uniform(size=(n_core, 3)) - 0.5) * size * core_scale
     body = center + (rng.uniform(size=(n_body, 3)) - 0.5) * size
     pts = np.vstack([core, body])
     return np.hstack([pts, rng.uniform(size=(len(pts), 1))])
 
 
-def _noise_points(rng, extent, n: int) -> np.ndarray:
-    lows = np.array([lo for lo, _ in extent])
-    highs = np.array([hi for _, hi in extent])
+def _noise_points(rng, n: int) -> np.ndarray:
+    lows = np.array([lo for lo, _ in _EXTENT])
+    highs = np.array([hi for _, hi in _EXTENT])
     xyz = rng.uniform(lows, highs, size=(n, 3))
     return np.hstack([xyz, rng.uniform(size=(n, 1))])
 
 
-def _random_box(rng, extent, margin: float = 4.0) -> OrientedBox:
+def _random_box(rng) -> OrientedBox:
+    """A box whose center lies at least 4 m inside the extent in x and y."""
     size = (
         float(rng.uniform(2.0, 2.6)),
         float(rng.uniform(2.0, 2.6)),
         float(rng.uniform(1.2, 1.8)),
     )
     center = []
-    for (lo, hi), s in zip(extent[:2], size[:2]):
-        pad = max(margin, s / 2 + 0.1)
+    for (lo, hi), s in zip(_EXTENT[:2], size[:2]):
+        pad = max(4.0, s / 2 + 0.1)
         center.append(float(rng.uniform(lo + pad, hi - pad)))
-    z_lo, z_hi = extent[2]
+    z_lo, z_hi = _EXTENT[2]
     center.append(float(rng.uniform(z_lo + size[2] / 2 + 0.2, z_hi - size[2] / 2 - 0.2)))
     return OrientedBox(tuple(center), size, yaw=0.0)
 
 
-def single_object_scene(
-    seed: int,
-    n_noise_points: int = 14000,
-    extent=DEFAULT_EXTENT,
-    body_density: float = 3.0,
-    core_density: float = 12.0,
-):
+def single_object_scene(seed: int, n_noise_points: int = 14000):
     """One core-and-body cluster inside heavy uniform clutter.
 
     Returns ``(cloud, gt_box, label)``; the box is the exact region the
     cluster points were drawn from.
     """
     rng = np.random.default_rng(seed)
-    box = _random_box(rng, extent)
+    box = _random_box(rng)
     label = CLASS_NAMES[int(rng.integers(len(CLASS_NAMES)))]
-    cloud = np.vstack(
-        [
-            _cluster_points(rng, box, body_density, core_density),
-            _noise_points(rng, extent, n_noise_points),
-        ]
-    )
+    cloud = np.vstack([_cluster_points(rng, box), _noise_points(rng, n_noise_points)])
     return cloud, box, label
 
 
-def multi_object_scene(
-    seed: int,
-    n_objects: int = 2,
-    n_noise_points: int = 14000,
-    min_separation: float = 10.0,
-    extent=DEFAULT_EXTENT,
-):
-    """Several well-separated clusters plus clutter; returns (cloud, [(box, label)])."""
+def multi_object_scene(seed: int, n_noise_points: int = 14000):
+    """Two well-separated clusters plus clutter; returns (cloud, [(box, label)])."""
     rng = np.random.default_rng(seed)
     boxes: list[OrientedBox] = []
     attempts = 0
-    while len(boxes) < n_objects:
+    while len(boxes) < 2:
         attempts += 1
         if attempts > 1000:
-            raise ValueError("could not place objects with the requested separation")
-        candidate = _random_box(rng, extent)
+            raise ValueError("could not place two objects apart")
+        candidate = _random_box(rng)
         center = np.array(candidate.center[:2])
         if all(
-            np.linalg.norm(center - np.array(b.center[:2])) >= min_separation
+            np.linalg.norm(center - np.array(b.center[:2])) >= _MIN_SEPARATION
             for b in boxes
         ):
             boxes.append(candidate)
     parts = [_cluster_points(rng, b) for b in boxes]
-    parts.append(_noise_points(rng, extent, n_noise_points))
+    parts.append(_noise_points(rng, n_noise_points))
     labels = [CLASS_NAMES[int(rng.integers(len(CLASS_NAMES)))] for _ in boxes]
     return np.vstack(parts), list(zip(boxes, labels))
 
 
-def noise_scene(seed: int, n_points: int = 14000, extent=DEFAULT_EXTENT) -> np.ndarray:
+def noise_scene(seed: int, n_points: int = 14000) -> np.ndarray:
     """Uniform clutter only; the reference detector should stay silent."""
     rng = np.random.default_rng(seed)
-    return _noise_points(rng, extent, n_points)
+    return _noise_points(rng, n_points)
 
 
 def low_rank_matrix(seed: int, max_size: int = 64, max_rank: int = 16):

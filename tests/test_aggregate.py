@@ -3,17 +3,15 @@ import pytest
 
 from pcsaliency.aggregate import (
     CanonicalGrid,
-    ModeReport,
     ObjectExplanation,
     grid_to_csv,
     mode_report,
     read_grid,
-    tp_fp_split,
     write_grid,
 )
 from pcsaliency.boxes import OrientedBox
 from pcsaliency.errors import MalformedFile
-from pcsaliency.metrics import EvalThresholds
+from pcsaliency.metrics import EvalThresholds, well_detected
 from pcsaliency.pipeline import Detection
 
 
@@ -84,26 +82,30 @@ def gt(center, label="car", size=(4.0, 2.0, 1.5), yaw=0.0):
     return (OrientedBox(tuple(map(float, center)), size, yaw), label)
 
 
-class TestTpFpSplit:
-    THR = EvalThresholds()
+def tp_fp(predictions, gts):
+    """The modes report's split: sorted (pred, gt) matches and unmatched predictions."""
+    tp = sorted((pi, gi) for pi, gi, _ in well_detected(predictions, gts, EvalThresholds()))
+    return tp, [i for i in range(len(predictions)) if i not in {pi for pi, _ in tp}]
 
+
+class TestTpFpSplit:
     def test_exact_match_is_tp(self):
-        tp, fp = tp_fp_split([det((0, 0, 0))], [gt((0, 0, 0))], self.THR)
+        tp, fp = tp_fp([det((0, 0, 0))], [gt((0, 0, 0))])
         assert tp == [(0, 0)] and fp == []
 
     def test_wrong_class_is_fp(self):
-        tp, fp = tp_fp_split([det((0, 0, 0), label="pedestrian")], [gt((0, 0, 0))], self.THR)
+        tp, fp = tp_fp([det((0, 0, 0), label="pedestrian")], [gt((0, 0, 0))])
         assert tp == [] and fp == [0]
 
     def test_duplicate_prediction_is_fp(self):
         preds = [det((0, 0, 0)), det((0.01, 0, 0))]
-        tp, fp = tp_fp_split(preds, [gt((0, 0, 0))], self.THR)
+        tp, fp = tp_fp(preds, [gt((0, 0, 0))])
         assert tp == [(0, 0)] and fp == [1]
 
     def test_partition(self):
         preds = [det((0, 0, 0)), det((50, 0, 0)), det((0, 50, 0), label="cyclist")]
         gts = [gt((0, 0, 0)), gt((0, 50, 0), label="cyclist")]
-        tp, fp = tp_fp_split(preds, gts, self.THR)
+        tp, fp = tp_fp(preds, gts)
         matched = {pi for pi, _ in tp}
         assert matched | set(fp) == {0, 1, 2}
         assert not (matched & set(fp))
@@ -127,33 +129,24 @@ class TestModeReport:
     def test_all_tp(self):
         rec = self.records()
         report = mode_report([rec("car", True, 30), rec("pedestrian", True, 10)])
-        assert report.fp_count == 0
-        assert report.fp_maps == {}
-        assert sum(report.tp_class_ratios.values()) == pytest.approx(1.0)
-
-    def test_single_record_map_matches_own_accumulation(self):
-        rec = self.records()
-        record = rec("car", True, 25)
-        report = mode_report([record], resolution=8)
-        own = CanonicalGrid(8)
-        own.accumulate(record.canonical_points, record.saliency)
-        assert np.allclose(report.tp_maps["car"].sums, own.sums, atol=1e-12)
-        assert np.array_equal(report.tp_maps["car"].counts, own.counts)
+        assert list(report) == ["tp", "fp"]
+        assert report["fp"] == {"count": 0, "class_ratios": {}, "mean_points_in_box": 0.0}
+        assert sum(report["tp"]["class_ratios"].values()) == pytest.approx(1.0)
 
     def test_density_ratio_matches_counts(self):
         rec = self.records()
         records = [rec("car", True, 30), rec("car", True, 60), rec("car", False, 15)]
         report = mode_report(records)
-        assert report.tp_mean_points == pytest.approx(45.0)
-        assert report.fp_mean_points == pytest.approx(15.0)
-        assert report.fp_mean_points / report.tp_mean_points == pytest.approx(1 / 3)
+        assert report["tp"]["mean_points_in_box"] == pytest.approx(45.0)
+        assert report["fp"]["mean_points_in_box"] == pytest.approx(15.0)
+        assert report["tp"]["count"] == 2 and report["fp"]["count"] == 1
 
     def test_class_ratios(self):
         rec = self.records()
         records = [rec("car", True, 5)] * 3 + [rec("cyclist", True, 5)]
         report = mode_report(records)
-        assert report.tp_class_ratios == {"car": pytest.approx(0.75),
-                                          "cyclist": pytest.approx(0.25)}
+        assert report["tp"]["class_ratios"] == {"car": pytest.approx(0.75),
+                                                "cyclist": pytest.approx(0.25)}
 
 
 class TestGridFiles:

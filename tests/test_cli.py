@@ -229,6 +229,26 @@ class TestAggregateCli:
             assert entry["mask"] in ("s", "all")
 
 
+    @pytest.mark.parametrize("masks", ["all,all", "x, x", "s,all,s", "", " , "])
+    def test_repeated_or_empty_mask_list_exits_one_before_reading(
+        self, scene_dir, tmp_path, monkeypatch, capsys, masks
+    ):
+        from pcsaliency import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("read a scene before checking --masks")
+
+        monkeypatch.setattr(cli, "read_kitti_bin", never)
+        out_dir = tmp_path / "agg"
+        code = main([
+            "aggregate", "--scenes", str(scene_dir), "--out-dir", str(out_dir),
+            "--masks", masks, *FAST,
+        ])
+        assert code == 1
+        assert "--masks" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 class TestModesCli:
     def test_report(self, scene_dir, tmp_path):
         out = tmp_path / "modes.json"
@@ -243,6 +263,54 @@ class TestModesCli:
         assert report["tp"]["count"] + report["fp"]["count"] > 0
         if report["tp"]["count"]:
             assert sum(report["tp"]["class_ratios"].values()) == pytest.approx(1.0)
+
+    def test_grids_match_own_accumulation(self, tmp_path, detector, monkeypatch):
+        """Each ``--grids-dir`` grid accumulates exactly the explained
+        detections of its mode and class, in their canonical frames."""
+        from pcsaliency import cli
+        from pcsaliency.aggregate import CanonicalGrid, write_grid
+        from pcsaliency.boxes import canonicalize
+        from pcsaliency.pipeline import explain_detection
+
+        cloud, _ = multi_object_scene(0)
+        detections = detector.detect(cloud)
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        write_kitti_bin(scenes / "s.bin", cloud)
+        # only the first detection has a ground truth; the second is a false positive
+        write_labels_json(scenes / "s.labels.json", [(detections[0].box(), detections[0].label)])
+        seen = []
+
+        def recorded(detector, cloud, d, mask, cfg, concepts=None):
+            saliency = explain_detection(detector, cloud, d, mask, cfg, concepts)
+            seen.append((d, canonicalize(cloud, d.box()), saliency))
+            return saliency
+
+        monkeypatch.setattr(cli, "explain_detection", recorded)
+        grids = tmp_path / "grids"
+        assert main([
+            "modes", "--scenes", str(scenes), "--out", str(tmp_path / "modes.json"),
+            "--grids-dir", str(grids), *FAST,
+        ]) == 0
+        assert len(seen) == 2
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        for mode, (d, canonical, saliency) in zip(("tp", "fp"), seen):
+            grid = CanonicalGrid()
+            grid.accumulate(canonical, saliency)
+            write_grid(expected / f"{mode}_{d.label}.grid", grid)
+        assert _outputs(grids) == _outputs(expected)
+
+    def test_no_grids_dir_accumulates_no_grid(self, scene_dir, tmp_path, monkeypatch):
+        from pcsaliency.aggregate import CanonicalGrid
+
+        def never(self, points, saliency):
+            raise AssertionError("accumulated a grid that no file receives")
+
+        monkeypatch.setattr(CanonicalGrid, "accumulate", never)
+        out = tmp_path / "modes.json"
+        assert main(["modes", "--scenes", str(scene_dir), "--out", str(out), *FAST]) == 0
+        assert json.loads(out.read_text())["tp"]["count"] == 2
 
 
 def test_explain_from_dump(tmp_path, detector):
@@ -637,6 +705,52 @@ def test_modes_from_dump(tmp_path, detector):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["tp"]["count"] == 2
+
+
+@pytest.fixture(scope="module")
+def dumped_scene(tmp_path_factory, detector):
+    """A one-scene directory and the reference detector's dump of it."""
+    from pcsaliency.dumps import dump_from_detector, save_dump
+    from pcsaliency.pipeline import full_mask
+
+    root = write_scene_dir(tmp_path_factory.mktemp("dumped") / "scenes", detector, seeds=[0])
+    cloud, _, _ = single_object_scene(0)
+    dump_path = root.parent / "scene.ffdp"
+    save_dump(dump_path, dump_from_detector(detector, cloud, 3, masks=(full_mask(),)))
+    return root, ["--set", "detector.kind=dump", "--set", f"detector.dump_path={dump_path}"]
+
+
+def test_eval_from_dump_exits_one(dumped_scene, tmp_path, capsys):
+    # a replay cannot rerun the detector on the curves' perturbed clouds
+    scenes, dump_args = dumped_scene
+    out = tmp_path / "m.jsonl"
+    assert main(["eval", "--scenes", str(scenes), "--out", str(out), *dump_args, *FAST]) == 1
+    assert "subset of the cloud" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep", "aggregate", "modes"])
+def test_dump_over_several_scenes_exits_one_before_any_explanation(
+    command, dumped_scene, tmp_path, monkeypatch, capsys
+):
+    import shutil
+
+    from pcsaliency import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("explained a detection of a scene the dump does not hold")
+
+    monkeypatch.setattr(cli, "explain_detection", never)
+    scenes, dump_args = dumped_scene
+    two = shutil.copytree(scenes, tmp_path / "two")
+    for suffix in (".bin", ".labels.json"):
+        shutil.copy(two / f"scene000{suffix}", two / f"scene001{suffix}")
+    out = {"eval": ["--out", str(tmp_path / "m.jsonl")],
+           "sweep": ["--out", str(tmp_path / "sweep.csv")],
+           "aggregate": ["--out-dir", str(tmp_path / "agg")],
+           "modes": ["--out", str(tmp_path / "modes.json")]}[command]
+    assert main([command, "--scenes", str(two), *out, *dump_args, *FAST]) == 1
+    assert "holds one scene" in capsys.readouterr().err
 
 
 # Each case builds its argv from (object scene dir, a path beneath a regular file).

@@ -183,7 +183,7 @@ class TestGradCheck:
 
 
 def test_multi_object_scene_detts(detector):
-    cloud, objects = multi_object_scene(11, n_objects=2)
+    cloud, objects = multi_object_scene(11)
     assert len(detector.detect(cloud)) == 2
 
 
@@ -503,7 +503,7 @@ def scene_outputs(detector, cloud, d):
 class TestSceneScope:
     def test_calls_share_one_forward_with_unscoped_results(self, count_forwards):
         detector = ReferenceDetector()
-        cloud, _ = multi_object_scene(11, n_objects=2)
+        cloud, _ = multi_object_scene(11)
         d = detector.detect(cloud)[1]
         unscoped = scene_outputs(detector, cloud, d)
         count_forwards.clear()
@@ -599,7 +599,7 @@ class TestSceneScope:
 
     def test_unscoped_subset_equals_detect_of_the_copy(self):
         detector = ReferenceDetector()
-        cloud, _ = multi_object_scene(11, n_objects=2)
+        cloud, _ = multi_object_scene(11)
         for keep in (np.arange(len(cloud)) % 2 == 0, cloud[:, 0] < 12.0):
             assert detector.detect_subset(cloud, keep) == detector.detect(cloud[keep])
         assert detector._hold is None
@@ -616,7 +616,7 @@ class TestSceneScope:
 def test_object_loss_equals_frozen_loss(detector, block_index):
     from pcsaliency.pipeline import object_loss
 
-    cloud, _ = multi_object_scene(11, n_objects=2)
+    cloud, _ = multi_object_scene(11)
     fw = detector._forward(cloud)
     values = fw.block_values[block_index - 1]
     masks = [full_mask(), make_mask("x"), make_mask("l", "w", "h"), make_mask("s", "z")]

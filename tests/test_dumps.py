@@ -198,14 +198,13 @@ class TestDumpDetector:
             np.asarray(grad.values), dump.gradients[(0, mask_to_bits(full_mask()))]
         )
 
-    def test_subset_replays_stored_detections(self, scene_dump):
+    def test_subset_refuses(self, scene_dump):
+        # the stored detections belong to the whole cloud, not to any subset
         cloud, _, path = scene_dump
         replay = load_dump(path)
-        keep = np.arange(len(cloud)) % 2 == 0
-        detections = replay.detect_subset(cloud, keep)
-        assert detections == replay.detect(cloud)
-        detections.clear()
-        assert replay.detect_subset(cloud, keep) == replay.detect(cloud)
+        for keep in (np.arange(len(cloud)) % 2 == 0, np.ones(len(cloud), dtype=bool)):
+            with pytest.raises(DetectorFailure, match="subset of the cloud"):
+                replay.detect_subset(cloud, keep)
 
     def test_missing_gradient(self, scene_dump):
         cloud, _, path = scene_dump
