@@ -54,12 +54,13 @@ class CanonicalGrid:
 
 @dataclass
 class ObjectExplanation:
-    """One explained detection prepared for mode aggregation."""
+    """One explained detection prepared for mode aggregation; its canonical
+    points and saliency are None when no grid is exported."""
 
     label: str
     is_tp: bool
-    canonical_points: np.ndarray
-    saliency: np.ndarray
+    canonical_points: np.ndarray | None
+    saliency: np.ndarray | None
     in_box_points: int
 
 
@@ -128,10 +129,18 @@ def grid_to_csv(path, grid: CanonicalGrid) -> None:
     with writing(path) as fh:
         fh.write("cx,cy,cz,value,count\n")
         # one z slice at a time keeps the row strings few, and with them
-        # the memory the writer holds
+        # the memory the writer holds. An empty cell's row is its prefix and
+        # "cz,0,0" (average 0.0, count 0), so each run of empty cells is one
+        # join and only the occupied cells are formatted.
         for iz, cz in enumerate(axis):
-            values = averages[:, :, iz].ravel(order="F").tolist()
-            counts = grid.counts[:, :, iz].ravel(order="F").tolist()
-            fh.write("".join([
-                f"{p}{cz},{v:.6g},{n}\n" for p, v, n in zip(xy, values, counts)
-            ]))
+            empty = f"{cz},0,0\n"
+            counts = grid.counts[:, :, iz].ravel(order="F")
+            occupied = np.flatnonzero(counts)
+            values = averages[:, :, iz].ravel(order="F")[occupied].tolist()
+            rows, start = [], 0
+            for i, v, n in zip(occupied.tolist(), values, counts[occupied].tolist()):
+                rows.append(empty.join([*xy[start:i], ""]))
+                rows.append(f"{xy[i]}{cz},{v:.6g},{n}\n")
+                start = i + 1
+            rows.append(empty.join([*xy[start:], ""]))
+            fh.write("".join(rows))

@@ -141,10 +141,11 @@ def canonicalize(points: np.ndarray, box: OrientedBox) -> np.ndarray:
     if any(s <= 0 for s in box.size):
         raise DegenerateBox(f"box size must be positive, got {box.size}")
     points = np.asarray(points, dtype=float)
-    xyz = points[:, :3] - np.array(box.center)
+    x, y, z = (points[:, k] - box.center[k] for k in range(3))
     c, s = math.cos(box.yaw), math.sin(box.yaw)
-    out = np.empty_like(xyz)
-    out[:, 0] = (c * xyz[:, 0] + s * xyz[:, 1]) / box.size[0]
-    out[:, 1] = (-s * xyz[:, 0] + c * xyz[:, 1]) / box.size[1]
-    out[:, 2] = xyz[:, 2] / box.size[2]
-    return out
+    # one contiguous row per axis; the (N, 3) result is their transpose
+    out = np.empty((3, len(points)))
+    np.divide(c * x + s * y, box.size[0], out=out[0])
+    np.divide(-s * x + c * y, box.size[1], out=out[1])
+    np.divide(z, box.size[2], out=out[2])
+    return out.T

@@ -50,6 +50,7 @@ def main(argv=None) -> int:
         return 1
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcsaliency",
@@ -147,15 +148,17 @@ def _explain_scene(cfg: RunConfig, cloud, pick, masks):
 
     ``pick(detections)`` returns tuples led by a detection index. Returns the
     detector, the detections and ``(pick, [saliency per mask])`` per pick; one
-    scene scope and concept memo serve them all. The scope closes before the
-    return, which frees the scene forward's block values."""
+    scene scope, concept memo and upsampling-plan memo serve them all. The
+    scope and the memos end with the call, which frees the scene forward's
+    block values and the plans."""
     detector = cfg.build_detector()
     pcfg = cfg.pipeline_config()
     with detector.scene(cloud):
         detections = detector.detect(cloud)
         concepts: dict = {}
+        plans: dict = {}
         explained = [
-            (p, [explain_detection(detector, cloud, detections[p[0]], m, pcfg, concepts)
+            (p, [explain_detection(detector, cloud, detections[p[0]], m, pcfg, concepts, plans)
                  for m in masks])
             for p in pick(detections)
         ]
@@ -355,7 +358,9 @@ def _cmd_aggregate(args) -> int:
 # ----------------------------------------------------------------------
 # modes
 
-def _modes_worker(cfg: RunConfig, scene):
+def _modes_worker(cfg: RunConfig, grids: bool, scene):
+    """The scene's explained detections; their canonical points and saliency
+    only when ``grids`` asks for them."""
     _, bin_path, labels_path = scene
     cloud, gts = _load_scene(bin_path, labels_path)
 
@@ -371,8 +376,8 @@ def _modes_worker(cfg: RunConfig, scene):
             ObjectExplanation(
                 label=detections[pi].label,
                 is_tp=is_tp,
-                canonical_points=canonicalize(cloud, box),
-                saliency=saliency,
+                canonical_points=canonicalize(cloud, box) if grids else None,
+                saliency=saliency if grids else None,
                 in_box_points=int(np.count_nonzero(points_in_box(cloud, box))),
             )
         )
@@ -383,7 +388,10 @@ def _cmd_modes(args) -> int:
     cfg = _runconfig(args)
     out = _out_file(args.out, cfg, "modes.json")
     grids_dir = _mkdir(Path(args.grids_dir)) if args.grids_dir else None
-    records = [rec for recs in _map_scenes(cfg, args.scenes, _modes_worker) for rec in recs]
+    records = [
+        rec for recs in _map_scenes(cfg, args.scenes, _modes_worker, grids_dir is not None)
+        for rec in recs
+    ]
 
     write_json(out, {"config_hash": cfg.config_hash(), **mode_report(records)})
     if grids_dir is not None:

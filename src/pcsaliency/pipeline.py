@@ -171,6 +171,7 @@ def explain_detection(
     mask: frozenset[str],
     cfg: PipelineConfig,
     concepts: dict | None = None,
+    plans: dict | None = None,
 ) -> np.ndarray:
     """Per-point saliency scores for one detection.
 
@@ -183,7 +184,10 @@ def explain_detection(
     The concept map depends only on the scene's feature map, not on ``d``
     or ``mask``. ``concepts`` is an optional per-scene memo: pass one
     empty dict for all explanations of one cloud by one detector, and
-    the map is factorized once per (block, NMF config) and reused. Never
+    the map is factorized once per (block, NMF config) and reused.
+    ``plans`` is the same kind of memo for the upsampling plans, keyed by
+    (block, upsampling config): every mask's activation map of a block
+    lies on the same voxels, so only the first builds the plan. Never
     share a memo between scenes.
     """
     features = detector.features(cloud, cfg.block_index)
@@ -212,5 +216,7 @@ def explain_detection(
 
     if cfg.ablation in ("no_vu", "gradient_only"):
         return nearest_voxel_values(combined, cloud)
-    return upsample_to_points(combined, cloud, cfg.upsample)
+    return upsample_to_points(
+        combined, cloud, cfg.upsample, plans, (cfg.block_index, cfg.upsample)
+    )
 

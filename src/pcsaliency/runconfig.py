@@ -95,8 +95,9 @@ def _coerce(key: str, raw: str):
 
 def _check(values: dict[str, object]) -> None:
     """Raise ``InvalidConfig`` for the first key whose value is out of range:
-    each section's config is built up one field at a time, and the field whose
-    addition fails the config's checks names the key (a range its ``_max``)."""
+    a section whose config fails its checks is built up again one field at a
+    time, and the field whose addition fails them names the key (a range its
+    ``_max``)."""
     for key, value in values.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise InvalidConfig(key, f"expected a finite number, got {value!r}")
@@ -104,13 +105,15 @@ def _check(values: dict[str, object]) -> None:
         if values[key] < 1:
             raise InvalidConfig(key, f"must be >= 1, got {values[key]!r}")
     for prefix, (config, names) in _SECTIONS.items():
-        fields = {}
-        for name in names:
-            fields[name] = _field(values, prefix, name)
-            try:
-                config(**fields)
-            except ValueError as exc:
-                raise InvalidConfig(_keys(prefix, name)[-1], str(exc)) from None
+        fields = {name: _field(values, prefix, name) for name in names}
+        try:
+            config(**fields)
+        except ValueError:
+            for n, name in enumerate(names, start=1):
+                try:
+                    config(**{key: fields[key] for key in names[:n]})
+                except ValueError as exc:
+                    raise InvalidConfig(_keys(prefix, name)[-1], str(exc)) from None
 
 
 def _canonical(value) -> str:

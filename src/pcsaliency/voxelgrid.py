@@ -7,6 +7,9 @@ per cell (``_linear_key``, range-checked by ``_check_key_range``) groups
 points into cells. Activation maps are transferred back to points with a
 Gaussian kernel over the Manhattan ball around each point's cell: every
 (cell, offset) neighbor is gathered at once from the map's sorted keys.
+That transfer is an ``UpsamplePlan``, which holds everything that depends
+only on the coordinates, the cloud and the config, applied to the values;
+maps that share their coordinates share one plan.
 """
 
 from __future__ import annotations
@@ -168,8 +171,97 @@ def _group_rows(coords: np.ndarray):
     return unique, inverse, counts
 
 
+class UpsamplePlan:
+    """The half of ``upsample_to_points`` that does not depend on the values.
+
+    Built from one map's coordinates and grid, one cloud and one config:
+    the lex-sorted map keys and their uniqueness check, the in-grid points
+    grouped into cells, every (cell, offset) neighbor found in the sorted
+    keys and capped at ``cfg.k``, and the kernel weights with their row
+    sums. ``apply`` is the other half: it gathers the values, averages them
+    and scatters the averages to the points, bit for bit as a fresh call.
+    Every map that shares the coordinates, such as the activations of
+    different masks on one scene, reuses one plan.
+
+    Raises ValueError for a non-empty map with repeated coordinates, or
+    for a grid whose voxel key could wrap int64.
+    """
+
+    def __init__(self, activation: SparseVoxelMap, cloud, cfg: UpsampleConfig):
+        self.coords, self.grid, self.cloud, self.cfg = activation.coords, activation.grid, cloud, cfg
+        cloud = np.asarray(cloud, dtype=float)
+        self.inside = np.zeros(len(cloud), dtype=bool)
+        if len(activation) == 0:
+            return  # every point scores 0
+        grid, r = activation.grid, cfg.range_threshold
+        span = _check_key_range(grid, pad=r)
+
+        order = np.lexsort(activation.coords.T[::-1])
+        coords = activation.coords[order]
+        if np.any(np.all(coords[1:] == coords[:-1], axis=1)):
+            raise ValueError("voxel coordinates are not unique")
+        # Only voxels within r of the grid can neighbor an in-grid cell. Their
+        # keys ascend with the lexicographic order; the int64 max sentinel keeps
+        # every searchsorted position a valid index and matches no query.
+        near = np.all((coords >= -r) & (coords < span - r), axis=1)
+        keys = np.append(_linear_key(coords[near] + r, span), np.iinfo(np.int64).max)
+
+        # the in-grid points' cells, which cells have a neighbor, and each such
+        # cell's anchor row and (cell, offset) neighbor rows of the map's values
+        self.inside = grid.contains(cloud)
+        cells, self.inverse, _ = _group_rows(grid.coords_for(cloud[self.inside]))
+        offsets = np.array(_offsets_within(r), dtype=np.int64)  # lexicographic
+        dist = np.abs(offsets).sum(axis=1)
+        by_distance = np.argsort(dist, kind="stable")
+        offsets, dist = offsets[by_distance], dist[by_distance]
+
+        query = _linear_key((cells[:, None, :] + offsets + r).reshape(-1, 3), span)
+        pos = np.searchsorted(keys, query).reshape(len(cells), len(offsets))
+        found = keys[pos] == query.reshape(pos.shape)
+        found &= np.cumsum(found, axis=1) <= cfg.k
+        self.hit = found.any(axis=1)
+        found, pos = found[self.hit], pos[self.hit]
+
+        # anchored at the first neighbor's value so single-neighbor and
+        # constant-activation cells come out bit-exact; slots without a
+        # neighbor read the anchor, so they deviate by 0 with weight 0
+        first = pos[np.arange(len(pos)), found.argmax(axis=1)]
+        rows = order[near]
+        self.anchor = rows[first]
+        self.neighbors = rows[np.where(found, pos, first[:, None])]
+        self.weights = np.where(found, np.exp(-0.5 * dist**2), 0.0)
+        self.weight_sums = self.weights.sum(axis=1)
+
+    def fits(self, activation: SparseVoxelMap, cloud, cfg: UpsampleConfig) -> bool:
+        """Whether this plan was built for ``activation``'s coordinates and
+        grid, this very ``cloud`` object and ``cfg``."""
+        return (
+            cloud is self.cloud and cfg == self.cfg and activation.grid == self.grid
+            and np.array_equal(activation.coords, self.coords)
+        )
+
+    def apply(self, values) -> np.ndarray:
+        """Per-point scores for one (M,) value vector in the map's row order."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != (len(self.coords),):
+            raise ValueError(f"values of shape {values.shape} != ({len(self.coords)},)")
+        scores = np.zeros(len(self.inside))
+        if len(values) == 0:
+            return scores
+        anchor = values[self.anchor]
+        deviations = values[self.neighbors] - anchor[:, None]
+        cell_scores = np.zeros(len(self.hit))
+        cell_scores[self.hit] = anchor + (self.weights * deviations).sum(axis=1) / self.weight_sums
+        scores[self.inside] = cell_scores[self.inverse]
+        return scores
+
+
 def upsample_to_points(
-    activation: SparseVoxelMap, cloud: np.ndarray, cfg: UpsampleConfig
+    activation: SparseVoxelMap,
+    cloud: np.ndarray,
+    cfg: UpsampleConfig,
+    plans: dict | None = None,
+    key=None,
 ) -> np.ndarray:
     """Transfer per-voxel activations to per-point saliency scores.
 
@@ -184,51 +276,21 @@ def upsample_to_points(
     found. Points outside the
     grid or with no occupied neighbors score 0.
 
+    The work splits into an ``UpsamplePlan`` of everything that does not
+    depend on the values and its ``apply`` to them. ``plans`` is an
+    optional memo for the plans of one cloud: the plan filed under ``key``
+    is reused while it fits the map and the cloud, and is built and filed
+    there when it does not.
+
     Raises ValueError for a non-empty map with repeated coordinates, or
     for a grid whose voxel key could wrap int64.
     """
-    cloud = np.asarray(cloud, dtype=float)
-    scores = np.zeros(len(cloud))
-    if len(activation) == 0:
-        return scores
-    grid, r = activation.grid, cfg.range_threshold
-    span = _check_key_range(grid, pad=r)
-
-    order = np.lexsort(activation.coords.T[::-1])
-    coords = activation.coords[order]
-    if np.any(np.all(coords[1:] == coords[:-1], axis=1)):
-        raise ValueError("voxel coordinates are not unique")
-    # Only voxels within r of the grid can neighbor an in-grid cell. Their
-    # keys ascend with the lexicographic order; the int64 max sentinel keeps
-    # every searchsorted position a valid index and matches no query.
-    near = np.all((coords >= -r) & (coords < span - r), axis=1)
-    keys = np.append(_linear_key(coords[near] + r, span), np.iinfo(np.int64).max)
-    near_values = np.append(np.asarray(activation.values, dtype=float)[order[near]], 0.0)
-
-    inside = grid.contains(cloud)
-    cells, inverse, _ = _group_rows(grid.coords_for(cloud[inside]))
-    offsets = np.array(_offsets_within(r), dtype=np.int64)  # lexicographic
-    dist = np.abs(offsets).sum(axis=1)
-    by_distance = np.argsort(dist, kind="stable")
-    offsets, dist = offsets[by_distance], dist[by_distance]
-
-    query = _linear_key((cells[:, None, :] + offsets + r).reshape(-1, 3), span)
-    pos = np.searchsorted(keys, query).reshape(len(cells), len(offsets))
-    found = keys[pos] == query.reshape(pos.shape)
-    found &= np.cumsum(found, axis=1) <= cfg.k
-    hit = found.any(axis=1)
-    found, pos = found[hit], pos[hit]
-
-    # anchored at the first neighbor's value so single-neighbor and
-    # constant-activation cells come out bit-exact; slots without a
-    # neighbor hold the anchor, so they deviate by 0 with weight 0
-    anchor = near_values[pos[np.arange(len(pos)), found.argmax(axis=1)]]
-    deviations = np.where(found, near_values[pos], anchor[:, None]) - anchor[:, None]
-    weights = np.where(found, np.exp(-0.5 * dist**2), 0.0)
-    cell_scores = np.zeros(len(cells))
-    cell_scores[hit] = anchor + (weights * deviations).sum(axis=1) / weights.sum(axis=1)
-    scores[inside] = cell_scores[inverse]
-    return scores
+    plan = None if plans is None else plans.get(key)
+    if plan is None or not plan.fits(activation, cloud, cfg):
+        plan = UpsamplePlan(activation, cloud, cfg)
+        if plans is not None:
+            plans[key] = plan
+    return plan.apply(activation.values)
 
 
 def nearest_voxel_values(activation: SparseVoxelMap, cloud: np.ndarray) -> np.ndarray:

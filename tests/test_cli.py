@@ -281,8 +281,8 @@ class TestModesCli:
         write_labels_json(scenes / "s.labels.json", [(detections[0].box(), detections[0].label)])
         seen = []
 
-        def recorded(detector, cloud, d, mask, cfg, concepts=None):
-            saliency = explain_detection(detector, cloud, d, mask, cfg, concepts)
+        def recorded(detector, cloud, d, mask, cfg, concepts=None, plans=None):
+            saliency = explain_detection(detector, cloud, d, mask, cfg, concepts, plans)
             seen.append((d, canonicalize(cloud, d.box()), saliency))
             return saliency
 
@@ -308,6 +308,17 @@ class TestModesCli:
             raise AssertionError("accumulated a grid that no file receives")
 
         monkeypatch.setattr(CanonicalGrid, "accumulate", never)
+        out = tmp_path / "modes.json"
+        assert main(["modes", "--scenes", str(scene_dir), "--out", str(out), *FAST]) == 0
+        assert json.loads(out.read_text())["tp"]["count"] == 2
+
+    def test_no_grids_dir_canonicalizes_nothing(self, scene_dir, tmp_path, monkeypatch):
+        from pcsaliency import cli
+
+        def never(cloud, box):
+            raise AssertionError("canonicalized a cloud that no grid receives")
+
+        monkeypatch.setattr(cli, "canonicalize", never)
         out = tmp_path / "modes.json"
         assert main(["modes", "--scenes", str(scene_dir), "--out", str(out), *FAST]) == 0
         assert json.loads(out.read_text())["tp"]["count"] == 2
@@ -672,8 +683,8 @@ def test_aggregate_saliency_equals_unscoped_explanation(scene_dir, tmp_path, mon
 
     seen = []
 
-    def recorded(detector, cloud, d, mask, cfg, concepts=None):
-        saliency = explain_detection(detector, cloud, d, mask, cfg, concepts)
+    def recorded(detector, cloud, d, mask, cfg, concepts=None, plans=None):
+        saliency = explain_detection(detector, cloud, d, mask, cfg, concepts, plans)
         seen.append((cloud.copy(), d, mask, cfg, saliency))
         return saliency
 
@@ -684,6 +695,49 @@ def test_aggregate_saliency_equals_unscoped_explanation(scene_dir, tmp_path, mon
     for cloud, d, mask, pcfg, saliency in seen:
         fresh = explain_detection(ReferenceDetector(cfg.detector_config()), cloud, d, mask, pcfg)
         assert fresh.tobytes() == saliency.tobytes()
+
+
+def test_aggregate_of_two_scenes_equals_each_scene_alone(scene_dir, tmp_path):
+    """Two scenes in one run give the grids of each scene explained on its
+    own and accumulated in order: no concept map or upsampling plan of one
+    scene reaches the next."""
+    from pcsaliency import cli
+    from pcsaliency.aggregate import CanonicalGrid, grid_to_csv, write_grid
+    from pcsaliency.pipeline import ATTRIBUTE_NAMES, full_mask, make_mask
+    from pcsaliency.runconfig import find_scene_files
+
+    both = tmp_path / "both"
+    assert main(["aggregate", "--scenes", str(scene_dir), "--out-dir", str(both), *FAST]) == 0
+    cfg = RunConfig.from_sources(None, FAST[1::2])
+    names = [*ATTRIBUTE_NAMES, "all"]
+    masks = [full_mask() if name == "all" else make_mask(name) for name in names]
+    scenes = find_scene_files(scene_dir)
+    # the later scene first, so that it would be the one to see stale state
+    alone = {scene[0]: cli._aggregate_worker(cfg, masks, scene) for scene in reversed(scenes)}
+    grids: dict = {}
+    for scene_id, _, _ in scenes:
+        for label, canonical, saliencies in alone[scene_id]:
+            for name, saliency in zip(names, saliencies):
+                grids.setdefault((label, name), CanonicalGrid()).accumulate(canonical, saliency)
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    for (label, name), grid in grids.items():
+        write_grid(expected / f"avg_{label}_{name}.grid", grid)
+        grid_to_csv(expected / f"avg_{label}_{name}.csv", grid)
+    got = _outputs(both)
+    assert len(got) == 2 * len(grids) + 1
+    del got["manifest.json"]
+    assert got == _outputs(expected)
+
+
+def test_parser_is_built_once(tmp_path):
+    from pcsaliency import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    # an override list does not carry over into the next parse
+    parser = cli._build_parser()
+    assert parser.parse_args(["selftest", "--set", "nmf.r=8"]).overrides == ["nmf.r=8"]
+    assert parser.parse_args(["selftest"]).overrides == []
 
 
 def test_modes_from_dump(tmp_path, detector):

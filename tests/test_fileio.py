@@ -217,6 +217,21 @@ class TestSaliencyFiles:
         _write_saliency_rowwise(cloud, scores, fmt, want)
         assert got.read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["csv", "ply"])
+    def test_non_finite_and_extreme_values_match_rowwise_writer(self, tmp_path, fmt):
+        special = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                   np.finfo(float).max, np.finfo(float).tiny]
+        n = 4096 + 3  # a full batch and a short one
+        values = np.resize(np.array(special), 4 * n).reshape(4, n)
+        cloud = np.column_stack([values[0], np.roll(values[1], 1), np.roll(values[2], 2),
+                                 np.zeros(n)])
+        scores = np.roll(values[3], 3)
+        got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
+        write_saliency(cloud, scores, fmt, got)
+        _write_saliency_rowwise(cloud, scores, fmt, want)
+        assert got.read_bytes() == want.read_bytes()
+        assert b"nan" in got.read_bytes() and b"-inf" in got.read_bytes()
+
     def test_csv_single_point_two_lines(self, tmp_path):
         path = tmp_path / "s.csv"
         write_saliency(np.array([[1.0, 2.0, 3.0, 0.0]]), np.array([0.5]), "csv", path)

@@ -320,3 +320,37 @@ class TestConceptMemo:
         memo: dict = {}
         explain_detection(detector, cloud, d, full_mask(), pconfig(ablation=ablation), memo)
         assert memo == {} and factorize_calls == []
+
+
+class TestPlanMemo:
+    MASKS = [make_mask(name) for name in ATTRIBUTE_NAMES] + [full_mask()]
+
+    @pytest.mark.parametrize("ablation", ["full", "no_vu", "gradient_only"])
+    def test_memoized_bytes_equal_unmemoized_for_every_mask(self, detector, ablation):
+        cloud, _, _ = single_object_scene(4)
+        cfg = pconfig(ablation=ablation)
+        with detector.scene(cloud):
+            d = detector.detect(cloud)[0]
+            concepts: dict = {}
+            plans: dict = {}
+            for mask in self.MASKS:
+                memoized = explain_detection(detector, cloud, d, mask, cfg, concepts, plans)
+                fresh = explain_detection(detector, cloud, d, mask, cfg)
+                assert memoized.tobytes() == fresh.tobytes()
+        # the point's own voxel needs no plan
+        expected = {(3, cfg.upsample)} if ablation == "full" else set()
+        assert set(plans) == expected
+
+    def test_one_plan_per_block_and_upsampling_config(self, detector):
+        cloud, _, _ = single_object_scene(4)
+        d = detector.detect(cloud)[0]
+        cfgs = [pconfig(), pconfig(block_index=2), pconfig(upsample=UpsampleConfig(1, 4))]
+        masks = [full_mask(), make_mask("x")]
+        unmemoized = [explain_detection(detector, cloud, d, m, cfg).tobytes()
+                      for cfg in cfgs for m in masks]
+        concepts: dict = {}
+        plans: dict = {}
+        memoized = [explain_detection(detector, cloud, d, m, cfg, concepts, plans).tobytes()
+                    for cfg in cfgs for m in masks]
+        assert memoized == unmemoized
+        assert set(plans) == {(cfg.block_index, cfg.upsample) for cfg in cfgs}

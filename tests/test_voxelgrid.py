@@ -9,6 +9,7 @@ from pcsaliency.voxelgrid import (
     GridSpec,
     SparseVoxelMap,
     UpsampleConfig,
+    UpsamplePlan,
     _group_rows,
     nearest_voxel_values,
     upsample_to_points,
@@ -215,6 +216,10 @@ def test_repeated_coords_rejected_by_every_upsampling_call(repeated, values):
             upsample_to_points(vmap, cloud, UpsampleConfig())
         with pytest.raises(ValueError, match="not unique"):
             nearest_voxel_values(vmap, cloud)
+        with pytest.raises(ValueError, match="not unique"):
+            UpsamplePlan(vmap, cloud, UpsampleConfig())
+        with pytest.raises(ValueError, match="not unique"):
+            upsample_to_points(vmap, cloud, UpsampleConfig(), {}, "plan")
 
 
 def test_key_wrapping_grid_rejected():
@@ -239,6 +244,62 @@ def test_voxel_out_of_reach_does_not_alias_a_neighbor():
     cloud = np.array([[1.5, 1.5, 0.5, 0.0]])
     out = upsample_to_points(vmap, cloud, UpsampleConfig(range_threshold=1, k=4))
     assert np.array_equal(out, [0.0])
+
+
+# ----------------------------------------------------------------------
+# one plan, many value vectors
+
+_PLAN_CLOUD = np.array([
+    [2.5, 2.5, 2.5, 0.0], [2.7, 2.1, 2.9, 0.0], [3.5, 2.5, 2.5, 0.0],
+    [5.5, 5.5, 5.5, 0.0], [9.9, 0.1, 4.4, 0.0],
+    [-1.0, 2.5, 2.5, 0.0], [50.0, 0.0, 0.0, 0.0], [2.5, 2.5, 10.0, 0.0],  # out of grid
+])
+
+
+@pytest.mark.parametrize("coords", [
+    [],
+    [(2, 2, 2)],
+    [(2, 2, 2), (3, 2, 2), (2, 3, 3), (9, 0, 4), (9, 1, 4), (-1, 2, 2), (30, 30, 30)],
+])
+@pytest.mark.parametrize("cfg", [UpsampleConfig(), UpsampleConfig(1, 2), UpsampleConfig(0, 1)])
+def test_one_plan_applies_like_fresh_calls(coords, cfg):
+    rng = np.random.default_rng(len(coords))
+    first = scalar_map(coords, rng.normal(size=len(coords)))
+    plan = UpsamplePlan(first, _PLAN_CLOUD, cfg)
+    for values in (first.values, rng.normal(size=len(coords)), np.full(len(coords), 0.25)):
+        vmap = first.with_values(values)
+        fresh = upsample_to_points(vmap, _PLAN_CLOUD, cfg)
+        assert np.array_equal(bits(plan.apply(values)), bits(fresh))
+    assert np.all(plan.apply(first.values)[5:] == 0.0)  # the out-of-grid points
+
+
+def test_plan_memo_reuses_a_plan_only_where_it_fits():
+    coords = [(2, 2, 2), (3, 2, 2), (2, 3, 3)]
+    vmap = scalar_map(coords, [0.1, 0.7, 0.4])
+    cfg = UpsampleConfig()
+    plans: dict = {}
+    upsample_to_points(vmap, _PLAN_CLOUD, cfg, plans, "block")
+    [plan] = plans.values()
+    other = vmap.with_values(np.array([0.9, 0.0, 0.3]))
+    # equal coordinates in another array: the plan is reused
+    moved = SparseVoxelMap(np.array(coords), other.values, GRID)
+    got = upsample_to_points(moved, _PLAN_CLOUD, cfg, plans, "block")
+    assert plans["block"] is plan
+    assert np.array_equal(bits(got), bits(upsample_to_points(other, _PLAN_CLOUD, cfg)))
+    # another cloud, other voxels or another grid: a new plan replaces it
+    for amap, cloud in ((vmap, _PLAN_CLOUD.copy()),
+                        (scalar_map(coords[:2], [0.9, 0.0]), _PLAN_CLOUD),
+                        (scalar_map(coords, [0.1, 0.7, 0.4], GRID.scaled(2)), _PLAN_CLOUD)):
+        got = upsample_to_points(amap, cloud, cfg, plans, "block")
+        assert plans["block"] is not plan
+        assert np.array_equal(bits(got), bits(upsample_to_points(amap, cloud, cfg)))
+        plan = plans["block"]
+
+
+def test_plan_rejects_values_of_another_length():
+    plan = UpsamplePlan(scalar_map([(2, 2, 2)], [1.0]), _PLAN_CLOUD, UpsampleConfig())
+    with pytest.raises(ValueError, match="shape"):
+        plan.apply(np.array([1.0, 2.0]))
 
 
 # ----------------------------------------------------------------------
@@ -311,6 +372,9 @@ def test_upsample_matches_per_point_loop(near, far, points, range_threshold, k, 
     assert np.array_equal(
         bits(upsample_to_points(flat, cloud, cfg)), bits(np.where(counts > 0, constant + 0.0, 0.0))
     )
+    # the plan of the first map serves the second bit for bit
+    plan = UpsamplePlan(vmap, cloud, cfg)
+    assert np.array_equal(bits(plan.apply(flat.values)), bits(upsample_to_points(flat, cloud, cfg)))
 
     index = voxel_index(vmap)
     own = [
