@@ -120,7 +120,6 @@ def read_grid(path):
 def grid_to_csv(path, grid: CanonicalGrid) -> None:
     """Point-list export: one row per cell (center coords, value, count),
     x fastest."""
-    averages = grid.averages()
     res = grid.resolution
     cell = 1.0 / res
     # a cell center's coordinate on each axis depends only on that axis' index
@@ -136,9 +135,11 @@ def grid_to_csv(path, grid: CanonicalGrid) -> None:
             empty = f"{cz},0,0\n"
             counts = grid.counts[:, :, iz].ravel(order="F")
             occupied = np.flatnonzero(counts)
-            values = averages[:, :, iz].ravel(order="F")[occupied].tolist()
+            n_occupied = counts[occupied]
+            # the occupied cells' averages, as ``CanonicalGrid.averages`` divides them
+            values = grid.sums[:, :, iz].ravel(order="F")[occupied] / n_occupied
             rows, start = [], 0
-            for i, v, n in zip(occupied.tolist(), values, counts[occupied].tolist()):
+            for i, v, n in zip(occupied.tolist(), values.tolist(), n_occupied.tolist()):
                 rows.append(empty.join([*xy[start:i], ""]))
                 rows.append(f"{xy[i]}{cz},{v:.6g},{n}\n")
                 start = i + 1

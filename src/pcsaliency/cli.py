@@ -147,22 +147,17 @@ def _explain_scene(cfg: RunConfig, cloud, pick, masks):
     """Detect in one scene and explain each pick under each mask.
 
     ``pick(detections)`` returns tuples led by a detection index. Returns the
-    detector, the detections and ``(pick, [saliency per mask])`` per pick; one
-    scene scope, concept memo and upsampling-plan memo serve them all. The
-    scope and the memos end with the call, which frees the scene forward's
-    block values and the plans."""
+    detector, the detections and ``(pick, [saliency per mask])`` per pick,
+    all from one ``explain_detection`` call in one scene scope. The scope
+    ends with the call, which frees the scene forward's block values."""
     detector = cfg.build_detector()
-    pcfg = cfg.pipeline_config()
     with detector.scene(cloud):
         detections = detector.detect(cloud)
-        concepts: dict = {}
-        plans: dict = {}
-        explained = [
-            (p, [explain_detection(detector, cloud, detections[p[0]], m, pcfg, concepts, plans)
-                 for m in masks])
-            for p in pick(detections)
-        ]
-    return detector, detections, explained
+        picks = pick(detections)
+        saliencies = explain_detection(
+            detector, cloud, [detections[p[0]] for p in picks], masks, cfg.pipeline_config()
+        )
+    return detector, detections, list(zip(picks, saliencies))
 
 
 def _load_scene(bin_path, labels_path):

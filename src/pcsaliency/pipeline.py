@@ -1,13 +1,14 @@
 """Object-specific saliency pipeline.
 
-Per detection: factorize the voxel feature map into concepts, aggregate
-concept weights into a global activation, weight it by the channel-summed
-magnitude of the detection's feature gradient, and upsample the combined
-voxel map to per-point scores.
+Per scene: factorize the voxel feature map into concepts and aggregate
+concept weights into a global activation. Per detection and attribute
+mask: weight it by the channel-summed magnitude of the feature gradient.
+Then upsample every combined voxel map to per-point scores at once.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -15,12 +16,7 @@ import numpy as np
 from . import nmf
 from .boxes import OrientedBox
 from .errors import DetectionNotFound, DetectorFailure, EmptyMask, LengthMismatch
-from .voxelgrid import (
-    SparseVoxelMap,
-    UpsampleConfig,
-    nearest_voxel_values,
-    upsample_to_points,
-)
+from .voxelgrid import SparseVoxelMap, UpsampleConfig, upsample_to_points
 
 ATTRIBUTE_NAMES = ("x", "y", "z", "l", "w", "h", "yaw", "s")
 CLASS_NAMES = ("car", "pedestrian", "cyclist")  # class ids index this table
@@ -143,80 +139,69 @@ def normalize(v: np.ndarray) -> np.ndarray:
 
 
 def combine(
-    omega: np.ndarray, concept: np.ndarray, like: SparseVoxelMap
+    omega: np.ndarray, concept: np.ndarray | None, like: SparseVoxelMap
 ) -> SparseVoxelMap:
     """Element-wise product of the normalized gradient and concept activations.
 
-    An exact all-ones concept vector is the ablation identity and skips
-    normalization (min-max would collapse it to zeros).
+    ``concept=None`` (the concept-free ablations) keeps the normalized
+    gradient alone.
     """
     omega = np.asarray(omega, dtype=float)
-    concept = np.asarray(concept, dtype=float)
-    if omega.shape != concept.shape:
-        raise LengthMismatch(
-            f"activation lengths differ: {omega.shape} vs {concept.shape}"
-        )
     if len(omega) != len(like):
         raise LengthMismatch(
             f"activation length {len(omega)} != voxel count {len(like)}"
         )
-    scaled_concept = concept if np.all(concept == 1.0) else normalize(concept)
-    return like.with_values(normalize(omega) * scaled_concept)
+    combined = normalize(omega)
+    if concept is not None:
+        concept = np.asarray(concept, dtype=float)
+        if omega.shape != concept.shape:
+            raise LengthMismatch(
+                f"activation lengths differ: {omega.shape} vs {concept.shape}"
+            )
+        combined = combined * normalize(concept)
+    return like.with_values(combined)
 
 
 def explain_detection(
     detector,
     cloud: np.ndarray,
-    d: Detection,
-    mask: frozenset[str],
+    detections: list[Detection],
+    masks: list[frozenset[str]],
     cfg: PipelineConfig,
-    concepts: dict | None = None,
-    plans: dict | None = None,
-) -> np.ndarray:
-    """Per-point saliency scores for one detection.
+) -> list[list[np.ndarray]]:
+    """Per-point saliency scores of each detection under each mask: one
+    list per detection, one array per mask.
 
     Runs features -> factorization -> concept aggregation -> gradient
-    weighting -> voxel upsampling. The ``no_ff`` ablation replaces the
-    concept map with ones; ``no_vu`` and ``gradient_only`` replace
-    upsampling with the point's own voxel value, and ``gradient_only``
-    additionally drops the concept map.
-
-    The concept map depends only on the scene's feature map, not on ``d``
-    or ``mask``. ``concepts`` is an optional per-scene memo: pass one
-    empty dict for all explanations of one cloud by one detector, and
-    the map is factorized once per (block, NMF config) and reused.
-    ``plans`` is the same kind of memo for the upsampling plans, keyed by
-    (block, upsampling config): every mask's activation map of a block
-    lies on the same voxels, so only the first builds the plan. Never
-    share a memo between scenes.
+    weighting -> voxel upsampling. The concept map and the upsampling
+    depend only on the scene, so one scene scope serves every (detection,
+    mask) pair: the features and the concept map are computed once, each
+    pair takes one gradient, and one ``upsample_to_points`` call carries
+    all the combined maps to the points as the columns of one payload.
+    The ``no_ff`` ablation drops the concept map; ``no_vu`` and
+    ``gradient_only`` replace upsampling with the point's own voxel value
+    (range 0, k 1), and ``gradient_only`` also drops the concept map.
     """
-    features = detector.features(cloud, cfg.block_index)
-    m = len(features)
-    if m == 0:
-        raise DetectorFailure("feature map has no occupied voxels")
+    if not detections:
+        return []
+    with detector.scene(cloud):
+        features = detector.features(cloud, cfg.block_index)
+        m = len(features)
+        if m == 0:
+            raise DetectorFailure("feature map has no occupied voxels")
+        concept = None
+        if cfg.ablation not in ("no_ff", "gradient_only"):
+            values = np.asarray(features.values, dtype=float)
+            # Desk-scale feature maps can have fewer voxels than the requested
+            # concept count; the factorization rank cannot exceed min(M, d).
+            r_eff = min(cfg.nmf.r, m, values.shape[1])
+            concept = nmf.global_concept_map(nmf.factorize(values, replace(cfg.nmf, r=r_eff)))
+        combined = np.empty((m, len(detections) * len(masks)))
+        for j, (d, mask) in enumerate(itertools.product(detections, masks)):
+            omega = channel_aggregate(detector.gradient(cloud, d, mask, cfg.block_index))
+            combined[:, j] = combine(omega, concept, features).values
 
-    key = (cfg.block_index, cfg.nmf)
-    if cfg.ablation in ("no_ff", "gradient_only"):
-        concept = np.ones(m)
-    elif concepts is not None and key in concepts:
-        concept = concepts[key]
-    else:
-        values = np.asarray(features.values, dtype=float)
-        # Desk-scale feature maps can have fewer voxels than the requested
-        # concept count; the factorization rank cannot exceed min(M, d).
-        r_eff = min(cfg.nmf.r, m, values.shape[1])
-        nmf_cfg = replace(cfg.nmf, r=r_eff)
-        concept = nmf.global_concept_map(nmf.factorize(values, nmf_cfg))
-        if concepts is not None:
-            concepts[key] = concept
-
-    gradients = detector.gradient(cloud, d, mask, cfg.block_index)
-    omega = channel_aggregate(gradients)
-    combined = combine(omega, concept, features)
-
-    if cfg.ablation in ("no_vu", "gradient_only"):
-        return nearest_voxel_values(combined, cloud)
-    return upsample_to_points(
-        combined, cloud, cfg.upsample, plans, (cfg.block_index, cfg.upsample)
-    )
-
+    own_voxel = cfg.ablation in ("no_vu", "gradient_only")
+    upsample = UpsampleConfig(range_threshold=0, k=1) if own_voxel else cfg.upsample
+    columns = iter(upsample_to_points(features.with_values(combined), cloud, upsample).T)
+    return [[next(columns) for _ in masks] for _ in detections]

@@ -9,7 +9,7 @@ Gaussian kernel over the Manhattan ball around each point's cell: every
 (cell, offset) neighbor is gathered at once from the map's sorted keys.
 That transfer is an ``UpsamplePlan``, which holds everything that depends
 only on the coordinates, the cloud and the config, applied to the values;
-maps that share their coordinates share one plan.
+the columns of one (M, n) payload share one plan.
 """
 
 from __future__ import annotations
@@ -179,16 +179,14 @@ class UpsamplePlan:
     grouped into cells, every (cell, offset) neighbor found in the sorted
     keys and capped at ``cfg.k``, and the kernel weights with their row
     sums. ``apply`` is the other half: it gathers the values, averages them
-    and scatters the averages to the points, bit for bit as a fresh call.
-    Every map that shares the coordinates, such as the activations of
-    different masks on one scene, reuses one plan.
+    and scatters the averages to the points.
 
     Raises ValueError for a non-empty map with repeated coordinates, or
     for a grid whose voxel key could wrap int64.
     """
 
     def __init__(self, activation: SparseVoxelMap, cloud, cfg: UpsampleConfig):
-        self.coords, self.grid, self.cloud, self.cfg = activation.coords, activation.grid, cloud, cfg
+        self.voxels = len(activation)
         cloud = np.asarray(cloud, dtype=float)
         self.inside = np.zeros(len(cloud), dtype=bool)
         if len(activation) == 0:
@@ -232,19 +230,20 @@ class UpsamplePlan:
         self.weights = np.where(found, np.exp(-0.5 * dist**2), 0.0)
         self.weight_sums = self.weights.sum(axis=1)
 
-    def fits(self, activation: SparseVoxelMap, cloud, cfg: UpsampleConfig) -> bool:
-        """Whether this plan was built for ``activation``'s coordinates and
-        grid, this very ``cloud`` object and ``cfg``."""
-        return (
-            cloud is self.cloud and cfg == self.cfg and activation.grid == self.grid
-            and np.array_equal(activation.coords, self.coords)
-        )
-
     def apply(self, values) -> np.ndarray:
-        """Per-point scores for one (M,) value vector in the map's row order."""
+        """Per-point scores for values in the map's row order: (N,) for an
+        (M,) vector, (N, n) for an (M, n) array, whose columns are applied
+        one by one, so each is bit for bit its own (M,) call."""
         values = np.asarray(values, dtype=float)
-        if values.shape != (len(self.coords),):
-            raise ValueError(f"values of shape {values.shape} != ({len(self.coords)},)")
+        if values.shape[:1] != (self.voxels,) or values.ndim > 2:
+            raise ValueError(
+                f"values of shape {values.shape}, want ({self.voxels},) or ({self.voxels}, n)"
+            )
+        if values.ndim == 2:
+            scores = np.empty((len(self.inside), values.shape[1]), order="F")  # contiguous columns
+            for j in range(values.shape[1]):
+                scores[:, j] = self.apply(values[:, j])
+            return scores
         scores = np.zeros(len(self.inside))
         if len(values) == 0:
             return scores
@@ -257,11 +256,7 @@ class UpsamplePlan:
 
 
 def upsample_to_points(
-    activation: SparseVoxelMap,
-    cloud: np.ndarray,
-    cfg: UpsampleConfig,
-    plans: dict | None = None,
-    key=None,
+    activation: SparseVoxelMap, cloud: np.ndarray, cfg: UpsampleConfig
 ) -> np.ndarray:
     """Transfer per-voxel activations to per-point saliency scores.
 
@@ -273,30 +268,15 @@ def upsample_to_points(
     every (cell, offset) neighbor is looked up at once in the map's sorted
     linear keys. Offsets ordered by (distance, offset) give that order
     around any center, and the k-cap is a running count of the neighbors
-    found. Points outside the
-    grid or with no occupied neighbors score 0.
+    found. Points outside the grid or with no occupied neighbors score 0.
+    At range 0 and k 1 each point reads its own voxel's value, with a
+    ``-0.0`` voxel read as ``0.0``.
 
-    The work splits into an ``UpsamplePlan`` of everything that does not
-    depend on the values and its ``apply`` to them. ``plans`` is an
-    optional memo for the plans of one cloud: the plan filed under ``key``
-    is reused while it fits the map and the cloud, and is built and filed
-    there when it does not.
+    An (M,) payload gives (N,) scores. An (M, n) payload gives (N, n)
+    scores: one ``UpsamplePlan`` serves every column, and each column is
+    bit for bit the scores of its own (M,) call.
 
     Raises ValueError for a non-empty map with repeated coordinates, or
     for a grid whose voxel key could wrap int64.
     """
-    plan = None if plans is None else plans.get(key)
-    if plan is None or not plan.fits(activation, cloud, cfg):
-        plan = UpsamplePlan(activation, cloud, cfg)
-        if plans is not None:
-            plans[key] = plan
-    return plan.apply(activation.values)
-
-
-def nearest_voxel_values(activation: SparseVoxelMap, cloud: np.ndarray) -> np.ndarray:
-    """Activation of each point's own voxel; 0 when unoccupied or out of range.
-
-    This is ``upsample_to_points`` at range 0 and k 1, so a ``-0.0`` voxel
-    reads as ``0.0``.
-    """
-    return upsample_to_points(activation, cloud, UpsampleConfig(range_threshold=0, k=1))
+    return UpsamplePlan(activation, cloud, cfg).apply(activation.values)

@@ -170,7 +170,7 @@ def localization_runs():
         detections = detector.detect(cloud)
         assert len(detections) == 1, f"scene {seed}: {len(detections)} detections"
         d = detections[0]
-        saliency = explain_detection(detector, cloud, d, full_mask(), cfg)
+        [[saliency]] = explain_detection(detector, cloud, [d], [full_mask()], cfg)
         runs.append((cloud, gt_box, d, saliency))
     return detector, cfg, runs
 
@@ -222,16 +222,9 @@ def test_criterion_7_ablation_direction(localization_runs):
     veas = {"full": [], "no_ff": [], "gradient_only": []}
     for cloud, gt_box, d, saliency in runs[:50]:
         veas["full"].append(vea(saliency, cloud, gt_box))
-        veas["no_ff"].append(
-            vea(explain_detection(detector, cloud, d, full_mask(), no_ff), cloud, gt_box)
-        )
-        veas["gradient_only"].append(
-            vea(
-                explain_detection(detector, cloud, d, full_mask(), gradient_only),
-                cloud,
-                gt_box,
-            )
-        )
+        for name, ablated in (("no_ff", no_ff), ("gradient_only", gradient_only)):
+            [[saliency]] = explain_detection(detector, cloud, [d], [full_mask()], ablated)
+            veas[name].append(vea(saliency, cloud, gt_box))
     m_full = float(np.mean(veas["full"]))
     m_noff = float(np.mean(veas["no_ff"]))
     m_gonly = float(np.mean(veas["gradient_only"]))

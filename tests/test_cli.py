@@ -23,6 +23,24 @@ def scene_dir(tmp_path_factory, detector):
     return write_scene_dir(tmp_path_factory.mktemp("scenes"), detector, seeds=range(2))
 
 
+@pytest.fixture
+def explained(monkeypatch):
+    """Every ``explain_detection`` call the CLI makes, recorded as
+    ``(cloud, detections, masks, pipeline config, saliencies)``."""
+    from pcsaliency import cli
+    from pcsaliency.pipeline import explain_detection
+
+    calls = []
+
+    def recorded(detector, cloud, detections, masks, cfg):
+        saliencies = explain_detection(detector, cloud, detections, masks, cfg)
+        calls.append((cloud, detections, masks, cfg, saliencies))
+        return saliencies
+
+    monkeypatch.setattr(cli, "explain_detection", recorded)
+    return calls
+
+
 class TestRunConfig:
     def test_defaults_round_trip(self):
         cfg = RunConfig.from_sources()
@@ -264,13 +282,11 @@ class TestModesCli:
         if report["tp"]["count"]:
             assert sum(report["tp"]["class_ratios"].values()) == pytest.approx(1.0)
 
-    def test_grids_match_own_accumulation(self, tmp_path, detector, monkeypatch):
+    def test_grids_match_own_accumulation(self, tmp_path, detector, explained):
         """Each ``--grids-dir`` grid accumulates exactly the explained
         detections of its mode and class, in their canonical frames."""
-        from pcsaliency import cli
         from pcsaliency.aggregate import CanonicalGrid, write_grid
         from pcsaliency.boxes import canonicalize
-        from pcsaliency.pipeline import explain_detection
 
         cloud, _ = multi_object_scene(0)
         detections = detector.detect(cloud)
@@ -279,25 +295,18 @@ class TestModesCli:
         write_kitti_bin(scenes / "s.bin", cloud)
         # only the first detection has a ground truth; the second is a false positive
         write_labels_json(scenes / "s.labels.json", [(detections[0].box(), detections[0].label)])
-        seen = []
-
-        def recorded(detector, cloud, d, mask, cfg, concepts=None, plans=None):
-            saliency = explain_detection(detector, cloud, d, mask, cfg, concepts, plans)
-            seen.append((d, canonicalize(cloud, d.box()), saliency))
-            return saliency
-
-        monkeypatch.setattr(cli, "explain_detection", recorded)
         grids = tmp_path / "grids"
         assert main([
             "modes", "--scenes", str(scenes), "--out", str(tmp_path / "modes.json"),
             "--grids-dir", str(grids), *FAST,
         ]) == 0
+        [(read_cloud, seen, _, _, saliencies)] = explained
         assert len(seen) == 2
         expected = tmp_path / "expected"
         expected.mkdir()
-        for mode, (d, canonical, saliency) in zip(("tp", "fp"), seen):
+        for mode, d, [saliency] in zip(("tp", "fp"), seen, saliencies):
             grid = CanonicalGrid()
-            grid.accumulate(canonical, saliency)
+            grid.accumulate(canonicalize(read_cloud, d.box()), saliency)
             write_grid(expected / f"{mode}_{d.label}.grid", grid)
         assert _outputs(grids) == _outputs(expected)
 
@@ -676,25 +685,20 @@ def test_scene_released_after_failed_explain(scene_dir, tmp_path, work, capsys):
     assert detector._hold is None
 
 
-def test_aggregate_saliency_equals_unscoped_explanation(scene_dir, tmp_path, monkeypatch):
-    from pcsaliency import cli
+def test_aggregate_saliency_equals_unscoped_explanation(scene_dir, tmp_path, explained):
     from pcsaliency.detector import ReferenceDetector
     from pcsaliency.pipeline import explain_detection
 
-    seen = []
-
-    def recorded(detector, cloud, d, mask, cfg, concepts=None, plans=None):
-        saliency = explain_detection(detector, cloud, d, mask, cfg, concepts, plans)
-        seen.append((cloud.copy(), d, mask, cfg, saliency))
-        return saliency
-
-    monkeypatch.setattr(cli, "explain_detection", recorded)
     assert main(["aggregate", "--scenes", str(scene_dir), "--out-dir", str(tmp_path), *FAST]) == 0
-    assert len(seen) == 2 * 9
+    # one call per scene, each explaining its one detection under 9 masks
+    assert [(len(detections), len(masks)) for _, detections, masks, _, _ in explained] == [(1, 9)] * 2
     cfg = RunConfig.from_sources(None, FAST[1::2])
-    for cloud, d, mask, pcfg, saliency in seen:
-        fresh = explain_detection(ReferenceDetector(cfg.detector_config()), cloud, d, mask, pcfg)
-        assert fresh.tobytes() == saliency.tobytes()
+    for cloud, detections, masks, pcfg, saliencies in explained:
+        for d, per_mask in zip(detections, saliencies):
+            for mask, saliency in zip(masks, per_mask):
+                detector = ReferenceDetector(cfg.detector_config())
+                [[fresh]] = explain_detection(detector, cloud, [d], [mask], pcfg)
+                assert fresh.tobytes() == saliency.tobytes()
 
 
 def test_aggregate_of_two_scenes_equals_each_scene_alone(scene_dir, tmp_path):
@@ -785,16 +789,10 @@ def test_eval_from_dump_exits_one(dumped_scene, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["eval", "sweep", "aggregate", "modes"])
 def test_dump_over_several_scenes_exits_one_before_any_explanation(
-    command, dumped_scene, tmp_path, monkeypatch, capsys
+    command, dumped_scene, tmp_path, explained, capsys
 ):
     import shutil
 
-    from pcsaliency import cli
-
-    def never(*args, **kwargs):
-        raise AssertionError("explained a detection of a scene the dump does not hold")
-
-    monkeypatch.setattr(cli, "explain_detection", never)
     scenes, dump_args = dumped_scene
     two = shutil.copytree(scenes, tmp_path / "two")
     for suffix in (".bin", ".labels.json"):
@@ -805,6 +803,7 @@ def test_dump_over_several_scenes_exits_one_before_any_explanation(
            "modes": ["--out", str(tmp_path / "modes.json")]}[command]
     assert main([command, "--scenes", str(two), *out, *dump_args, *FAST]) == 1
     assert "holds one scene" in capsys.readouterr().err
+    assert explained == []
 
 
 # Each case builds its argv from (object scene dir, a path beneath a regular file).
@@ -824,14 +823,9 @@ _BAD_OUTPUT = {
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_OUTPUT))
-def test_bad_output_path_fails_before_any_explanation(case, scene_dir, tmp_path, monkeypatch, capsys):
-    from pcsaliency import cli
-
-    def never(*args, **kwargs):
-        raise AssertionError("explained a detection before checking the output path")
-
-    monkeypatch.setattr(cli, "explain_detection", never)
+def test_bad_output_path_fails_before_any_explanation(case, scene_dir, tmp_path, explained, capsys):
     blocker = tmp_path / "afile"
     blocker.write_text("not a directory\n")
     assert main([*_BAD_OUTPUT[case](scene_dir, blocker / "x"), *FAST]) == 2
     assert capsys.readouterr().err.startswith("error: cannot")
+    assert explained == []

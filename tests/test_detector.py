@@ -386,7 +386,7 @@ class RecordingDetector:
 def test_subset_forward_bit_identical_on_curve_steps(detector, seed):
     cloud, _, _ = single_object_scene(seed)
     d = detector.detect(cloud)[0]
-    saliency = explain_detection(detector, cloud, d, full_mask(), PipelineConfig())
+    [[saliency]] = explain_detection(detector, cloud, [d], [full_mask()], PipelineConfig())
     recorder = RecordingDetector(detector)
     deletion_curve(recorder, cloud, d, saliency, 20)
     insertion_curve(recorder, cloud, d, saliency, 20)

@@ -237,7 +237,7 @@ class TestDumpDetector:
         replay = load_dump(path)
         d = replay.detect(cloud)[0]
         cfg = PipelineConfig(nmf=NmfConfig(r=16, max_iterations=80, seed=0))
-        saliency = explain_detection(replay, cloud, d, full_mask(), cfg)
+        [[saliency]] = explain_detection(replay, cloud, [d], [full_mask()], cfg)
         assert len(saliency) == len(cloud)
         assert np.all(saliency >= 0)
         assert saliency.max() > 0

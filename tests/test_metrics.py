@@ -28,7 +28,7 @@ def explained_scene(detector):
     cloud, gt_box, _ = single_object_scene(0)
     d = detector.detect(cloud)[0]
     cfg = PipelineConfig(nmf=NmfConfig(r=16, max_iterations=80, seed=0))
-    saliency = explain_detection(detector, cloud, d, full_mask(), cfg)
+    [[saliency]] = explain_detection(detector, cloud, [d], [full_mask()], cfg)
     return cloud, gt_box, d, saliency
 
 
@@ -116,7 +116,7 @@ class TestDeletionInsertion:
         )
         d = detector.detect(cloud)[0]
         cfg = PipelineConfig(nmf=NmfConfig(r=16, max_iterations=80, seed=0))
-        saliency = explain_detection(detector, cloud, d, full_mask(), cfg)
+        [[saliency]] = explain_detection(detector, cloud, [d], [full_mask()], cfg)
         forward = deletion_curve(detector, cloud, d, saliency, steps=4)
         inverted = deletion_curve(detector, cloud, d, saliency.max() - saliency, steps=4)
         assert forward.values[1] <= inverted.values[1] + 1e-12

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcsaliency import nmf
+from pcsaliency import nmf, voxelgrid
 from pcsaliency.boxes import points_in_box
 from pcsaliency.errors import EmptyMask, LengthMismatch
 from pcsaliency.pipeline import (
@@ -18,14 +18,10 @@ from pcsaliency.pipeline import (
     normalize,
     object_loss,
 )
-from pcsaliency.synthetic import single_object_scene
-from pcsaliency.voxelgrid import (
-    GridSpec,
-    SparseVoxelMap,
-    UpsampleConfig,
-    nearest_voxel_values,
-    upsample_to_points,
-)
+from pcsaliency.synthetic import multi_object_scene, single_object_scene
+from pcsaliency.voxelgrid import GridSpec, SparseVoxelMap, UpsampleConfig, upsample_to_points
+
+OWN_VOXEL = UpsampleConfig(range_threshold=0, k=1)
 
 
 def pconfig(**kwargs):
@@ -37,6 +33,12 @@ def pconfig(**kwargs):
     )
     base.update(kwargs)
     return PipelineConfig(**base)
+
+
+def explain_one(detector, cloud, d, mask, cfg):
+    """``explain_detection`` for one detection under one mask."""
+    [[saliency]] = explain_detection(detector, cloud, [d], [mask], cfg)
+    return saliency
 
 
 class TestMasks:
@@ -129,16 +131,23 @@ class TestCombine:
         )
         assert np.allclose(np.asarray(out.values), [0.0, 0.25, 1.0], atol=1e-15)
 
-    def test_all_ones_concept_is_identity(self):
+    def test_no_concept_is_identity(self):
         omega = np.array([0.2, 0.9, 0.4])
-        out = combine(omega, np.ones(3), vmap_of(3))
-        assert np.allclose(np.asarray(out.values), normalize(omega), atol=1e-15)
+        out = combine(omega, None, vmap_of(3))
+        assert np.array_equal(np.asarray(out.values), normalize(omega))
+
+    def test_all_ones_concept_is_normalized(self):
+        # a constant concept map min-max normalizes to zeros like any other
+        out = combine(np.array([0.2, 0.9, 0.4]), np.ones(3), vmap_of(3))
+        assert np.array_equal(np.asarray(out.values), np.zeros(3))
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             combine(np.zeros(2), np.zeros(3), vmap_of(2))
         with pytest.raises(LengthMismatch):
             combine(np.zeros(3), np.zeros(3), vmap_of(2))
+        with pytest.raises(LengthMismatch):
+            combine(np.zeros(3), None, vmap_of(2))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
@@ -159,7 +168,7 @@ class TestExplain:
     def test_argmax_in_detected_box(self, detector):
         cloud, gt_box, _ = single_object_scene(0)
         d = detector.detect(cloud)[0]
-        saliency = explain_detection(detector, cloud, d, full_mask(), pconfig())
+        saliency = explain_one(detector, cloud, d, full_mask(), pconfig())
         assert len(saliency) == len(cloud)
         assert np.all(saliency >= 0)
         top = int(np.argmax(saliency))
@@ -169,7 +178,7 @@ class TestExplain:
         cloud, _, _ = single_object_scene(1)
         d = detector.detect(cloud)[0]
         cfg = pconfig(ablation="no_vu")
-        got = explain_detection(detector, cloud, d, full_mask(), cfg)
+        got = explain_one(detector, cloud, d, full_mask(), cfg)
 
         feats = detector.features(cloud, cfg.block_index)
         values = np.asarray(feats.values)
@@ -186,45 +195,45 @@ class TestExplain:
         concept = nmf.global_concept_map(fact)
         omega = channel_aggregate(detector.gradient(cloud, d, full_mask(), cfg.block_index))
         combined = combine(omega, concept, feats)
-        expected = nearest_voxel_values(combined, cloud)
+        expected = upsample_to_points(combined, cloud, OWN_VOXEL)
         assert np.array_equal(got, expected)
 
     def test_gradient_only_equals_ones_concept_nearest_voxel(self, detector):
         cloud, _, _ = single_object_scene(2)
         d = detector.detect(cloud)[0]
         cfg = pconfig(ablation="gradient_only")
-        got = explain_detection(detector, cloud, d, full_mask(), cfg)
+        got = explain_one(detector, cloud, d, full_mask(), cfg)
 
         feats = detector.features(cloud, cfg.block_index)
         omega = channel_aggregate(detector.gradient(cloud, d, full_mask(), cfg.block_index))
-        combined = combine(omega, np.ones(len(feats)), feats)
-        expected = nearest_voxel_values(combined, cloud)
+        combined = combine(omega, None, feats)
+        expected = upsample_to_points(combined, cloud, OWN_VOXEL)
         assert np.array_equal(got, expected)
 
     def test_no_ff_keeps_upsampling(self, detector):
         cloud, _, _ = single_object_scene(3)
         d = detector.detect(cloud)[0]
         cfg = pconfig(ablation="no_ff")
-        got = explain_detection(detector, cloud, d, full_mask(), cfg)
+        got = explain_one(detector, cloud, d, full_mask(), cfg)
 
         feats = detector.features(cloud, cfg.block_index)
         omega = channel_aggregate(detector.gradient(cloud, d, full_mask(), cfg.block_index))
-        combined = combine(omega, np.ones(len(feats)), feats)
+        combined = combine(omega, None, feats)
         expected = upsample_to_points(combined, cloud, cfg.upsample)
         assert np.array_equal(got, expected)
 
     def test_deterministic(self, detector):
         cloud, _, _ = single_object_scene(4)
         d = detector.detect(cloud)[0]
-        a = explain_detection(detector, cloud, d, full_mask(), pconfig())
-        b = explain_detection(detector, cloud, d, full_mask(), pconfig())
+        a = explain_one(detector, cloud, d, full_mask(), pconfig())
+        b = explain_one(detector, cloud, d, full_mask(), pconfig())
         assert np.array_equal(a, b)
 
     def test_rank_clamped_to_map_size(self, detector):
         cloud, _, _ = single_object_scene(5)
         d = detector.detect(cloud)[0]
         cfg = pconfig(nmf=nmf.NmfConfig(r=64, max_iterations=60, seed=0))
-        saliency = explain_detection(detector, cloud, d, full_mask(), cfg)
+        saliency = explain_one(detector, cloud, d, full_mask(), cfg)
         assert np.all(np.isfinite(saliency))
 
 
@@ -255,7 +264,7 @@ class TestSeedStability:
         cloud, _, _ = single_object_scene(scene)
         d = detector.detect(cloud)[0]
         maps = [
-            explain_detection(
+            explain_one(
                 detector, cloud, d, full_mask(), PipelineConfig(nmf=nmf.NmfConfig(seed=seed))
             )
             for seed in (0, 1, 2)
@@ -264,93 +273,79 @@ class TestSeedStability:
             assert _spearman(maps[i], maps[j]) >= 0.99
 
     @pytest.mark.parametrize("scene", range(10))
-    def test_concept_map_ranking_independent_of_nmf_seed(self, detector, scene):
+    def test_concept_map_ranking_independent_of_nmf_seed(self, detector, scene, monkeypatch):
         # An over-parameterized factorization has many optima, and H's row
         # sums move with the scaling of each; the map weighted by W's row
         # norms does not.
         cloud, _, _ = single_object_scene(scene)
         d = detector.detect(cloud)[0]
         maps = []
+        concept_map = nmf.global_concept_map
+
+        def recorded(f):
+            maps.append(concept_map(f))
+            return maps[-1]
+
+        monkeypatch.setattr(nmf, "global_concept_map", recorded)
         for seed in (0, 1, 2):
             cfg = PipelineConfig(nmf=nmf.NmfConfig(seed=seed), block_index=3)
-            concepts = {}
-            explain_detection(detector, cloud, d, full_mask(), cfg, concepts)
-            maps.append(concepts[(3, cfg.nmf)])
+            explain_one(detector, cloud, d, full_mask(), cfg)
+        assert len(maps) == 3
         for i, j in ((0, 1), (0, 2), (1, 2)):
             assert _spearman(maps[i], maps[j]) >= 0.99
 
 
-class TestConceptMemo:
-    @pytest.fixture
-    def factorize_calls(self, monkeypatch):
-        calls = []
-        factorize = nmf.factorize
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of feature maps read, detector forwards computed,
+    factorizations run and upsampling plans built."""
+    from pcsaliency.detector import ReferenceDetector
 
-        def counted(a, cfg):
-            calls.append(cfg)
-            return factorize(a, cfg)
+    counts = dict.fromkeys(("features", "forward", "factorize", "plans"), 0)
 
-        monkeypatch.setattr(nmf, "factorize", counted)
-        return calls
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
 
-    def test_one_factorization_per_block_and_config(self, detector, factorize_calls):
-        cloud, _, _ = single_object_scene(4)
-        d = detector.detect(cloud)[0]
-        masks = [full_mask(), make_mask("x"), make_mask("l", "s")]
-        cfgs = [pconfig(), pconfig(block_index=4), pconfig(nmf=nmf.NmfConfig(r=8, max_iterations=60))]
-        unmemoized = [
-            explain_detection(detector, cloud, d, mask, cfg).tobytes()
-            for cfg in cfgs for mask in masks
-        ]
-        assert len(factorize_calls) == len(cfgs) * len(masks)
-        factorize_calls.clear()
-        memo: dict = {}
-        memoized = [
-            explain_detection(detector, cloud, d, mask, cfg, memo).tobytes()
-            for cfg in cfgs for mask in masks
-        ]
-        assert len(factorize_calls) == len(cfgs)
-        assert set(memo) == {(cfg.block_index, cfg.nmf) for cfg in cfgs}
-        assert memoized == unmemoized
+    class CountedPlan(voxelgrid.UpsamplePlan):
+        def __init__(self, *args):
+            counts["plans"] += 1
+            super().__init__(*args)
 
-    @pytest.mark.parametrize("ablation", ["no_ff", "gradient_only"])
-    def test_ablations_without_concepts_leave_memo_empty(self, detector, factorize_calls, ablation):
-        cloud, _, _ = single_object_scene(4)
-        d = detector.detect(cloud)[0]
-        memo: dict = {}
-        explain_detection(detector, cloud, d, full_mask(), pconfig(ablation=ablation), memo)
-        assert memo == {} and factorize_calls == []
+    monkeypatch.setattr(ReferenceDetector, "features", counted("features", ReferenceDetector.features))
+    monkeypatch.setattr(
+        ReferenceDetector, "_compute_forward", counted("forward", ReferenceDetector._compute_forward)
+    )
+    monkeypatch.setattr(nmf, "factorize", counted("factorize", nmf.factorize))
+    monkeypatch.setattr(voxelgrid, "UpsamplePlan", CountedPlan)
+    return counts
 
 
-class TestPlanMemo:
-    MASKS = [make_mask(name) for name in ATTRIBUTE_NAMES] + [full_mask()]
+class TestOneCallPerScene:
+    MASKS = [full_mask(), make_mask("x"), make_mask("l", "s")]
 
-    @pytest.mark.parametrize("ablation", ["full", "no_vu", "gradient_only"])
-    def test_memoized_bytes_equal_unmemoized_for_every_mask(self, detector, ablation):
-        cloud, _, _ = single_object_scene(4)
+    @pytest.mark.parametrize("ablation", ["full", "no_ff", "no_vu", "gradient_only"])
+    def test_one_factorization_and_one_plan_per_call(self, detector, work, ablation):
+        cloud, _ = multi_object_scene(0)
+        detections = detector.detect(cloud)
+        assert len(detections) == 2
         cfg = pconfig(ablation=ablation)
-        with detector.scene(cloud):
-            d = detector.detect(cloud)[0]
-            concepts: dict = {}
-            plans: dict = {}
-            for mask in self.MASKS:
-                memoized = explain_detection(detector, cloud, d, mask, cfg, concepts, plans)
-                fresh = explain_detection(detector, cloud, d, mask, cfg)
-                assert memoized.tobytes() == fresh.tobytes()
-        # the point's own voxel needs no plan
-        expected = {(3, cfg.upsample)} if ablation == "full" else set()
-        assert set(plans) == expected
+        work.update(dict.fromkeys(work, 0))
+        got = explain_detection(detector, cloud, detections, self.MASKS, cfg)
+        # one forward: the call's own scene scope serves features and every
+        # gradient, and is released when the call returns
+        concepts = 0 if ablation in ("no_ff", "gradient_only") else 1
+        assert (work["forward"], work["factorize"], work["plans"]) == (1, concepts, 1)
+        assert detector._hold is None
+        assert [len(per_mask) for per_mask in got] == [3, 3]
+        for d, per_mask in zip(detections, got):
+            for mask, saliency in zip(self.MASKS, per_mask):
+                alone = explain_one(detector, cloud, d, mask, cfg)
+                assert saliency.tobytes() == alone.tobytes()
 
-    def test_one_plan_per_block_and_upsampling_config(self, detector):
+    def test_no_detections_calls_neither_features_nor_factorize(self, detector, work):
         cloud, _, _ = single_object_scene(4)
-        d = detector.detect(cloud)[0]
-        cfgs = [pconfig(), pconfig(block_index=2), pconfig(upsample=UpsampleConfig(1, 4))]
-        masks = [full_mask(), make_mask("x")]
-        unmemoized = [explain_detection(detector, cloud, d, m, cfg).tobytes()
-                      for cfg in cfgs for m in masks]
-        concepts: dict = {}
-        plans: dict = {}
-        memoized = [explain_detection(detector, cloud, d, m, cfg, concepts, plans).tobytes()
-                    for cfg in cfgs for m in masks]
-        assert memoized == unmemoized
-        assert set(plans) == {(cfg.block_index, cfg.upsample) for cfg in cfgs}
+        assert explain_detection(detector, cloud, [], self.MASKS, pconfig()) == []
+        assert (work["features"], work["forward"], work["factorize"]) == (0, 0, 0)

@@ -11,13 +11,13 @@ from pcsaliency.voxelgrid import (
     UpsampleConfig,
     UpsamplePlan,
     _group_rows,
-    nearest_voxel_values,
     upsample_to_points,
 )
 
 from conftest import neighbor_query, voxel_index
 
 GRID = GridSpec(1.0, (0.0, 10.0), (0.0, 10.0), (0.0, 10.0))
+OWN_VOXEL = UpsampleConfig(range_threshold=0, k=1)  # each point reads its own voxel
 
 
 def scalar_map(coords, values, grid=GRID):
@@ -193,15 +193,16 @@ def test_negative_voxel_upsamples_to_its_value():
     cloud = np.array([[2.5, 2.5, 2.5, 0.0]])
     out = upsample_to_points(vmap, cloud, UpsampleConfig(range_threshold=2, k=16))
     assert np.array_equal(out, [-1.0])
-    assert np.array_equal(nearest_voxel_values(vmap, cloud), [-1.0])
+    assert np.array_equal(upsample_to_points(vmap, cloud, OWN_VOXEL), [-1.0])
 
 
 def test_nearest_voxel_values():
+    # range 0, k 1: each point reads its own voxel, as the no_vu ablation does
     vmap = scalar_map([(2, 2, 2)], [0.9])
     cloud = np.array(
         [[2.5, 2.5, 2.5, 0.0], [3.5, 2.5, 2.5, 0.0], [50.0, 0.0, 0.0, 0.0]]
     )
-    out = nearest_voxel_values(vmap, cloud)
+    out = upsample_to_points(vmap, cloud, OWN_VOXEL)
     assert np.array_equal(out, [0.9, 0.0, 0.0])
 
 
@@ -215,11 +216,11 @@ def test_repeated_coords_rejected_by_every_upsampling_call(repeated, values):
         with pytest.raises(ValueError, match="not unique"):
             upsample_to_points(vmap, cloud, UpsampleConfig())
         with pytest.raises(ValueError, match="not unique"):
-            nearest_voxel_values(vmap, cloud)
+            upsample_to_points(vmap, cloud, OWN_VOXEL)
         with pytest.raises(ValueError, match="not unique"):
             UpsamplePlan(vmap, cloud, UpsampleConfig())
         with pytest.raises(ValueError, match="not unique"):
-            upsample_to_points(vmap, cloud, UpsampleConfig(), {}, "plan")
+            upsample_to_points(vmap.with_values(np.ones((3, 2))), cloud, UpsampleConfig())
 
 
 def test_key_wrapping_grid_rejected():
@@ -231,7 +232,7 @@ def test_key_wrapping_grid_rejected():
     with pytest.raises(ValueError, match="int64"):
         upsample_to_points(vmap, cloud, UpsampleConfig())
     with pytest.raises(ValueError, match="int64"):
-        nearest_voxel_values(vmap, cloud)
+        upsample_to_points(vmap, cloud, OWN_VOXEL)
 
 
 def test_voxel_out_of_reach_does_not_alias_a_neighbor():
@@ -256,12 +257,16 @@ _PLAN_CLOUD = np.array([
 ])
 
 
-@pytest.mark.parametrize("coords", [
+_PLAN_COORDS = [
     [],
     [(2, 2, 2)],
     [(2, 2, 2), (3, 2, 2), (2, 3, 3), (9, 0, 4), (9, 1, 4), (-1, 2, 2), (30, 30, 30)],
-])
-@pytest.mark.parametrize("cfg", [UpsampleConfig(), UpsampleConfig(1, 2), UpsampleConfig(0, 1)])
+]
+_PLAN_CFGS = [UpsampleConfig(), UpsampleConfig(1, 2), OWN_VOXEL]
+
+
+@pytest.mark.parametrize("coords", _PLAN_COORDS)
+@pytest.mark.parametrize("cfg", _PLAN_CFGS)
 def test_one_plan_applies_like_fresh_calls(coords, cfg):
     rng = np.random.default_rng(len(coords))
     first = scalar_map(coords, rng.normal(size=len(coords)))
@@ -273,33 +278,26 @@ def test_one_plan_applies_like_fresh_calls(coords, cfg):
     assert np.all(plan.apply(first.values)[5:] == 0.0)  # the out-of-grid points
 
 
-def test_plan_memo_reuses_a_plan_only_where_it_fits():
-    coords = [(2, 2, 2), (3, 2, 2), (2, 3, 3)]
-    vmap = scalar_map(coords, [0.1, 0.7, 0.4])
-    cfg = UpsampleConfig()
-    plans: dict = {}
-    upsample_to_points(vmap, _PLAN_CLOUD, cfg, plans, "block")
-    [plan] = plans.values()
-    other = vmap.with_values(np.array([0.9, 0.0, 0.3]))
-    # equal coordinates in another array: the plan is reused
-    moved = SparseVoxelMap(np.array(coords), other.values, GRID)
-    got = upsample_to_points(moved, _PLAN_CLOUD, cfg, plans, "block")
-    assert plans["block"] is plan
-    assert np.array_equal(bits(got), bits(upsample_to_points(other, _PLAN_CLOUD, cfg)))
-    # another cloud, other voxels or another grid: a new plan replaces it
-    for amap, cloud in ((vmap, _PLAN_CLOUD.copy()),
-                        (scalar_map(coords[:2], [0.9, 0.0]), _PLAN_CLOUD),
-                        (scalar_map(coords, [0.1, 0.7, 0.4], GRID.scaled(2)), _PLAN_CLOUD)):
-        got = upsample_to_points(amap, cloud, cfg, plans, "block")
-        assert plans["block"] is not plan
-        assert np.array_equal(bits(got), bits(upsample_to_points(amap, cloud, cfg)))
-        plan = plans["block"]
+@pytest.mark.parametrize("coords", _PLAN_COORDS)
+@pytest.mark.parametrize("cfg", _PLAN_CFGS)
+def test_columns_of_a_2d_payload_equal_1d_calls(coords, cfg):
+    rng = np.random.default_rng(len(coords))
+    columns = [rng.normal(size=len(coords)), np.full(len(coords), 0.25),
+               -rng.uniform(size=len(coords)), np.full(len(coords), -0.0)]
+    vmap = scalar_map(coords, np.column_stack(columns))
+    got = upsample_to_points(vmap, _PLAN_CLOUD, cfg)
+    assert got.shape == (len(_PLAN_CLOUD), len(columns))
+    for j, values in enumerate(columns):
+        alone = upsample_to_points(vmap.with_values(values), _PLAN_CLOUD, cfg)
+        assert np.array_equal(bits(got[:, j]), bits(alone))
+        assert got[:, j].flags.c_contiguous
 
 
 def test_plan_rejects_values_of_another_length():
     plan = UpsamplePlan(scalar_map([(2, 2, 2)], [1.0]), _PLAN_CLOUD, UpsampleConfig())
-    with pytest.raises(ValueError, match="shape"):
-        plan.apply(np.array([1.0, 2.0]))
+    for values in (np.array([1.0, 2.0]), np.ones((2, 3)), np.ones((1, 2, 2))):
+        with pytest.raises(ValueError, match="shape"):
+            plan.apply(values)
 
 
 # ----------------------------------------------------------------------
@@ -383,4 +381,4 @@ def test_upsample_matches_per_point_loop(near, far, points, range_threshold, k, 
                              _PROPERTY_GRID.contains(cloud))
     ]
     # + 0.0: a -0.0 voxel reads as 0.0, every other value bit for bit
-    assert np.array_equal(bits(nearest_voxel_values(vmap, cloud)), bits(np.array(own) + 0.0))
+    assert np.array_equal(bits(upsample_to_points(vmap, cloud, OWN_VOXEL)), bits(np.array(own) + 0.0))
