@@ -323,29 +323,75 @@ def work(monkeypatch):
     return counts
 
 
-class TestOneCallPerScene:
+def two_detections(detector):
+    cloud, _ = multi_object_scene(0)
+    detections = detector.detect(cloud)
+    assert len(detections) == 2
+    return cloud, detections
+
+
+def assert_each_pair_explained_alone(detector, cloud, detections, masks, cfg, got):
+    """Every (detection, mask) saliency of one call is byte-identical to a
+    call that explains that pair alone."""
+    assert [len(per_mask) for per_mask in got] == [len(masks)] * len(detections)
+    for d, per_mask in zip(detections, got):
+        for mask, saliency in zip(masks, per_mask):
+            assert saliency.tobytes() == explain_one(detector, cloud, d, mask, cfg).tobytes()
+
+
+class TestConceptMemo:
+    """One ``explain_detection`` call computes the scene's concept map once
+    and shares it across every detection and mask."""
+
     MASKS = [full_mask(), make_mask("x"), make_mask("l", "s")]
 
-    @pytest.mark.parametrize("ablation", ["full", "no_ff", "no_vu", "gradient_only"])
-    def test_one_factorization_and_one_plan_per_call(self, detector, work, ablation):
-        cloud, _ = multi_object_scene(0)
-        detections = detector.detect(cloud)
-        assert len(detections) == 2
-        cfg = pconfig(ablation=ablation)
+    def test_one_factorization_per_block_and_config(self, detector, work):
+        cloud, detections = two_detections(detector)
+        cfgs = [pconfig(), pconfig(block_index=4), pconfig(nmf=nmf.NmfConfig(r=8, max_iterations=60))]
+        for cfg in cfgs:
+            work.update(dict.fromkeys(work, 0))
+            got = explain_detection(detector, cloud, detections, self.MASKS, cfg)
+            # one forward: the call's own scene scope serves features and every
+            # gradient, and is released when the call returns
+            assert (work["forward"], work["factorize"]) == (1, 1)
+            assert detector._hold is None
+            assert_each_pair_explained_alone(detector, cloud, detections, self.MASKS, cfg, got)
+
+    @pytest.mark.parametrize("ablation", ["no_ff", "gradient_only"])
+    def test_ablations_without_concepts_leave_memo_empty(self, detector, work, ablation):
+        cloud, detections = two_detections(detector)
         work.update(dict.fromkeys(work, 0))
-        got = explain_detection(detector, cloud, detections, self.MASKS, cfg)
-        # one forward: the call's own scene scope serves features and every
-        # gradient, and is released when the call returns
-        concepts = 0 if ablation in ("no_ff", "gradient_only") else 1
-        assert (work["forward"], work["factorize"], work["plans"]) == (1, concepts, 1)
-        assert detector._hold is None
-        assert [len(per_mask) for per_mask in got] == [3, 3]
-        for d, per_mask in zip(detections, got):
-            for mask, saliency in zip(self.MASKS, per_mask):
-                alone = explain_one(detector, cloud, d, mask, cfg)
-                assert saliency.tobytes() == alone.tobytes()
+        explain_detection(detector, cloud, detections, self.MASKS, pconfig(ablation=ablation))
+        assert (work["forward"], work["factorize"]) == (1, 0)
 
     def test_no_detections_calls_neither_features_nor_factorize(self, detector, work):
         cloud, _, _ = single_object_scene(4)
         assert explain_detection(detector, cloud, [], self.MASKS, pconfig()) == []
         assert (work["features"], work["forward"], work["factorize"]) == (0, 0, 0)
+
+
+class TestPlanMemo:
+    """One ``explain_detection`` call builds one upsampling plan and applies
+    it to every combined map as a column of one payload."""
+
+    MASKS = [make_mask(name) for name in ATTRIBUTE_NAMES] + [full_mask()]
+
+    @pytest.mark.parametrize("ablation", ["full", "no_ff", "no_vu", "gradient_only"])
+    def test_memoized_bytes_equal_unmemoized_for_every_mask(self, detector, work, ablation):
+        cloud, detections = two_detections(detector)
+        cfg = pconfig(ablation=ablation)
+        work.update(dict.fromkeys(work, 0))
+        got = explain_detection(detector, cloud, detections, self.MASKS, cfg)
+        # the own-voxel ablations still map through one (range 0, k 1) plan
+        assert work["plans"] == 1
+        assert_each_pair_explained_alone(detector, cloud, detections, self.MASKS, cfg, got)
+
+    def test_one_plan_per_block_and_upsampling_config(self, detector, work):
+        cloud, detections = two_detections(detector)
+        cfgs = [pconfig(), pconfig(block_index=2), pconfig(upsample=UpsampleConfig(1, 4))]
+        masks = [full_mask(), make_mask("x")]
+        for cfg in cfgs:
+            work.update(dict.fromkeys(work, 0))
+            got = explain_detection(detector, cloud, detections, masks, cfg)
+            assert work["plans"] == 1
+            assert_each_pair_explained_alone(detector, cloud, detections, masks, cfg, got)
