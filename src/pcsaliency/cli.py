@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import ctypes
 import functools
 import json
 import sys
@@ -33,8 +34,13 @@ _SWEEP_R = (8, 16, 32, 64, 128)
 _SWEEP_RANGE_K = ((0, 1), (1, 4), (2, 16), (3, 64))
 _SWEEP_BLOCKS = (1, 2, 3, 4)
 
+# glibc <malloc.h> mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -108,6 +114,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_selftest)
 
     return parser
+
+
+@functools.cache  # the policy is process-wide, so it is set once per process
+def _keep_freed_memory() -> None:
+    """Keep freed memory in the process for the next allocation: blocks
+    below 32 MiB come from the heap, which is trimmed only past 128 MiB free.
+
+    At glibc's defaults every freed multi-MB numpy temporary goes back to
+    the OS, and each curve step page-faults fresh zero pages for the same
+    sizes. Set by the command line, not at import, so that a library
+    caller's allocator stays its own. Does nothing where libc has no
+    ``mallopt`` (macOS, Windows); musl's is a no-op.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 128 << 20)
 
 
 def _runconfig(args) -> RunConfig:
@@ -184,7 +210,10 @@ def _map_scenes(cfg: RunConfig, scenes_dir, worker, *args):
     if parallelism <= 1 or len(scenes) <= 1:
         yield from map(task, scenes)
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
+        # a spawn or forkserver worker does not inherit the allocator policy
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=parallelism, initializer=_keep_freed_memory
+        ) as pool:
             yield from pool.map(task, scenes)
 
 

@@ -1,6 +1,9 @@
 import concurrent.futures
+import ctypes
 import json
+import platform
 import re
+import types
 
 import numpy as np
 import pytest
@@ -579,6 +582,8 @@ def _outputs(root):
 
 @pytest.mark.parametrize("command", sorted(_SCENE_COMMANDS))
 def test_parallel_matches_serial(command, multi_scene_dir, tmp_path, monkeypatch):
+    from pcsaliency import cli
+
     pools = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -593,6 +598,8 @@ def test_parallel_matches_serial(command, multi_scene_dir, tmp_path, monkeypatch
     argv = _SCENE_COMMANDS[command](multi_scene_dir, parallel)
     assert main([*argv, *FAST, "--set", "parallelism=2"]) == 0
     assert len(pools) == 1 and pools[0]._max_workers == 2
+    # a spawn or forkserver worker sets the allocator policy itself
+    assert pools[0]._initializer is cli._keep_freed_memory
     # parallelism changes the config hash but no other output byte
     expected = _outputs(serial)
     assert expected and _outputs(parallel) == expected
@@ -742,6 +749,93 @@ def test_parser_is_built_once(tmp_path):
     parser = cli._build_parser()
     assert parser.parse_args(["selftest", "--set", "nmf.r=8"]).overrides == ["nmf.r=8"]
     assert parser.parse_args(["selftest"]).overrides == []
+
+
+@pytest.fixture
+def libc(monkeypatch):
+    """Stands in for the C library ``cli`` loads: ``ctypes.CDLL`` returns
+    ``stub["load"]()``, by default an object whose ``mallopt`` records its
+    calls in ``calls``. The allocator helper's cache is cleared before and
+    after the test."""
+    from pcsaliency import cli
+
+    calls = []
+    stub = {"load": lambda: types.SimpleNamespace(mallopt=lambda *a: calls.append(a))}
+    monkeypatch.setattr(
+        cli, "ctypes", types.SimpleNamespace(CDLL=lambda name: stub["load"](), c_int=ctypes.c_int)
+    )
+    cli._keep_freed_memory.cache_clear()
+    yield stub, calls
+    cli._keep_freed_memory.cache_clear()
+
+
+def test_allocator_policy_set_once_per_process(scene_dir, tmp_path, libc):
+    _, calls = libc
+    for k in range(2):
+        assert main([
+            "explain", "--scene", str(scene_dir / "scene000.bin"),
+            "--detection", "0", "--out", str(tmp_path / f"{k}.csv"), *FAST,
+        ]) == 0
+    assert main([]) == 1
+    # M_MMAP_THRESHOLD 32 MiB, M_TRIM_THRESHOLD 128 MiB
+    assert calls == [(-3, 32 << 20), (-1, 128 << 20)]
+
+
+def _unloadable():
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("load", [_unloadable, object], ids=["load-fails", "no-mallopt"])
+def test_main_unchanged_without_mallopt(load, scene_dir, tmp_path, capsys, libc):
+    from pcsaliency import cli
+
+    out = tmp_path / "sal.ply"
+    cases = [
+        ["explain", "--scene", str(scene_dir / "scene000.bin"), "--detection", "0",
+         "--format", "ply", "--out", str(out), *FAST],
+        ["explain", "--scene", str(scene_dir / "scene000.bin"), "--detection", "99",
+         "--out", str(out), *FAST],
+        ["eval", "--scenes", str(tmp_path / "missing")],
+    ]
+
+    def run():
+        results = []
+        for argv in cases:
+            code = main(argv)
+            results.append((code, capsys.readouterr(), out.read_bytes()))
+        return results
+
+    stub, _ = libc
+    stub["load"] = lambda: ctypes.CDLL(None)  # the real C library
+    expected = run()
+    assert [code for code, _, _ in expected] == [0, 1, 2]
+    stub["load"] = load
+    cli._keep_freed_memory.cache_clear()
+    assert run() == expected
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's mallopt")
+def test_curve_steps_fault_in_no_fresh_pages(detector):
+    import resource
+
+    from pcsaliency import cli
+    from pcsaliency.metrics import deletion_curve, insertion_curve
+    from pcsaliency.pipeline import PipelineConfig, explain_detection, full_mask
+
+    cli._keep_freed_memory()
+    cloud, _, _ = single_object_scene(0)
+    d = detector.detect(cloud)[0]
+    [[saliency]] = explain_detection(detector, cloud, [d], [full_mask()], PipelineConfig())
+
+    def curve_pair():
+        deletion_curve(detector, cloud, d, saliency, 20)
+        insertion_curve(detector, cloud, d, saliency, 20)
+
+    curve_pair()  # the heap grows once to the pair's high-water mark
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    curve_pair()
+    # without the policy every step re-faults ~11 MB: ~76k-99k for the pair
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
 
 
 def test_modes_from_dump(tmp_path, detector):
