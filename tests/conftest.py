@@ -1,9 +1,17 @@
 import functools
+import json
 
 import pytest
 
 from pcsaliency.detector import ReferenceDetector, ReferenceDetectorConfig
 from pcsaliency.voxelgrid import _offsets_within
+
+
+def pytest_report_header():
+    """Which comparison the golden outputs get on this machine."""
+    from test_golden import MANIFEST, comparison
+
+    return comparison(json.loads(MANIFEST.read_text()))
 
 
 @pytest.fixture(scope="session")
