@@ -169,21 +169,21 @@ def _parse_mask(text: str):
 # ----------------------------------------------------------------------
 # the scene path every command runs
 
-def _explain_scene(cfg: RunConfig, cloud, pick, masks):
+def _explain_scene(detector, cfg: RunConfig, cloud, pick, masks):
     """Detect in one scene and explain each pick under each mask.
 
     ``pick(detections)`` returns tuples led by a detection index. Returns the
-    detector, the detections and ``(pick, [saliency per mask])`` per pick,
-    all from one ``explain_detection`` call in one scene scope. The scope
-    ends with the call, which frees the scene forward's block values."""
-    detector = cfg.build_detector()
+    detections and ``(pick, [saliency per mask])`` per pick, all from one
+    ``explain_detection`` call in one scene scope. Unless the caller holds
+    a scope on the cloud, the scope ends with the call, which frees the
+    scene forward's block values."""
     with detector.scene(cloud):
         detections = detector.detect(cloud)
         picks = pick(detections)
         saliencies = explain_detection(
             detector, cloud, [detections[p[0]] for p in picks], masks, cfg.pipeline_config()
         )
-    return detector, detections, list(zip(picks, saliencies))
+    return detections, list(zip(picks, saliencies))
 
 
 def _load_scene(bin_path, labels_path):
@@ -235,7 +235,7 @@ def _cmd_explain(args) -> int:
             )
         return [(args.detection,)]
 
-    [(_, [saliency])] = _explain_scene(cfg, cloud, pick, [mask])[2]
+    [(_, [saliency])] = _explain_scene(cfg.build_detector(), cfg, cloud, pick, [mask])[1]
     write_saliency(cloud, saliency, args.format, out)
     print(f"wrote {out} (config {cfg.config_hash()})")
     return 0
@@ -247,14 +247,17 @@ def _cmd_explain(args) -> int:
 def _eval_worker(cfg: RunConfig, scene):
     scene_id, bin_path, labels_path = scene
     cloud, gts = _load_scene(bin_path, labels_path)
-    detector, detections, explained = _explain_scene(
-        cfg, cloud, _well_detected(cfg, gts), [full_mask()]
-    )
+    detector = cfg.build_detector()
     steps = cfg.get("eval.steps")
     config_hash = cfg.config_hash()
     rows = []
-    # every curve rerun of this scene shares one layout of the cloud's voxels
+    # one scope for the explanation and every curve step: one layout of the
+    # cloud's voxels, and each step a delta of the one before, through both
+    # curves of every detection
     with detector.scene(cloud):
+        detections, explained = _explain_scene(
+            detector, cfg, cloud, _well_detected(cfg, gts), [full_mask()]
+        )
         for (pi, gi, _), [saliency] in explained:
             det = detections[pi]
             gt_box = gts[gi][0]
@@ -338,7 +341,9 @@ def _cmd_sweep(args) -> int:
 def _aggregate_worker(cfg: RunConfig, masks, scene):
     _, bin_path, labels_path = scene
     cloud, gts = _load_scene(bin_path, labels_path)
-    _, detections, explained = _explain_scene(cfg, cloud, _well_detected(cfg, gts), masks)
+    detections, explained = _explain_scene(
+        cfg.build_detector(), cfg, cloud, _well_detected(cfg, gts), masks
+    )
     return [
         (detections[pi].label, canonicalize(cloud, detections[pi].box()), saliencies)
         for (pi, _, _), saliencies in explained
@@ -392,7 +397,9 @@ def _modes_worker(cfg: RunConfig, grids: bool, scene):
         tp_set = {pi for pi, _, _ in metrics.well_detected(detections, gts, cfg.thresholds())}
         return [(pi, pi in tp_set) for pi in range(len(detections))]
 
-    _, detections, explained = _explain_scene(cfg, cloud, every_detection, [full_mask()])
+    detections, explained = _explain_scene(
+        cfg.build_detector(), cfg, cloud, every_detection, [full_mask()]
+    )
     records = []
     for (pi, is_tp), [saliency] in explained:
         box = detections[pi].box()

@@ -11,6 +11,7 @@ tests pin them against central finite differences.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from typing import ContextManager, Protocol
@@ -91,14 +92,22 @@ class ReferenceDetectorConfig:
         return GridSpec(self.voxel_size, self.x_range, self.y_range, self.z_range)
 
 
+# Fewest rows a block product runs on once a block has that many live rows.
+# A product row's bits then do not depend on the row count (OpenBLAS switches
+# kernels below ~38 rows at feature width 32), so the rows a curve step
+# recomputes equal those of a product over the whole block.
+_MIN_PRODUCT_ROWS = 128
+
+
 @dataclass
 class _SceneHold:
-    """The cloud a ``scene`` scope serves, and its layout and forward once
-    computed."""
+    """The cloud a ``scene`` scope serves, and its layout, forward and
+    curve-step state once computed."""
 
     cloud: np.ndarray
     layout: "_Layout | None" = None
     forward: "_Forward | None" = None
+    carry: "_Carry | None" = None
 
 
 @dataclass
@@ -115,6 +124,46 @@ class _Layout:
     per_point: np.ndarray  # in-grid point: offset from its voxel corner, intensity
     block_coords: list[np.ndarray]  # per block 1..B, lex-sorted voxel coords
     parent_rows: list[np.ndarray]  # block b>=2: child row -> parent row
+
+    @functools.cached_property
+    def beneath(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per block, the entries beneath each row (in-grid points at block
+        1, child rows above) in ascending order, as ``(entries, starts)``:
+        row r's are ``entries[starts[r]:starts[r + 1]]``. Sorted on first
+        use, by the first curve step that updates a block as a delta."""
+        csr = []
+        for b, coords in enumerate(self.block_coords):
+            held = self.base_rows if b == 0 else self.parent_rows[b]
+            starts = np.zeros(len(coords) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(held, minlength=len(coords)), out=starts[1:])
+            csr.append((np.argsort(held, kind="stable"), starts))
+        return csr
+
+
+@dataclass
+class _Carry:
+    """The values pass of the last keep mask, over a layout's held rows.
+
+    Per block, ``counts`` counts what lies beneath each held row (its kept
+    points at block 1, its live children above) and ``values`` holds each
+    live row's block output; a row with count 0 is dead and its values are
+    stale. ``live`` is the number of live rows per block.
+    """
+
+    kept: np.ndarray  # in-grid point -> kept by the last pass
+    counts: list[np.ndarray]
+    live: list[int]
+    values: list["np.ndarray | None"]
+
+    @classmethod
+    def empty(cls, layout: _Layout) -> "_Carry":
+        """The state of no kept point: every row dead, no values yet."""
+        return cls(
+            np.zeros(len(layout.base_rows), dtype=bool),
+            [np.zeros(len(coords), dtype=np.int64) for coords in layout.block_coords],
+            [0] * len(layout.block_coords),
+            [None] * len(layout.block_coords),
+        )
 
 
 @dataclass
@@ -158,9 +207,12 @@ class ReferenceDetector:
         """Reuse one forward pass for every call on ``cloud`` inside the block.
 
         The first ``detect``/``features``/``gradient`` call on this very
-        array object computes the forward and later calls on it reuse it;
-        ``detect_subset`` calls on it share one layout of its voxels. Any
-        other array, such as a perturbed copy, gets a fresh forward as
+        array object computes the forward and later calls on it reuse it.
+        ``detect_subset`` calls on it share that forward's layout of the
+        voxels and carry the last call's values forward, so each recomputes
+        only the rows beneath the points whose keep flag flipped. The first
+        such call releases a held forward, which a later call recomputes.
+        Any other array, such as a perturbed copy, gets a fresh forward as
         outside the block. The match is by identity, not content, so the
         cloud must not be mutated inside the block. A block nested in one
         on the same array reuses the outer block's hold. Leaving the
@@ -178,9 +230,9 @@ class ReferenceDetector:
         return list(self._forward(cloud).detections)
 
     def detect_subset(self, cloud: np.ndarray, keep: np.ndarray) -> list[Detection]:
-        """``detect(cloud[keep])``, bit for bit, from the layout of ``cloud``
-        that a ``scene`` scope on it holds; outside one the layout is built
-        for this call."""
+        """``detect(cloud[keep])``, bit for bit, as the delta from the last
+        call's state that a ``scene`` scope on ``cloud`` holds; outside one
+        it is a whole forward on the cloud's layout."""
         keep = np.asarray(keep, dtype=bool)
         if keep.shape != (len(cloud),):
             raise LengthMismatch(f"keep mask of shape {keep.shape} != cloud length {len(cloud)}")
@@ -188,12 +240,15 @@ class ReferenceDetector:
             raise EmptyCloud("detector requires a non-empty point cloud")
         hold = self._hold
         if hold is None or cloud is not hold.cloud:
-            layout = self._layout(cloud)
-        else:
-            if hold.layout is None:
-                hold.layout = self._layout(cloud)
-            layout = hold.layout
-        return self._values_pass(layout, keep).detections
+            return self._values_pass(self._layout(cloud), keep).detections
+        layout = self._layout_for(cloud)
+        if hold.carry is None:
+            # the steps' state takes the place of the scene forward rather
+            # than joining it: both are one forward's block values
+            hold.forward = None
+            hold.carry = _Carry.empty(layout)
+        self._advance(layout, hold.carry, keep)
+        return self._head(*self._last_block(layout, hold.carry))[2]
 
     def features(self, cloud: np.ndarray, block_index: int) -> SparseVoxelMap:
         self._check_block(block_index)
@@ -244,7 +299,17 @@ class ReferenceDetector:
         return hold.forward
 
     def _compute_forward(self, cloud: np.ndarray) -> _Forward:
-        return self._values_pass(self._layout(cloud))
+        return self._values_pass(self._layout_for(cloud))
+
+    def _layout_for(self, cloud: np.ndarray) -> _Layout:
+        """The layout of ``cloud``: held by a scene scope on it, else built
+        for the call."""
+        hold = self._hold
+        if hold is None or cloud is not hold.cloud:
+            return self._layout(cloud)
+        if hold.layout is None:
+            hold.layout = self._layout(cloud)
+        return hold.layout
 
     def _layout(self, cloud: np.ndarray) -> _Layout:
         """Lex-sorted occupied voxels of every block, each in-grid point's
@@ -267,40 +332,118 @@ class ReferenceDetector:
         return _Layout(inside, base_rows, per_point, block_coords, parent_rows)
 
     def _values_pass(self, layout: _Layout, keep: np.ndarray | None = None) -> _Forward:
-        """The forward of the cloud's points under ``keep`` (all when None).
+        """The forward of the cloud's points under ``keep`` (all when None):
+        the delta from the empty state, with every row dirty, compacted.
 
         Each block's voxels are the held ones with something beneath them,
-        renumbered in held order, so every scatter and product below gets
-        exactly the operands a forward on ``cloud[keep]`` computes.
+        renumbered in held order, so every scatter and product gets exactly
+        the operands a forward on ``cloud[keep]`` computes.
         """
-        rows, per_point = layout.base_rows, layout.per_point
-        if keep is not None:
-            # np.compress: a boolean row gather several times faster than a[mask]
-            kept = np.compress(layout.inside, keep)
-            rows, per_point = np.compress(kept, rows), np.compress(kept, per_point, axis=0)
-        live, rows, counts = _compact(rows, len(layout.block_coords[0]))
-        values = self._base_descriptors(rows, counts, per_point)
+        carry = _Carry.empty(layout)
+        pooled_by = self._advance(layout, carry, keep)
         block_coords, block_values = [], []
-        parent_rows: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-        for b in range(self.cfg.num_blocks):
-            if b > 0:
-                live, inverse, counts = _compact(
-                    np.compress(live, layout.parent_rows[b]), len(layout.block_coords[b])
-                )
-                # sum pooling: a parent's feature is the accumulated evidence
-                # of everything beneath it, so removing points anywhere under
-                # a cell always lowers its activation
-                values = _scatter_sum(inverse, values, len(counts))
-                parent_rows.append(inverse)
-            values = self._block_output(b, values)
-            block_coords.append(np.compress(live, layout.block_coords[b], axis=0))
-            block_values.append(values)
-
+        for coords, counts, values in zip(layout.block_coords, carry.counts, carry.values):
+            live = counts > 0
+            block_coords.append(np.compress(live, coords, axis=0))
+            block_values.append(values if len(values) == len(block_coords[-1])
+                                else np.compress(live, values, axis=0))
+        parent_rows = [np.zeros(0, dtype=np.int64), *pooled_by[1:]]
         activations, clusters, detections = self._head(block_coords[-1], block_values[-1])
         return _Forward(
             block_coords, block_values, parent_rows,
             activations, clusters, detections,
         )
+
+    def _last_block(self, layout: _Layout, carry: _Carry):
+        """Coordinates and values of the last block's live rows."""
+        live = carry.counts[-1] > 0
+        return (
+            np.compress(live, layout.block_coords[-1], axis=0),
+            np.compress(live, carry.values[-1], axis=0),
+        )
+
+    def _advance(self, layout: _Layout, carry: _Carry, keep: np.ndarray | None) -> list:
+        """Move ``carry`` to the forward under ``keep`` (all points when None).
+
+        Only the rows beneath a flipped keep flag are dirty: a base voxel
+        under a flipped point, then each parent of a dirty child. A dirty
+        row is recounted, and recomputed if live, from its kept points or
+        live children in ascending order, which ``_scatter_sum`` adds as a
+        whole pass does; the block product runs on those rows padded with
+        zero rows to ``_MIN_PRODUCT_ROWS``.
+
+        A block with fewer live rows than that, now or at the last pass, is
+        recomputed whole, as a whole pass computes it; so are the blocks
+        above it, which have no more live rows. From the empty state every
+        block is whole. Returns per block the rows its live entries beneath
+        were pooled into, numbered among its live rows, or None for a block
+        updated as a delta.
+        """
+        if keep is None:
+            kept = np.ones(len(layout.base_rows), dtype=bool)
+        else:
+            kept = np.compress(layout.inside, keep)
+        kept_before, carry.kept = carry.kept, kept
+        pooled_by = []
+        whole = carry.live[0] < _MIN_PRODUCT_ROWS
+        if not whole:
+            touched = layout.base_rows[np.flatnonzero(kept != kept_before)]
+        for b in range(self.cfg.num_blocks):
+            m = len(layout.block_coords[b])
+            counts = carry.counts[b]
+            below = layout.per_point if b == 0 else carry.values[b - 1]
+            if not whole:
+                dirty = np.unique(touched)
+                entries, group = _segments(*layout.beneath[b], dirty)
+                if b == 0:
+                    live_entries = kept[entries]
+                else:
+                    live_entries = carry.counts[b - 1][entries] > 0
+                entries, group = entries[live_entries], group[live_entries]
+                n = np.bincount(group, minlength=len(dirty))
+                carry.live[b] += int(np.count_nonzero(n)) - int(np.count_nonzero(counts[dirty]))
+                counts[dirty] = n
+                whole = carry.live[b] < _MIN_PRODUCT_ROWS
+            if whole:
+                live_below = kept if b == 0 else carry.counts[b - 1] > 0
+                held = layout.base_rows if b == 0 else layout.parent_rows[b]
+                if not live_below.all():
+                    held = np.compress(live_below, held)
+                    below = np.compress(live_below, below, axis=0)
+                redo, rows, n = _compact(held, m)
+                counts.fill(0)
+                counts[redo] = n
+                carry.live[b] = len(n)
+            else:
+                redo = n > 0
+                rows = (np.cumsum(redo) - 1).take(group)
+                redo, n, below = dirty[redo], n[redo], below[entries]
+            pooled_by.append(rows if whole else None)
+            if b == 0:
+                out = self._rows_output(b, self._base_descriptors(rows, n, below), whole)
+            else:
+                # sum pooling: a parent's feature is the accumulated evidence
+                # of everything beneath it, so removing points anywhere under
+                # a cell always lowers its activation
+                out = self._rows_output(b, _scatter_sum(rows, below, len(n)), whole)
+            if len(out) == m:
+                carry.values[b] = out
+            else:
+                if carry.values[b] is None:
+                    carry.values[b] = np.zeros((m, out.shape[1]))
+                carry.values[b][redo] = out
+            if not whole and b + 1 < self.cfg.num_blocks:
+                touched = layout.parent_rows[b + 1][dirty]
+        return pooled_by
+
+    def _rows_output(self, b: int, pooled: np.ndarray, whole: bool) -> np.ndarray:
+        """Block ``b``'s output of the ``pooled`` rows: of a whole block as
+        they are, of some rows padded with zero rows to ``_MIN_PRODUCT_ROWS``."""
+        if whole or len(pooled) >= _MIN_PRODUCT_ROWS:
+            return self._block_output(b, pooled)
+        padded = np.zeros((_MIN_PRODUCT_ROWS, pooled.shape[1]))
+        padded[: len(pooled)] = pooled
+        return self._block_output(b, padded)[: len(pooled)]
 
     def _block_output(self, b: int, pooled: np.ndarray) -> np.ndarray:
         """Rectified seeded linear map of block ``b`` (0-based)."""
@@ -479,6 +622,16 @@ def _scatter_sum(inverse: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     flat = (inverse[:, None] * cols + np.arange(cols)).ravel()
     sums = np.bincount(flat, weights=values.ravel(), minlength=n * cols)
     return sums.reshape(n, cols)
+
+
+def _segments(entries: np.ndarray, starts: np.ndarray, rows: np.ndarray):
+    """The CSR segments of ``rows`` concatenated in order, and for each of
+    their entries the position in ``rows`` of the row it belongs to."""
+    lo = starts[rows]
+    lengths = starts[rows + 1] - lo
+    group = np.repeat(np.arange(len(rows)), lengths)
+    first = np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
+    return entries[np.arange(len(group)) + first], group
 
 
 def _compact(held: np.ndarray, n: int):

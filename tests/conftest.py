@@ -1,10 +1,37 @@
+import ctypes
 import functools
+import glob
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pcsaliency.detector import ReferenceDetector, ReferenceDetectorConfig
 from pcsaliency.voxelgrid import _offsets_within
+
+
+def blas_fingerprint() -> dict:
+    """numpy's version and the OpenBLAS build and kernel it runs: the inputs
+    that decide how a product rounds. Values read ``unknown`` where the
+    library exposes no query."""
+    numpy_dir = Path(np.__file__).parent
+    libs = sorted(glob.glob(str(numpy_dir.parent / "numpy.libs" / "*openblas*")))
+    libs += sorted(glob.glob(str(numpy_dir / ".dylibs" / "*openblas*")))
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            get_config = getattr(lib, f"{prefix}_get_config{suffix}", None)
+            get_core = getattr(lib, f"{prefix}_get_corename{suffix}", None)
+            if get_config is not None and get_core is not None:
+                get_config.restype = get_core.restype = ctypes.c_char_p
+                return {"numpy": np.__version__, "openblas": get_config().decode(),
+                        "core": get_core().decode()}
+    return {"numpy": np.__version__, "openblas": "unknown", "core": "unknown"}
 
 
 def pytest_report_header():

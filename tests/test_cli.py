@@ -607,15 +607,15 @@ def test_parallel_matches_serial(command, multi_scene_dir, tmp_path, monkeypatch
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts of real detector forwards (whole cloud or subset), of the voxel
-    layouts they sort and of concept factorizations, plus every detector the
-    CLI builds."""
+    """Counts of detector values passes (a whole forward, or a curve step's
+    delta from the step before), of the voxel layouts they sort and of
+    concept factorizations, plus every detector the CLI builds."""
     from pcsaliency import nmf
     from pcsaliency.detector import ReferenceDetector
 
     counts = {"forward": 0, "layout": 0, "factorize": 0, "detectors": []}
     compute, layout, factorize, build = (
-        ReferenceDetector._values_pass, ReferenceDetector._layout, nmf.factorize,
+        ReferenceDetector._advance, ReferenceDetector._layout, nmf.factorize,
         RunConfig.build_detector,
     )
 
@@ -636,7 +636,7 @@ def work(monkeypatch):
         counts["detectors"].append(detector)
         return detector
 
-    monkeypatch.setattr(ReferenceDetector, "_values_pass", counted_forward)
+    monkeypatch.setattr(ReferenceDetector, "_advance", counted_forward)
     monkeypatch.setattr(ReferenceDetector, "_layout", counted_layout)
     monkeypatch.setattr(nmf, "factorize", counted_factorize)
     monkeypatch.setattr(RunConfig, "build_detector", recorded_build)
@@ -668,9 +668,8 @@ def test_eval_factorizes_once_per_scene(multi_scene_dir, tmp_path, work):
     assert work["factorize"] == 2
     # one scene forward, then two curves of eval.steps + 1 reruns per detection
     assert work["forward"] == 2 * (1 + 2 * 2 * 6)
-    # the reruns sort nothing: one layout for the scene forward, one shared
-    # by every curve step
-    assert work["layout"] == 2 * 2
+    # the reruns sort nothing: the scene forward's layout serves every curve step
+    assert work["layout"] == 2
 
 
 def test_modes_factorizes_once_per_scene(multi_scene_dir, tmp_path, work):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcsaliency.detector import (
+    _MIN_PRODUCT_ROWS,
     ReferenceDetector,
     ReferenceDetectorConfig,
     _scatter_sum,
@@ -14,6 +15,8 @@ from pcsaliency.pipeline import (
     Detection, PipelineConfig, explain_detection, full_mask, make_mask,
 )
 from pcsaliency.synthetic import multi_object_scene, noise_scene, single_object_scene
+
+from conftest import blas_fingerprint
 
 
 def dense_cluster(center, size, n, seed, intensity=0.5):
@@ -449,6 +452,187 @@ def test_subset_forward_bit_identical_on_random_clouds(seed, n, with_intensity, 
     keep = rng.uniform(size=n) < kept
     keep[rng.integers(n)] = True
     assert_subset_matches_fresh(detector, cloud, keep)
+
+
+# ----------------------------------------------------------------------
+# carried curve-step state: inside a scene scope each detect_subset call is
+# a delta of the one before, and must leave what a fresh forward computes
+
+
+def assert_carry_matches_fresh(detector, cloud, keep):
+    """The scope's carried state under ``keep``, row for row, against a
+    fresh forward on ``cloud[keep]``; returns the number of blocks updated
+    as a delta."""
+    hold = detector._hold
+    fresh = detector._compute_forward(cloud[keep])
+    for b, (coords, counts, values) in enumerate(
+        zip(hold.layout.block_coords, hold.carry.counts, hold.carry.values)
+    ):
+        live = counts > 0
+        assert hold.carry.live[b] == np.count_nonzero(live)
+        assert bits(np.compress(live, coords, axis=0)) == bits(fresh.block_coords[b])
+        assert bits(np.compress(live, values, axis=0)) == bits(fresh.block_values[b])
+    return fresh
+
+
+class CountingDeltas:
+    """Records, per ``_advance`` call on one detector's carried state, how
+    many blocks it updated as a delta."""
+
+    def __init__(self, detector, monkeypatch):
+        self.deltas = []
+        advance = detector._advance
+
+        def counted(layout, carry, keep):
+            pooled_by = advance(layout, carry, keep)
+            if detector._hold is not None and carry is detector._hold.carry:
+                self.deltas.append(sum(rows is None for rows in pooled_by))
+            return pooled_by
+
+        monkeypatch.setattr(detector, "_advance", counted)
+
+
+def run_keep_sequence(detector, cloud, masks):
+    with detector.scene(cloud):
+        for keep in masks:
+            got = detector.detect_subset(cloud, keep)
+            fresh = assert_carry_matches_fresh(detector, cloud, keep)
+            assert got == fresh.detections == detector.detect(cloud[keep])
+
+
+def _apply(op, fraction, seed, mask, history):
+    """The next keep mask of a sequence: ``op`` grows, shrinks or thins the
+    last one, or returns to an earlier one."""
+    rng = np.random.default_rng(seed)
+    flip = rng.uniform(size=len(mask)) < fraction
+    if op == "grow":
+        mask = mask | flip
+    elif op == "shrink":
+        mask = mask & ~flip
+    elif op == "few":  # a handful of points: every block falls below the minimum rows
+        mask = np.zeros(len(mask), dtype=bool)
+        mask[rng.choice(len(mask), size=min(len(mask), 1 + int(fraction * 40)), replace=False)] = True
+    else:  # "revert"
+        mask = history[int(fraction * (len(history) - 1))]
+    if not mask.any():
+        mask = mask.copy()
+        mask[rng.integers(len(mask))] = True
+    return mask
+
+
+_KEEP_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(("grow", "shrink", "few", "revert")),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    ),
+    min_size=1, max_size=8,
+)
+
+
+def _keep_sequence(n, start, ops):
+    masks = [start]
+    for op, fraction, seed in ops:
+        masks.append(_apply(op, fraction, seed, masks[-1], masks))
+    return masks
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    clump=st.floats(0.2, 4.0),
+    start=st.floats(0.0, 1.0),
+    ops=_KEEP_OPS,
+)
+def test_carried_steps_bit_identical_on_random_clouds(seed, clump, start, ops):
+    # past a few hundred spread points block 1 has more live rows than the
+    # minimum product rows and updates as a delta; the seed draws the point
+    # count uniformly, so that most clouds get there
+    detector = ReferenceDetector(_SMALL_GRID)
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 1500))
+    cloud = np.hstack([rng.normal((3.0, 3.0, 1.5), clump, size=(n, 3)), rng.uniform(size=(n, 1))])
+    first = rng.uniform(size=n) < start
+    first[rng.integers(n)] = True
+    run_keep_sequence(detector, cloud, _keep_sequence(n, first, ops))
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(ops=_KEEP_OPS)
+def test_carried_steps_bit_identical_on_a_default_scene(ops):
+    detector = ReferenceDetector()
+    cloud, _, _ = single_object_scene(3)
+    start = np.ones(len(cloud), dtype=bool)
+    # small flips, as a curve step makes, besides the drawn ones
+    ops = [("shrink", 0.03, 1), *ops, ("grow", 0.02, 2)]
+    run_keep_sequence(detector, cloud, _keep_sequence(len(cloud), start, ops))
+
+
+def test_carried_steps_take_every_path(monkeypatch):
+    """Deltas that grow, shrink, return to an earlier mask, and drop every
+    block below the minimum product rows and back: each step matches a
+    fresh forward, and the sequence updates blocks both as deltas and whole."""
+    detector = ReferenceDetector()
+    cloud, _, _ = single_object_scene(0)
+    counting = CountingDeltas(detector, monkeypatch)
+    ops = [("shrink", 0.02, 1), ("shrink", 0.05, 2), ("grow", 0.01, 3), ("revert", 0.0, 0),
+           ("few", 0.5, 4), ("grow", 0.9, 5), ("revert", 0.4, 0), ("grow", 1.0, 6)]
+    masks = _keep_sequence(len(cloud), np.ones(len(cloud), dtype=bool), ops)
+    run_keep_sequence(detector, cloud, masks)
+    advances = counting.deltas
+    assert len(advances) == len(masks)
+    assert advances[0] == 0  # from the empty state every block is whole
+    assert advances[1] == detector.cfg.num_blocks  # a 2% thinning: all deltas
+    assert 0 in advances[5:]  # the few points and the way back are whole
+    assert max(advances[6:]) > 0  # deltas again once back above the minimum
+
+
+@pytest.mark.parametrize("seed", (0, 5))
+def test_carried_curve_steps_match_fresh_forwards(seed):
+    """Both curves of a detection in one scope, each step checked against a
+    fresh forward while the state carries through."""
+    detector = ReferenceDetector()
+    cloud, _, _ = single_object_scene(seed)
+    d = detector.detect(cloud)[0]
+    [[saliency]] = explain_detection(detector, cloud, [d], [full_mask()], PipelineConfig())
+    checked = []
+
+    class Checking(RecordingDetector):
+        def detect_subset(self, cloud, keep):
+            got = self.detector.detect_subset(cloud, keep)
+            assert got == assert_carry_matches_fresh(self.detector, cloud, keep).detections
+            checked.append(keep.copy())
+            return got
+
+    with detector.scene(cloud):
+        checker = Checking(detector)
+        deletion = deletion_curve(checker, cloud, d, saliency, 20)
+        insertion = insertion_curve(checker, cloud, d, saliency, 20)
+    assert len(checked) == 2 * 21
+    assert bits(deletion.values) == bits(deletion_curve(detector, cloud, d, saliency, 20).values)
+    assert bits(insertion.values) == bits(insertion_curve(detector, cloud, d, saliency, 20).values)
+
+
+def test_product_rows_do_not_depend_on_the_row_count(detector):
+    """The carried state rests on this: from ``_MIN_PRODUCT_ROWS`` rows up, a
+    block product row has the same bits whatever the other rows, and a
+    smaller batch padded with zero rows to that count gives the rows of the
+    whole product. A BLAS kernel that breaks it would show only as
+    drifting AUCs, so it fails here by name."""
+    rng = np.random.default_rng(0)
+    d = detector.cfg.feature_dim
+    x = np.abs(rng.normal(size=(6000, d))) * 10.0 ** rng.integers(-3, 3, size=(6000, 1))
+    kernel = blas_fingerprint()
+    for b in range(detector.cfg.num_blocks):
+        whole = detector._block_output(b, x)
+        for size in (1, 5, 37, 38, 100, _MIN_PRODUCT_ROWS, _MIN_PRODUCT_ROWS + 1, 300, 1025, 4999):
+            rows = np.sort(rng.choice(len(x), size=size, replace=False))
+            got = detector._rows_output(b, x[rows], whole=False)
+            assert bits(got) == bits(whole[rows]), (
+                f"block {b + 1}: a product of {max(size, _MIN_PRODUCT_ROWS)} rows rounds "
+                f"differently from one of {len(x)} under BLAS {kernel}; curve steps "
+                f"would no longer equal fresh forwards"
+            )
 
 
 def test_detect_subset_rejects_bad_masks(detector):

@@ -25,8 +25,6 @@ machine's fingerprint and the comparison it gets.
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import glob
 import hashlib
 import io
 import json
@@ -43,6 +41,8 @@ from pcsaliency.cli import main
 from pcsaliency.fileio import write_kitti_bin, write_labels_json
 from pcsaliency.runconfig import RunConfig
 from pcsaliency.synthetic import multi_object_scene, single_object_scene
+
+from conftest import blas_fingerprint
 
 MANIFEST = Path(__file__).parent / "golden" / "manifest.json"
 SINGLE_SEEDS = (0, 1, 2)
@@ -99,32 +99,6 @@ def run_all(root: Path) -> Path:
 
 # ----------------------------------------------------------------------
 # fingerprint
-
-
-def blas_fingerprint() -> dict:
-    """numpy's version and the OpenBLAS build and kernel it runs: the inputs
-    that decide how a product rounds. Values read ``unknown`` where the
-    library exposes no query."""
-    config, core = "unknown", "unknown"
-    numpy_dir = Path(np.__file__).parent
-    libs = sorted(glob.glob(str(numpy_dir.parent / "numpy.libs" / "*openblas*")))
-    libs += sorted(glob.glob(str(numpy_dir / ".dylibs" / "*openblas*")))
-    for path in libs:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
-                               ("openblas", "64_"), ("openblas", "")):
-            get_config = getattr(lib, f"{prefix}_get_config{suffix}", None)
-            get_core = getattr(lib, f"{prefix}_get_corename{suffix}", None)
-            if get_config is not None and get_core is not None:
-                get_config.restype = get_core.restype = ctypes.c_char_p
-                config, core = get_config().decode(), get_core().decode()
-                break
-        if config != "unknown":
-            break
-    return {"numpy": np.__version__, "openblas": config, "core": core}
 
 
 def comparison(manifest: dict) -> str:
