@@ -23,7 +23,7 @@ from . import metrics
 from .aggregate import CanonicalGrid, ObjectExplanation, grid_to_csv, mode_report, write_grid
 from .boxes import OrientedBox, canonicalize, iou_3d, points_in_box
 from .detector import grad_check
-from .errors import IoFailure, SaliencyError, ValidationError, ZeroEnergy
+from .errors import IoFailure, SaliencyError, ValidationError, WorkerDied, ZeroEnergy
 from .fileio import read_kitti_bin, read_labels_json, write_json, write_saliency, writing
 from .metrics import auc, deletion_curve, energy_pg, insertion_curve, pointing_game, vea
 from .nmf import NmfConfig, factorize
@@ -214,7 +214,14 @@ def _map_scenes(cfg: RunConfig, scenes_dir, worker, *args):
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=parallelism, initializer=_keep_freed_memory
         ) as pool:
-            yield from pool.map(task, scenes)
+            try:
+                yield from pool.map(task, scenes)
+            except concurrent.futures.BrokenExecutor as exc:
+                # a worker killed from outside, by the OOM killer for one
+                raise WorkerDied(
+                    f"a scene worker process died (parallelism={parallelism}); "
+                    f"a lower parallelism needs less memory: {exc}"
+                ) from exc
 
 
 # ----------------------------------------------------------------------

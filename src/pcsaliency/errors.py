@@ -13,6 +13,10 @@ class SaliencyError(Exception):
     """Base class for all package-specific errors."""
 
 
+class WorkerDied(SaliencyError):
+    """A process of the scene pool exited before returning its scene."""
+
+
 class ValidationError(SaliencyError):
     """Invalid input data or configuration."""
 

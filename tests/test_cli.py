@@ -4,6 +4,7 @@ import json
 import platform
 import re
 import types
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -603,6 +604,33 @@ def test_parallel_matches_serial(command, multi_scene_dir, tmp_path, monkeypatch
     # parallelism changes the config hash but no other output byte
     expected = _outputs(serial)
     assert expected and _outputs(parallel) == expected
+
+
+def test_dying_pool_worker_exits_one(multi_scene_dir, tmp_path, monkeypatch, capsys):
+    class DyingPool:
+        """A pool whose worker died, as a killed worker's pool reports it."""
+
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            raise BrokenProcessPool(
+                "A process in the process pool was terminated abruptly"
+            )
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DyingPool)
+    out = tmp_path / "m.jsonl"
+    argv = ["eval", "--scenes", str(multi_scene_dir), "--out", str(out), "--set", "parallelism=2"]
+    assert main([*argv, *FAST]) == 1
+    err = capsys.readouterr().err
+    assert "worker process died" in err and "parallelism=2" in err
+    assert not out.exists()
 
 
 @pytest.fixture
