@@ -165,6 +165,22 @@ class _Carry:
             [None] * len(layout.block_coords),
         )
 
+    @classmethod
+    def of(cls, forward: "_Forward", layout: _Layout) -> "_Carry":
+        """The state of every point kept, taken over from the whole cloud's
+        forward, whose block values it then overwrites: each held row is
+        live, with all its points or children."""
+        counts = [
+            np.bincount(held, minlength=len(coords))
+            for held, coords in zip([layout.base_rows, *layout.parent_rows[1:]], layout.block_coords)
+        ]
+        return cls(
+            np.ones(len(layout.base_rows), dtype=bool),
+            counts,
+            [len(coords) for coords in layout.block_coords],
+            list(forward.block_values),
+        )
+
 
 @dataclass
 class _Forward:
@@ -243,10 +259,10 @@ class ReferenceDetector:
             return self._values_pass(self._layout(cloud), keep).detections
         layout = self._layout_for(cloud)
         if hold.carry is None:
-            # the steps' state takes the place of the scene forward rather
-            # than joining it: both are one forward's block values
-            hold.forward = None
-            hold.carry = _Carry.empty(layout)
+            # the steps' state takes the scene forward's place and its block
+            # values, which only ``features`` hands out, as copies
+            forward, hold.forward = hold.forward, None
+            hold.carry = _Carry.empty(layout) if forward is None else _Carry.of(forward, layout)
         self._advance(layout, hold.carry, keep)
         return self._head(*self._last_block(layout, hold.carry))[2]
 
@@ -255,7 +271,8 @@ class ReferenceDetector:
         fw = self._forward(cloud)
         return SparseVoxelMap(
             fw.block_coords[block_index - 1],
-            fw.block_values[block_index - 1],
+            # a copy: curve steps in the scope take the values over in place
+            fw.block_values[block_index - 1].copy(),
             self.grid.scaled(2 ** (block_index - 1)),
         )
 

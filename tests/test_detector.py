@@ -492,8 +492,12 @@ class CountingDeltas:
         monkeypatch.setattr(detector, "_advance", counted)
 
 
-def run_keep_sequence(detector, cloud, masks):
+def run_keep_sequence(detector, cloud, masks, from_forward=False):
+    """Each mask's ``detect_subset`` in one scope, checked against a fresh
+    forward; ``from_forward`` starts the state from the scene forward."""
     with detector.scene(cloud):
+        if from_forward:
+            detector.detect(cloud)
         for keep in masks:
             got = detector.detect_subset(cloud, keep)
             fresh = assert_carry_matches_fresh(detector, cloud, keep)
@@ -557,7 +561,7 @@ def test_carried_steps_bit_identical_on_random_clouds(seed, clump, start, ops):
     run_keep_sequence(detector, cloud, _keep_sequence(n, first, ops))
 
 
-@settings(derandomize=True, deadline=None, max_examples=12)
+@settings(derandomize=True, deadline=None, max_examples=8)
 @given(ops=_KEEP_OPS)
 def test_carried_steps_bit_identical_on_a_default_scene(ops):
     detector = ReferenceDetector()
@@ -565,7 +569,22 @@ def test_carried_steps_bit_identical_on_a_default_scene(ops):
     start = np.ones(len(cloud), dtype=bool)
     # small flips, as a curve step makes, besides the drawn ones
     ops = [("shrink", 0.03, 1), *ops, ("grow", 0.02, 2)]
-    run_keep_sequence(detector, cloud, _keep_sequence(len(cloud), start, ops))
+    masks = _keep_sequence(len(cloud), start, ops)
+    run_keep_sequence(detector, cloud, masks, from_forward=True)
+
+
+def test_steps_take_over_the_scene_forward_but_not_handed_out_maps():
+    detector = ReferenceDetector()
+    cloud, _, _ = single_object_scene(0)
+    keep = np.arange(len(cloud)) % 7 != 0
+    with detector.scene(cloud):
+        maps = [detector.features(cloud, b) for b in range(1, 5)]
+        before = [bits(m.values) for m in maps]
+        detector.detect_subset(cloud, keep)
+        assert detector._hold.forward is None
+        assert [bits(m.values) for m in maps] == before
+        assert bits(detector.features(cloud, 3).values) == before[2]
+        assert detector.detect_subset(cloud, keep) == detector.detect(cloud[keep])
 
 
 def test_carried_steps_take_every_path(monkeypatch):
