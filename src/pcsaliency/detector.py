@@ -269,9 +269,10 @@ class ReferenceDetector:
     def features(self, cloud: np.ndarray, block_index: int) -> SparseVoxelMap:
         self._check_block(block_index)
         fw = self._forward(cloud)
+        # copies: the whole cloud's forward shares its coordinates with the
+        # scope's layout, and curve steps take its values over in place
         return SparseVoxelMap(
-            fw.block_coords[block_index - 1],
-            # a copy: curve steps in the scope take the values over in place
+            fw.block_coords[block_index - 1].copy(),
             fw.block_values[block_index - 1].copy(),
             self.grid.scaled(2 ** (block_index - 1)),
         )
@@ -360,10 +361,11 @@ class ReferenceDetector:
         pooled_by = self._advance(layout, carry, keep)
         block_coords, block_values = [], []
         for coords, counts, values in zip(layout.block_coords, carry.counts, carry.values):
-            live = counts > 0
-            block_coords.append(np.compress(live, coords, axis=0))
-            block_values.append(values if len(values) == len(block_coords[-1])
-                                else np.compress(live, values, axis=0))
+            if not counts.all():
+                live = counts > 0
+                coords, values = np.compress(live, coords, axis=0), np.compress(live, values, axis=0)
+            block_coords.append(coords)
+            block_values.append(values)
         parent_rows = [np.zeros(0, dtype=np.int64), *pooled_by[1:]]
         activations, clusters, detections = self._head(block_coords[-1], block_values[-1])
         return _Forward(
@@ -658,6 +660,8 @@ def _compact(held: np.ndarray, n: int):
     as ``_group_rows`` would return them for the subset."""
     counts = np.bincount(held, minlength=n)
     live = counts > 0
+    if live.all():  # no row to renumber: ``held`` itself, shared
+        return live, held, counts
     return live, (np.cumsum(live) - 1).take(held), np.compress(live, counts)
 
 
