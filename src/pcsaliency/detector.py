@@ -116,7 +116,8 @@ class _Layout:
 
     The voxels of any subset of the cloud, their parents at every block and
     the row order of both are sub-selections of these, in the same order,
-    so a subset's forward needs only counting, no sorting.
+    so a subset's forward needs only counting, no sorting. Curve steps
+    also read each row's entries beneath it, sorted once on first use.
     """
 
     inside: np.ndarray  # cloud point -> in the grid
@@ -227,7 +228,8 @@ class ReferenceDetector:
         ``detect_subset`` calls on it share that forward's layout of the
         voxels and carry the last call's values forward, so each recomputes
         only the rows beneath the points whose keep flag flipped. The first
-        such call releases a held forward, which a later call recomputes.
+        such call takes over a held forward's block values; a later
+        ``detect``/``features``/``gradient`` call recomputes the forward.
         Any other array, such as a perturbed copy, gets a fresh forward as
         outside the block. The match is by identity, not content, so the
         cloud must not be mutated inside the block. A block nested in one
@@ -264,7 +266,9 @@ class ReferenceDetector:
             forward, hold.forward = hold.forward, None
             hold.carry = _Carry.empty(layout) if forward is None else _Carry.of(forward, layout)
         self._advance(layout, hold.carry, keep)
-        return self._head(*self._last_block(layout, hold.carry))[2]
+        live = hold.carry.counts[-1] > 0
+        coords = np.compress(live, layout.block_coords[-1], axis=0)
+        return self._head(coords, np.compress(live, hold.carry.values[-1], axis=0))[2]
 
     def features(self, cloud: np.ndarray, block_index: int) -> SparseVoxelMap:
         self._check_block(block_index)
@@ -373,14 +377,6 @@ class ReferenceDetector:
             activations, clusters, detections,
         )
 
-    def _last_block(self, layout: _Layout, carry: _Carry):
-        """Coordinates and values of the last block's live rows."""
-        live = carry.counts[-1] > 0
-        return (
-            np.compress(live, layout.block_coords[-1], axis=0),
-            np.compress(live, carry.values[-1], axis=0),
-        )
-
     def _advance(self, layout: _Layout, carry: _Carry, keep: np.ndarray | None) -> list:
         """Move ``carry`` to the forward under ``keep`` (all points when None).
 
@@ -401,6 +397,7 @@ class ReferenceDetector:
         if keep is None:
             kept = np.ones(len(layout.base_rows), dtype=bool)
         else:
+            # np.compress: a boolean row gather several times faster than a[mask]
             kept = np.compress(layout.inside, keep)
         kept_before, carry.kept = carry.kept, kept
         pooled_by = []

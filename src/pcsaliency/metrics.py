@@ -117,7 +117,8 @@ def insertion_curve(detector, cloud, d: Detection, saliency, steps: int = 20) ->
 def _perturbation_curve(detector, cloud, d, saliency, steps, inserting: bool) -> Curve:
     """IoU after each step flips the keep flag of the next most salient
     region points to ``inserting``; every region point starts flipped the
-    other way. One scene scope on the cloud serves every step's rerun."""
+    other way. One scene scope on the cloud serves every step's rerun, so
+    each rerun is a delta of the step before."""
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     cloud, order = _region_order(cloud, d, saliency)
