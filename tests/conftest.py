@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import functools
 import glob
@@ -11,13 +12,14 @@ from pcsaliency.detector import ReferenceDetector, ReferenceDetectorConfig
 from pcsaliency.voxelgrid import _offsets_within
 
 
-def blas_fingerprint() -> dict:
-    """numpy's version and the OpenBLAS build and kernel it runs: the inputs
-    that decide how a product rounds. Values read ``unknown`` where the
-    library exposes no query."""
+@functools.cache
+def _openblas():
+    """``name -> ctypes function`` over numpy's bundled OpenBLAS (config,
+    corename, get/set_num_threads), or None where it is not found."""
     numpy_dir = Path(np.__file__).parent
     libs = sorted(glob.glob(str(numpy_dir.parent / "numpy.libs" / "*openblas*")))
     libs += sorted(glob.glob(str(numpy_dir / ".dylibs" / "*openblas*")))
+    names = ("get_config", "get_corename", "get_num_threads", "set_num_threads")
     for path in libs:
         try:
             lib = ctypes.CDLL(path)
@@ -25,13 +27,40 @@ def blas_fingerprint() -> dict:
             continue
         for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
                                ("openblas", "64_"), ("openblas", "")):
-            get_config = getattr(lib, f"{prefix}_get_config{suffix}", None)
-            get_core = getattr(lib, f"{prefix}_get_corename{suffix}", None)
-            if get_config is not None and get_core is not None:
-                get_config.restype = get_core.restype = ctypes.c_char_p
-                return {"numpy": np.__version__, "openblas": get_config().decode(),
-                        "core": get_core().decode()}
-    return {"numpy": np.__version__, "openblas": "unknown", "core": "unknown"}
+            funcs = {n: getattr(lib, f"{prefix}_{n}{suffix}", None) for n in names}
+            if all(funcs.values()):
+                funcs["get_config"].restype = funcs["get_corename"].restype = ctypes.c_char_p
+                funcs["set_num_threads"].argtypes = (ctypes.c_int,)
+                return funcs
+    return None
+
+
+def blas_fingerprint() -> dict:
+    """numpy's version and the OpenBLAS build and kernel it runs: the inputs
+    that decide how a product rounds. Values read ``unknown`` where the
+    library exposes no query."""
+    blas = _openblas()
+    if blas is None:
+        return {"numpy": np.__version__, "openblas": "unknown", "core": "unknown"}
+    return {"numpy": np.__version__, "openblas": blas["get_config"]().decode(),
+            "core": blas["get_corename"]().decode()}
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """OpenBLAS on one thread inside the block: how some products round
+    depends on the thread count. Changes nothing where the library is not
+    found, and then the fingerprint reads ``unknown`` too."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    threads = blas["get_num_threads"]()
+    blas["set_num_threads"](1)
+    try:
+        yield
+    finally:
+        blas["set_num_threads"](threads)
 
 
 def pytest_report_header():

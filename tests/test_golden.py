@@ -5,7 +5,9 @@ The runs cover ``eval`` in full and under the three ablations,
 ``explain --format csv|ply``, on three ``single_object_scene`` and two
 ``multi_object_scene`` seeds. ``tests/golden/manifest.json`` holds each
 file's sha256 and a numeric summary (metric values, column sums, grid sums
-and counts), plus the BLAS fingerprint it was recorded under.
+and counts), plus the BLAS fingerprint it was recorded under. The runs
+pin OpenBLAS to one thread: ``eval`` metrics differ in the last bits
+between one thread and two.
 
 - Under the recorded fingerprint the hashes must match exactly.
 - Under any other one (OpenBLAS picks its kernel per CPU at run time, so
@@ -42,7 +44,7 @@ from pcsaliency.fileio import write_kitti_bin, write_labels_json
 from pcsaliency.runconfig import RunConfig
 from pcsaliency.synthetic import multi_object_scene, single_object_scene
 
-from conftest import blas_fingerprint
+from conftest import blas_fingerprint, one_blas_thread
 
 MANIFEST = Path(__file__).parent / "golden" / "manifest.json"
 SINGLE_SEEDS = (0, 1, 2)
@@ -91,7 +93,7 @@ def run_all(root: Path) -> Path:
     out = root / "out"
     for name, argv in _runs(scenes).items():
         argv = [a.replace("{out}", str(out / name)) for a in argv]
-        with contextlib.redirect_stdout(io.StringIO()):
+        with one_blas_thread(), contextlib.redirect_stdout(io.StringIO()):
             code = main([*argv, *SETTINGS])
         assert code == 0, f"{name}: exit {code}"
     return out
