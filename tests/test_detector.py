@@ -461,8 +461,7 @@ def test_subset_forward_bit_identical_on_random_clouds(seed, n, with_intensity, 
 
 def assert_carry_matches_fresh(detector, cloud, keep):
     """The scope's carried state under ``keep``, row for row, against a
-    fresh forward on ``cloud[keep]``; returns the number of blocks updated
-    as a delta."""
+    fresh forward on ``cloud[keep]``; returns that forward."""
     hold = detector._hold
     fresh = detector._compute_forward(cloud[keep])
     for b, (coords, counts, values) in enumerate(
@@ -534,7 +533,7 @@ _KEEP_OPS = st.lists(
 )
 
 
-def _keep_sequence(n, start, ops):
+def _keep_sequence(start, ops):
     masks = [start]
     for op, fraction, seed in ops:
         masks.append(_apply(op, fraction, seed, masks[-1], masks))
@@ -558,7 +557,7 @@ def test_carried_steps_bit_identical_on_random_clouds(seed, clump, start, ops):
     cloud = np.hstack([rng.normal((3.0, 3.0, 1.5), clump, size=(n, 3)), rng.uniform(size=(n, 1))])
     first = rng.uniform(size=n) < start
     first[rng.integers(n)] = True
-    run_keep_sequence(detector, cloud, _keep_sequence(n, first, ops))
+    run_keep_sequence(detector, cloud, _keep_sequence(first, ops))
 
 
 @settings(derandomize=True, deadline=None, max_examples=8)
@@ -569,7 +568,7 @@ def test_carried_steps_bit_identical_on_a_default_scene(ops):
     start = np.ones(len(cloud), dtype=bool)
     # small flips, as a curve step makes, besides the drawn ones
     ops = [("shrink", 0.03, 1), *ops, ("grow", 0.02, 2)]
-    masks = _keep_sequence(len(cloud), start, ops)
+    masks = _keep_sequence(start, ops)
     run_keep_sequence(detector, cloud, masks, from_forward=True)
 
 
@@ -596,7 +595,7 @@ def test_carried_steps_take_every_path(monkeypatch):
     counting = CountingDeltas(detector, monkeypatch)
     ops = [("shrink", 0.02, 1), ("shrink", 0.05, 2), ("grow", 0.01, 3), ("revert", 0.0, 0),
            ("few", 0.5, 4), ("grow", 0.9, 5), ("revert", 0.4, 0), ("grow", 1.0, 6)]
-    masks = _keep_sequence(len(cloud), np.ones(len(cloud), dtype=bool), ops)
+    masks = _keep_sequence(np.ones(len(cloud), dtype=bool), ops)
     run_keep_sequence(detector, cloud, masks)
     advances = counting.deltas
     assert len(advances) == len(masks)
