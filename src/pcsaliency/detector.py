@@ -256,10 +256,10 @@ class ReferenceDetector:
             raise LengthMismatch(f"keep mask of shape {keep.shape} != cloud length {len(cloud)}")
         if not keep.any():
             raise EmptyCloud("detector requires a non-empty point cloud")
+        layout = self._layout_for(cloud)
         hold = self._hold
         if hold is None or cloud is not hold.cloud:
-            return self._values_pass(self._layout(cloud), keep).detections
-        layout = self._layout_for(cloud)
+            return self._values_pass(layout, keep).detections
         if hold.carry is None:
             # the steps' state takes the scene forward's place and its block
             # values, which only ``features`` hands out, as copies
@@ -273,10 +273,9 @@ class ReferenceDetector:
     def features(self, cloud: np.ndarray, block_index: int) -> SparseVoxelMap:
         self._check_block(block_index)
         fw = self._forward(cloud)
-        # copies: the whole cloud's forward shares its coordinates with the
-        # scope's layout, and curve steps take its values over in place
+        # a copy: curve steps take the held forward's values over in place
         return SparseVoxelMap(
-            fw.block_coords[block_index - 1].copy(),
+            fw.block_coords[block_index - 1],
             fw.block_values[block_index - 1].copy(),
             self.grid.scaled(2 ** (block_index - 1)),
         )
@@ -401,14 +400,17 @@ class ReferenceDetector:
             kept = np.compress(layout.inside, keep)
         kept_before, carry.kept = carry.kept, kept
         pooled_by = []
-        whole = carry.live[0] < _MIN_PRODUCT_ROWS
-        if not whole:
-            touched = layout.base_rows[np.flatnonzero(kept != kept_before)]
+        whole = False
         for b in range(self.cfg.num_blocks):
             m = len(layout.block_coords[b])
             counts = carry.counts[b]
             below = layout.per_point if b == 0 else carry.values[b - 1]
+            # a block last computed whole from fewer rows holds rows of a
+            # product that rounds differently from a larger one
+            whole = whole or carry.live[b] < _MIN_PRODUCT_ROWS
             if not whole:
+                if b == 0:
+                    touched = layout.base_rows[np.flatnonzero(kept != kept_before)]
                 dirty = np.unique(touched)
                 entries, group = _segments(*layout.beneath[b], dirty)
                 if b == 0:

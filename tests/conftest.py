@@ -2,7 +2,6 @@ import contextlib
 import ctypes
 import functools
 import glob
-import json
 from pathlib import Path
 
 import numpy as np
@@ -61,13 +60,6 @@ def one_blas_thread():
         yield
     finally:
         blas["set_num_threads"](threads)
-
-
-def pytest_report_header():
-    """Which comparison the golden outputs get on this machine."""
-    from test_golden import MANIFEST, comparison
-
-    return comparison(json.loads(MANIFEST.read_text()))
 
 
 @pytest.fixture(scope="session")

@@ -605,6 +605,33 @@ def test_carried_steps_take_every_path(monkeypatch):
     assert max(advances[6:]) > 0  # deltas again once back above the minimum
 
 
+def test_carried_steps_recompute_blocks_grown_from_few_rows(monkeypatch):
+    """Block 1 stays above the minimum product rows while the upper blocks
+    go from a few rows to many and back. The grown points lie apart from
+    the object's top-block cells, so the object's rows stay clean: they
+    must not keep the bits of the few-row product they came from."""
+    detector = ReferenceDetector()
+    cloud, _, _ = single_object_scene(0)
+    on_object = np.arange(len(cloud)) < len(single_object_scene(0, n_noise_points=0)[0])
+    layout = detector._layout(cloud)
+    top = layout.base_rows
+    for parent in layout.parent_rows[1:]:
+        top = parent[top]
+    apart = ~np.isin(top, top[on_object[layout.inside]])
+    grown = on_object.copy()
+    grown[np.flatnonzero(layout.inside)[apart]] = True
+    counting = CountingDeltas(detector, monkeypatch)
+    lives = []
+    with detector.scene(cloud):
+        for keep in (on_object, grown, on_object, grown):
+            got = detector.detect_subset(cloud, keep)
+            assert got == assert_carry_matches_fresh(detector, cloud, keep).detections
+            lives.append(list(detector._hold.carry.live))
+    assert min(lives[0]) < 38 and lives[0][0] >= _MIN_PRODUCT_ROWS
+    assert min(lives[1]) >= _MIN_PRODUCT_ROWS
+    assert counting.deltas == [0, 1, 1, 1]  # past the empty state block 1 is a delta
+
+
 @pytest.mark.parametrize("seed", (0, 5))
 def test_carried_curve_steps_match_fresh_forwards(seed):
     """Both curves of a detection in one scope, each step checked against a
