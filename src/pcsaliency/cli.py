@@ -307,7 +307,14 @@ def _cmd_eval(args) -> int:
 # sweep
 
 def _sweep_variants(cfg: RunConfig):
-    for r in _SWEEP_R:
+    # the factorization rank is at most the feature width, so every r above
+    # it gives the row of r = feature width
+    dim = cfg.get("detector.feature_dim")
+    clamped = [f"nmf.r={r}" for r in _SWEEP_R if r > dim]
+    if clamped:
+        print(f"sweep: {', '.join(clamped)} clamp to feature_dim={dim}: one row r={dim}",
+              file=sys.stderr)
+    for r in dict.fromkeys(min(r, dim) for r in _SWEEP_R):
         yield ("r", str(r), cfg.with_values({"nmf.r": r}))
     for rng, k in _SWEEP_RANGE_K:
         yield (

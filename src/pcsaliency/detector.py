@@ -101,13 +101,14 @@ _MIN_PRODUCT_ROWS = 128
 
 @dataclass
 class _SceneHold:
-    """The cloud a ``scene`` scope serves, and its layout, forward and
-    curve-step state once computed."""
+    """The cloud a ``scene`` scope serves, its layout and carried values
+    pass once built, and the forward of every point kept while no curve
+    step has moved the carry since."""
 
     cloud: np.ndarray
     layout: "_Layout | None" = None
-    forward: "_Forward | None" = None
     carry: "_Carry | None" = None
+    forward: "_Forward | None" = None
 
 
 @dataclass
@@ -166,22 +167,6 @@ class _Carry:
             [None] * len(layout.block_coords),
         )
 
-    @classmethod
-    def of(cls, forward: "_Forward", layout: _Layout) -> "_Carry":
-        """The state of every point kept, taken over from the whole cloud's
-        forward, whose block values it then overwrites: each held row is
-        live, with all its points or children."""
-        counts = [
-            np.bincount(held, minlength=len(coords))
-            for held, coords in zip([layout.base_rows, *layout.parent_rows[1:]], layout.block_coords)
-        ]
-        return cls(
-            np.ones(len(layout.base_rows), dtype=bool),
-            counts,
-            [len(coords) for coords in layout.block_coords],
-            list(forward.block_values),
-        )
-
 
 @dataclass
 class _Forward:
@@ -221,17 +206,18 @@ class ReferenceDetector:
 
     @contextlib.contextmanager
     def scene(self, cloud: np.ndarray):
-        """Reuse one forward pass for every call on ``cloud`` inside the block.
+        """Hold one state for every call on ``cloud`` inside the block.
 
-        The first ``detect``/``features``/``gradient`` call on this very
-        array object computes the forward and later calls on it reuse it.
-        ``detect_subset`` calls on it share that forward's layout of the
-        voxels and carry the last call's values forward, so each recomputes
-        only the rows beneath the points whose keep flag flipped. The first
-        such call takes over a held forward's block values; a later
-        ``detect``/``features``/``gradient`` call recomputes the forward.
-        Any other array, such as a perturbed copy, gets a fresh forward as
-        outside the block. The match is by identity, not content, so the
+        Every call runs in a scope; outside a caller's, in one of its own
+        that ends with the call. The calls on this very array object share
+        one layout of its voxels and one carried values pass. The first
+        ``detect``/``features``/``gradient`` call computes the forward of
+        every point and later ones reuse it. Each ``detect_subset`` call
+        moves the carried pass to its keep mask, recomputing only the rows
+        beneath the points whose keep flag flipped; a later
+        ``detect``/``features``/``gradient`` call moves it back to every
+        point the same way. Any other array, such as a perturbed copy, gets
+        a scope of its own. The match is by identity, not content, so the
         cloud must not be mutated inside the block. A block nested in one
         on the same array reuses the outer block's hold. Leaving the
         outermost block, also by an exception, releases what is held.
@@ -249,31 +235,27 @@ class ReferenceDetector:
 
     def detect_subset(self, cloud: np.ndarray, keep: np.ndarray) -> list[Detection]:
         """``detect(cloud[keep])``, bit for bit, as the delta from the last
-        call's state that a ``scene`` scope on ``cloud`` holds; outside one
-        it is a whole forward on the cloud's layout."""
+        call's state in the scene scope on ``cloud``."""
         keep = np.asarray(keep, dtype=bool)
         if keep.shape != (len(cloud),):
             raise LengthMismatch(f"keep mask of shape {keep.shape} != cloud length {len(cloud)}")
         if not keep.any():
             raise EmptyCloud("detector requires a non-empty point cloud")
-        layout = self._layout_for(cloud)
-        hold = self._hold
-        if hold is None or cloud is not hold.cloud:
-            return self._values_pass(layout, keep).detections
-        if hold.carry is None:
-            # the steps' state takes the scene forward's place and its block
-            # values, which only ``features`` hands out, as copies
-            forward, hold.forward = hold.forward, None
-            hold.carry = _Carry.empty(layout) if forward is None else _Carry.of(forward, layout)
-        self._advance(layout, hold.carry, keep)
-        live = hold.carry.counts[-1] > 0
-        coords = np.compress(live, layout.block_coords[-1], axis=0)
-        return self._head(coords, np.compress(live, hold.carry.values[-1], axis=0))[2]
+        with self.scene(cloud):
+            hold = self._hold
+            layout = self._held_layout(hold)
+            # the step overwrites the block values the held forward shares,
+            # which only ``features`` hands out, as copies
+            hold.forward = None
+            self._advance(layout, hold.carry, keep)
+            live = hold.carry.counts[-1] > 0
+            coords = np.compress(live, layout.block_coords[-1], axis=0)
+            return self._head(coords, np.compress(live, hold.carry.values[-1], axis=0))[2]
 
     def features(self, cloud: np.ndarray, block_index: int) -> SparseVoxelMap:
         self._check_block(block_index)
         fw = self._forward(cloud)
-        # a copy: curve steps take the held forward's values over in place
+        # a copy: curve steps overwrite the held forward's values in place
         return SparseVoxelMap(
             fw.block_coords[block_index - 1],
             fw.block_values[block_index - 1].copy(),
@@ -312,24 +294,30 @@ class ReferenceDetector:
             )
 
     def _forward(self, cloud: np.ndarray) -> _Forward:
-        hold = self._hold
-        if hold is None or cloud is not hold.cloud:
-            return self._compute_forward(cloud)
-        if hold.forward is None:
-            hold.forward = self._compute_forward(cloud)
-        return hold.forward
+        with self.scene(cloud):
+            hold = self._hold
+            if hold.forward is None:
+                hold.forward = self._compute_forward(hold)
+            return hold.forward
 
-    def _compute_forward(self, cloud: np.ndarray) -> _Forward:
-        return self._values_pass(self._layout_for(cloud))
+    def _compute_forward(self, hold: _SceneHold) -> _Forward:
+        """The forward of every point of the held cloud: the carried values
+        pass moved to every point kept, whose block values it shares."""
+        layout = self._held_layout(hold)
+        self._advance(layout, hold.carry, None)
+        values = list(hold.carry.values)
+        activations, clusters, detections = self._head(layout.block_coords[-1], values[-1])
+        return _Forward(
+            layout.block_coords, values, layout.parent_rows,
+            activations, clusters, detections,
+        )
 
-    def _layout_for(self, cloud: np.ndarray) -> _Layout:
-        """The layout of ``cloud``: held by a scene scope on it, else built
-        for the call."""
-        hold = self._hold
-        if hold is None or cloud is not hold.cloud:
-            return self._layout(cloud)
+    def _held_layout(self, hold: _SceneHold) -> _Layout:
+        """The held cloud's layout, built with the empty carried state on
+        first use."""
         if hold.layout is None:
-            hold.layout = self._layout(cloud)
+            hold.layout = self._layout(hold.cloud)
+            hold.carry = _Carry.empty(hold.layout)
         return hold.layout
 
     def _layout(self, cloud: np.ndarray) -> _Layout:
@@ -352,31 +340,7 @@ class ReferenceDetector:
             parent_rows.append(inverse)
         return _Layout(inside, base_rows, per_point, block_coords, parent_rows)
 
-    def _values_pass(self, layout: _Layout, keep: np.ndarray | None = None) -> _Forward:
-        """The forward of the cloud's points under ``keep`` (all when None):
-        the delta from the empty state, with every row dirty, compacted.
-
-        Each block's voxels are the held ones with something beneath them,
-        renumbered in held order, so every scatter and product gets exactly
-        the operands a forward on ``cloud[keep]`` computes.
-        """
-        carry = _Carry.empty(layout)
-        pooled_by = self._advance(layout, carry, keep)
-        block_coords, block_values = [], []
-        for coords, counts, values in zip(layout.block_coords, carry.counts, carry.values):
-            if not counts.all():
-                live = counts > 0
-                coords, values = np.compress(live, coords, axis=0), np.compress(live, values, axis=0)
-            block_coords.append(coords)
-            block_values.append(values)
-        parent_rows = [np.zeros(0, dtype=np.int64), *pooled_by[1:]]
-        activations, clusters, detections = self._head(block_coords[-1], block_values[-1])
-        return _Forward(
-            block_coords, block_values, parent_rows,
-            activations, clusters, detections,
-        )
-
-    def _advance(self, layout: _Layout, carry: _Carry, keep: np.ndarray | None) -> list:
+    def _advance(self, layout: _Layout, carry: _Carry, keep: np.ndarray | None):
         """Move ``carry`` to the forward under ``keep`` (all points when None).
 
         Only the rows beneath a flipped keep flag are dirty: a base voxel
@@ -389,9 +353,7 @@ class ReferenceDetector:
         A block with fewer live rows than that, now or at the last pass, is
         recomputed whole, as a whole pass computes it; so are the blocks
         above it, which have no more live rows. From the empty state every
-        block is whole. Returns per block the rows its live entries beneath
-        were pooled into, numbered among its live rows, or None for a block
-        updated as a delta.
+        block is whole.
         """
         if keep is None:
             kept = np.ones(len(layout.base_rows), dtype=bool)
@@ -399,7 +361,6 @@ class ReferenceDetector:
             # np.compress: a boolean row gather several times faster than a[mask]
             kept = np.compress(layout.inside, keep)
         kept_before, carry.kept = carry.kept, kept
-        pooled_by = []
         whole = False
         for b in range(self.cfg.num_blocks):
             m = len(layout.block_coords[b])
@@ -436,7 +397,6 @@ class ReferenceDetector:
                 redo = n > 0
                 rows = (np.cumsum(redo) - 1).take(group)
                 redo, n, below = dirty[redo], n[redo], below[entries]
-            pooled_by.append(rows if whole else None)
             if b == 0:
                 out = self._rows_output(b, self._base_descriptors(rows, n, below), whole)
             else:
@@ -452,7 +412,6 @@ class ReferenceDetector:
                 carry.values[b][redo] = out
             if not whole and b + 1 < self.cfg.num_blocks:
                 touched = layout.parent_rows[b + 1][dirty]
-        return pooled_by
 
     def _rows_output(self, b: int, pooled: np.ndarray, whole: bool) -> np.ndarray:
         """Block ``b``'s output of the ``pooled`` rows: of a whole block as
@@ -597,32 +556,30 @@ def grad_check(cfg: ReferenceDetectorConfig | None = None, scene_seed: int = 0) 
     detector = ReferenceDetector(cfg)
     # light clutter keeps the finite-difference sweep tractable
     cloud, _, _ = single_object_scene(scene_seed, n_noise_points=120)
-    fw = detector._forward(cloud)
-    if not fw.detections:
-        return 0.0
-
     block, step = 3, 1e-4
     mask = frozenset(ATTRIBUTE_NAMES)
     worst = 0.0
-    base_values = fw.block_values[block - 1]
-    for det_idx, detection in enumerate(fw.detections):
-        cluster = fw.clusters[det_idx]
-        analytic = np.asarray(detector.gradient(cloud, detection, mask, block).values)
-        fd = np.zeros_like(analytic)
-        values = base_values.copy()
-        for flat in range(values.size):
-            orig = values.flat[flat]
-            values.flat[flat] = orig + step
-            hi = detector._loss_from_block(fw, block, values, cluster, mask)
-            values.flat[flat] = orig - step
-            lo = detector._loss_from_block(fw, block, values, cluster, mask)
-            values.flat[flat] = orig
-            fd.flat[flat] = (hi - lo) / (2.0 * step)
-        diff = np.abs(analytic - fd)
-        ref = np.maximum(np.abs(analytic), np.abs(fd))
-        significant = diff > 1e-8
-        if np.any(significant):
-            worst = max(worst, float((diff[significant] / ref[significant]).max()))
+    # one scope: the analytic gradients read the forward the differences probe
+    with detector.scene(cloud):
+        fw = detector._forward(cloud)
+        base_values = fw.block_values[block - 1]
+        for detection, cluster in zip(fw.detections, fw.clusters):
+            analytic = np.asarray(detector.gradient(cloud, detection, mask, block).values)
+            fd = np.zeros_like(analytic)
+            values = base_values.copy()
+            for flat in range(values.size):
+                orig = values.flat[flat]
+                values.flat[flat] = orig + step
+                hi = detector._loss_from_block(fw, block, values, cluster, mask)
+                values.flat[flat] = orig - step
+                lo = detector._loss_from_block(fw, block, values, cluster, mask)
+                values.flat[flat] = orig
+                fd.flat[flat] = (hi - lo) / (2.0 * step)
+            diff = np.abs(analytic - fd)
+            ref = np.maximum(np.abs(analytic), np.abs(fd))
+            significant = diff > 1e-8
+            if np.any(significant):
+                worst = max(worst, float((diff[significant] / ref[significant]).max()))
     return worst
 
 

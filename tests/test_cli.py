@@ -219,7 +219,7 @@ class TestEval:
 
 
 class TestSweep:
-    def test_row_count_matches_grids(self, scene_dir, tmp_path):
+    def test_row_count_matches_grids(self, scene_dir, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = main([
             "sweep", "--scenes", str(scene_dir), "--out", str(out),
@@ -230,10 +230,24 @@ class TestSweep:
         assert lines[0].startswith("# config_hash=")
         assert lines[1] == "axis,setting,deletion,insertion,vea,pg,enpg"
         rows = lines[2:]
-        assert len(rows) == 5 + 4 + 4
-        assert sum(1 for r in rows if r.startswith("r,")) == 5
+        # r = 64 and 128 clamp to the feature width 32: one row for the three
+        assert len(rows) == 3 + 4 + 4
+        assert [r.split(",")[1] for r in rows if r.startswith("r,")] == ["8", "16", "32"]
         assert sum(1 for r in rows if r.startswith("range_k,")) == 4
         assert sum(1 for r in rows if r.startswith("block,")) == 4
+        err = capsys.readouterr().err
+        assert "nmf.r=64" in err and "nmf.r=128" in err and "feature_dim=32" in err
+
+    def test_one_rank_row_per_effective_rank(self, capsys):
+        from pcsaliency.cli import _sweep_variants
+
+        cfg = RunConfig.from_sources(None, ["detector.feature_dim=10"])
+        ranks = [(setting, variant.get("nmf.r")) for axis, setting, variant in _sweep_variants(cfg)
+                 if axis == "r"]
+        assert ranks == [("8", 8), ("10", 10)]
+        err = capsys.readouterr().err
+        assert all(f"nmf.r={r}" in err for r in (16, 32, 64, 128))
+        assert "nmf.r=8" not in err
 
 
 class TestAggregateCli:

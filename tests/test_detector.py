@@ -181,8 +181,10 @@ class TestGradCheck:
         assert grad_check(cfg, scene_seed=0) == 0.0
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_two_seeds_within_tolerance(self, seed):
+    def test_two_seeds_within_tolerance(self, seed, count_forwards):
         assert grad_check(scene_seed=seed) <= 1e-4
+        # one scope: the analytic gradients read the probed forward
+        assert len(count_forwards) == 1
 
 
 def test_multi_object_scene_detts(detector):
@@ -350,25 +352,15 @@ def test_forward_bit_identical_on_random_clouds(seed, n, with_intensity, clump):
 
 
 # ----------------------------------------------------------------------
-# subset forwards: a curve step's forward compacted from the cloud's layout
-# must carry the bits of a fresh forward on the thinned copy
-
-
-def assert_same_forward(got, want):
-    for a, b in (
-        (got.block_coords, want.block_coords),
-        (got.block_values, want.block_values),
-        (got.parent_rows, want.parent_rows),
-        (got.clusters, want.clusters),
-    ):
-        assert [bits(x) for x in a] == [bits(x) for x in b]
-    assert bits(got.activations) == bits(want.activations)
-    assert got.detections == want.detections
+# subset forwards: a first curve step in a scope is the whole pass from the
+# empty state over the cloud's layout, and must carry the bits of a fresh
+# forward on the thinned copy
 
 
 def assert_subset_matches_fresh(detector, cloud, keep):
-    subset = detector._values_pass(detector._layout(cloud), keep)
-    assert_same_forward(subset, detector._compute_forward(cloud[keep]))
+    with detector.scene(cloud):
+        got = detector.detect_subset(cloud, keep)
+        assert got == assert_carry_matches_fresh(detector, cloud, keep).detections
 
 
 class RecordingDetector:
@@ -394,10 +386,8 @@ def test_subset_forward_bit_identical_on_curve_steps(detector, seed):
     deletion_curve(recorder, cloud, d, saliency, 20)
     insertion_curve(recorder, cloud, d, saliency, 20)
     assert len(recorder.masks) == 2 * 21
-    layout = detector._layout(cloud)
     for keep in recorder.masks:
-        subset = detector._values_pass(layout, keep)
-        assert_same_forward(subset, detector._compute_forward(cloud[keep]))
+        assert_subset_matches_fresh(detector, cloud, keep)
 
 
 def _with_outside_points(cloud):
@@ -463,7 +453,7 @@ def assert_carry_matches_fresh(detector, cloud, keep):
     """The scope's carried state under ``keep``, row for row, against a
     fresh forward on ``cloud[keep]``; returns that forward."""
     hold = detector._hold
-    fresh = detector._compute_forward(cloud[keep])
+    fresh = detector._forward(cloud[keep])
     for b, (coords, counts, values) in enumerate(
         zip(hold.layout.block_coords, hold.carry.counts, hold.carry.values)
     ):
@@ -475,20 +465,28 @@ def assert_carry_matches_fresh(detector, cloud, keep):
 
 
 class CountingDeltas:
-    """Records, per ``_advance`` call on one detector's carried state, how
-    many blocks it updated as a delta."""
+    """Records, per ``_advance`` call on ``cloud``'s carried state, how many
+    blocks it updated as a delta."""
 
-    def __init__(self, detector, monkeypatch):
+    def __init__(self, detector, cloud, monkeypatch):
         self.deltas = []
-        advance = detector._advance
+        advance, rows_output = detector._advance, detector._rows_output
 
-        def counted(layout, carry, keep):
-            pooled_by = advance(layout, carry, keep)
-            if detector._hold is not None and carry is detector._hold.carry:
-                self.deltas.append(sum(rows is None for rows in pooled_by))
-            return pooled_by
+        def on_cloud():
+            return detector._hold is not None and detector._hold.cloud is cloud
 
-        monkeypatch.setattr(detector, "_advance", counted)
+        def counted_advance(*args):
+            if on_cloud():
+                self.deltas.append(0)
+            advance(*args)
+
+        def counted_rows_output(b, pooled, whole):
+            if not whole and on_cloud():
+                self.deltas[-1] += 1
+            return rows_output(b, pooled, whole)
+
+        monkeypatch.setattr(detector, "_advance", counted_advance)
+        monkeypatch.setattr(detector, "_rows_output", counted_rows_output)
 
 
 def run_keep_sequence(detector, cloud, masks, from_forward=False):
@@ -592,7 +590,7 @@ def test_carried_steps_take_every_path(monkeypatch):
     fresh forward, and the sequence updates blocks both as deltas and whole."""
     detector = ReferenceDetector()
     cloud, _, _ = single_object_scene(0)
-    counting = CountingDeltas(detector, monkeypatch)
+    counting = CountingDeltas(detector, cloud, monkeypatch)
     ops = [("shrink", 0.02, 1), ("shrink", 0.05, 2), ("grow", 0.01, 3), ("revert", 0.0, 0),
            ("few", 0.5, 4), ("grow", 0.9, 5), ("revert", 0.4, 0), ("grow", 1.0, 6)]
     masks = _keep_sequence(np.ones(len(cloud), dtype=bool), ops)
@@ -620,7 +618,7 @@ def test_carried_steps_recompute_blocks_grown_from_few_rows(monkeypatch):
     apart = ~np.isin(top, top[on_object[layout.inside]])
     grown = on_object.copy()
     grown[np.flatnonzero(layout.inside)[apart]] = True
-    counting = CountingDeltas(detector, monkeypatch)
+    counting = CountingDeltas(detector, cloud, monkeypatch)
     lives = []
     with detector.scene(cloud):
         for keep in (on_object, grown, on_object, grown):
@@ -656,6 +654,34 @@ def test_carried_curve_steps_match_fresh_forwards(seed):
     assert len(checked) == 2 * 21
     assert bits(deletion.values) == bits(deletion_curve(detector, cloud, d, saliency, 20).values)
     assert bits(insertion.values) == bits(insertion_curve(detector, cloud, d, saliency, 20).values)
+
+
+@pytest.mark.parametrize("op", ("shrink", "few"))
+def test_scene_forward_after_steps_equals_a_fresh_scopes(monkeypatch, op):
+    """After curve steps in a scope, the forward moves the carried state
+    back to every point kept, as deltas after a thinning and whole after a
+    handful of points: ``detect``, ``features`` and ``gradient`` carry the
+    bits of a fresh scope's."""
+    detector = ReferenceDetector()
+    cloud, _, _ = single_object_scene(0)
+
+    def outputs():
+        detections = detector.detect(cloud)
+        return (
+            detections,
+            [bits(detector.features(cloud, b).values) for b in range(1, 5)],
+            [bits(detector.gradient(cloud, detections[0], full_mask(), b).values) for b in range(1, 5)],
+        )
+
+    with detector.scene(cloud):
+        fresh = outputs()
+    counting = CountingDeltas(detector, cloud, monkeypatch)
+    masks = _keep_sequence(np.ones(len(cloud), dtype=bool), [(op, 0.03, 1), (op, 0.05, 2)])
+    with detector.scene(cloud):
+        for keep in masks[1:]:
+            detector.detect_subset(cloud, keep)
+        assert outputs() == fresh
+    assert counting.deltas[-1] == (detector.cfg.num_blocks if op == "shrink" else 0)
 
 
 def test_product_rows_do_not_depend_on_the_row_count(detector):
@@ -711,9 +737,9 @@ def count_forwards(monkeypatch):
     calls = []
     compute = ReferenceDetector._compute_forward
 
-    def counted(self, cloud):
-        calls.append(cloud)
-        return compute(self, cloud)
+    def counted(self, hold):
+        calls.append(hold.cloud)
+        return compute(self, hold)
 
     monkeypatch.setattr(ReferenceDetector, "_compute_forward", counted)
     return calls
