@@ -70,30 +70,31 @@ def box_diagonal(box: OrientedBox) -> float:
 
 
 def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman: clip a convex subject against a CCW convex polygon."""
-    output = list(subject)
+    """Sutherland-Hodgman: clip a convex subject against a CCW convex polygon.
+
+    Runs on Python float pairs, which do per vertex the same IEEE operations
+    as numpy rows at a fraction of the per-element cost.
+    """
+    output = subject.tolist()
+    clip = clip.tolist()
     m = len(clip)
     for i in range(m):
         if not output:
             break
-        a = clip[i]
-        b = clip[(i + 1) % m]
-        edge = b - a
-        input_pts = output
-        output = []
-        prev = input_pts[-1]
-        prev_side = edge[0] * (prev[1] - a[1]) - edge[1] * (prev[0] - a[0])
-        for cur in input_pts:
-            cur_side = edge[0] * (cur[1] - a[1]) - edge[1] * (cur[0] - a[0])
-            if cur_side >= 0:
-                if prev_side < 0:
-                    t = prev_side / (prev_side - cur_side)
-                    output.append(prev + t * (cur - prev))
-                output.append(cur)
-            elif prev_side >= 0:
+        ax, ay = clip[i]
+        bx, by = clip[(i + 1) % m]
+        ex, ey = bx - ax, by - ay
+        px, py = output[-1]
+        prev_side = ex * (py - ay) - ey * (px - ax)
+        input_pts, output = output, []
+        for cx, cy in input_pts:
+            cur_side = ex * (cy - ay) - ey * (cx - ax)
+            if (cur_side >= 0) != (prev_side >= 0):  # the edge crosses the clip line
                 t = prev_side / (prev_side - cur_side)
-                output.append(prev + t * (cur - prev))
-            prev, prev_side = cur, cur_side
+                output.append((px + t * (cx - px), py + t * (cy - py)))
+            if cur_side >= 0:
+                output.append((cx, cy))
+            px, py, prev_side = cx, cy, cur_side
     return np.array(output) if output else np.zeros((0, 2))
 
 
@@ -101,7 +102,10 @@ def _polygon_area(poly: np.ndarray) -> float:
     if len(poly) < 3:
         return 0.0
     x, y = poly[:, 0], poly[:, 1]
-    area = 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    # the next vertex's coordinates as contiguous copies: np.dot's last bits
+    # depend on its operands' strides
+    nxt = list(range(1, len(poly))) + [0]
+    area = 0.5 * abs(np.dot(x, y[nxt]) - np.dot(y, x[nxt]))
     # degenerate slivers from clipping noise count as empty
     return area if area > 1e-12 else 0.0
 

@@ -372,7 +372,9 @@ class ReferenceDetector:
             if not whole:
                 if b == 0:
                     touched = layout.base_rows[np.flatnonzero(kept != kept_before)]
-                dirty = np.unique(touched)
+                mark = np.zeros(m, dtype=bool)
+                mark[touched] = True
+                dirty = np.flatnonzero(mark)  # np.unique(touched), without the sort
                 entries, group = _segments(*layout.beneath[b], dirty)
                 if b == 0:
                     live_entries = kept[entries]
@@ -623,10 +625,13 @@ def _compact(held: np.ndarray, n: int):
 
 def _connected_components(coords: np.ndarray, active: np.ndarray) -> list[np.ndarray]:
     """26-connected components among the active rows, deterministic order."""
-    coord_rows = {tuple(coords[r]): r for r in active.tolist()}
+    rows = active.tolist()
+    # Python ints: numpy scalars cost several times more per neighbour probe
+    at = dict(zip(rows, coords[active].tolist()))
+    coord_rows = {tuple(xyz): r for r, xyz in at.items()}
     seen: set[int] = set()
     components = []
-    for row in active.tolist():
+    for row in rows:
         if row in seen:
             continue
         stack = [row]
@@ -635,7 +640,7 @@ def _connected_components(coords: np.ndarray, active: np.ndarray) -> list[np.nda
         while stack:
             r = stack.pop()
             comp.append(r)
-            cx, cy, cz = coords[r]
+            cx, cy, cz = at[r]
             for dx, dy, dz in _NEIGHBOR_OFFSETS_26:
                 nr = coord_rows.get((cx + dx, cy + dy, cz + dz))
                 if nr is not None and nr not in seen:

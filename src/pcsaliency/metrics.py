@@ -79,12 +79,19 @@ def _paired(saliency, cloud):
     return saliency, cloud
 
 
+def _center_distances(cloud: np.ndarray, center) -> np.ndarray:
+    """Euclidean distance of each cloud row's xyz to ``center``: bit for bit
+    ``np.linalg.norm(cloud[:, :3] - center, axis=1)``, which adds the squares
+    in this order, (x + y) + z, but runs one inner loop per 3-wide row."""
+    dx, dy, dz = (cloud[:, k] - c for k, c in enumerate(np.array(center, dtype=float)))
+    return np.sqrt((dx * dx + dy * dy) + dz * dz)
+
+
 def _region_order(cloud, d: Detection, saliency):
     """In-region point indices, sorted by descending saliency then index."""
     saliency, cloud = _paired(saliency, cloud)
     radius = 2.0 * box_diagonal(d.box())
-    dist = np.linalg.norm(cloud[:, :3] - np.array(d.center), axis=1)
-    region = np.flatnonzero(dist <= radius)
+    region = np.flatnonzero(_center_distances(cloud, d.center) <= radius)
     if len(region) == 0:
         raise NoRegionPoints("no points within twice the box diagonal")
     order = region[np.lexsort((region, -saliency[region]))]

@@ -54,8 +54,16 @@ class GridSpec:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean in-range mask for an (N, 3+) array of points."""
-        xyz = np.asarray(points)[:, :3]
-        return np.all((xyz >= self.lower) & (xyz < self.upper), axis=1)
+        points = np.asarray(points)
+        # per column (a row reduction over 3 columns runs one loop per row),
+        # against float64 numpy scalars: a Python float bound would compare a
+        # float32 column in float32
+        inside = np.ones(len(points), dtype=bool)
+        for k, (lo, hi) in enumerate(zip(self.lower, self.upper)):
+            column = points[:, k]
+            inside &= column >= lo
+            inside &= column < hi
+        return inside
 
     def coords_for(self, points: np.ndarray) -> np.ndarray:
         """Voxel coordinates for an (N, 3+) array; no range checking."""
@@ -213,9 +221,10 @@ class UpsamplePlan:
         by_distance = np.argsort(dist, kind="stable")
         offsets, dist = offsets[by_distance], dist[by_distance]
 
-        query = _linear_key((cells[:, None, :] + offsets + r).reshape(-1, 3), span)
-        pos = np.searchsorted(keys, query).reshape(len(cells), len(offsets))
-        found = keys[pos] == query.reshape(pos.shape)
+        # _linear_key is linear, so the key of cell + offset is the sum of keys
+        query = _linear_key(cells + r, span)[:, None] + _linear_key(offsets, span)
+        pos = np.searchsorted(keys, query)
+        found = keys[pos] == query
         found &= np.cumsum(found, axis=1) <= cfg.k
         self.hit = found.any(axis=1)
         found, pos = found[self.hit], pos[self.hit]

@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pcsaliency import boxes
 from pcsaliency.boxes import (
     OrientedBox,
     box_diagonal,
@@ -150,6 +154,99 @@ class TestIou:
         turned = OrientedBox(box.center, box.size, box.yaw + math.pi / 2)
         assert iou_3d(box, turned) == pytest.approx(1.0, abs=1e-9)
 
+
+
+# ----------------------------------------------------------------------
+# the clipping on Python floats against the numpy-row form it replaced
+
+
+def clip_polygon_reference(subject, clip):
+    """Sutherland-Hodgman on numpy rows, as ``_clip_polygon`` did it."""
+    output = list(subject)
+    m = len(clip)
+    for i in range(m):
+        if not output:
+            break
+        a = clip[i]
+        b = clip[(i + 1) % m]
+        edge = b - a
+        input_pts = output
+        output = []
+        prev = input_pts[-1]
+        prev_side = edge[0] * (prev[1] - a[1]) - edge[1] * (prev[0] - a[0])
+        for cur in input_pts:
+            cur_side = edge[0] * (cur[1] - a[1]) - edge[1] * (cur[0] - a[0])
+            if cur_side >= 0:
+                if prev_side < 0:
+                    t = prev_side / (prev_side - cur_side)
+                    output.append(prev + t * (cur - prev))
+                output.append(cur)
+            elif prev_side >= 0:
+                t = prev_side / (prev_side - cur_side)
+                output.append(prev + t * (cur - prev))
+            prev, prev_side = cur, cur_side
+    return np.array(output) if output else np.zeros((0, 2))
+
+
+def polygon_area_reference(poly):
+    """The shoelace area on ``np.roll`` copies, as ``_polygon_area`` did it."""
+    if len(poly) < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
+    area = 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    return area if area > 1e-12 else 0.0
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+def iou_reference(a, b):
+    with mock.patch.object(boxes, "_clip_polygon", clip_polygon_reference), \
+            mock.patch.object(boxes, "_polygon_area", polygon_area_reference):
+        return iou_3d(a, b)
+
+
+_COORD = st.floats(-4.0, 4.0)
+_SIZE = st.floats(0.1, 4.0)
+_YAW = st.floats(-2 * math.pi, 2 * math.pi) | st.sampled_from([0.0, math.pi / 2, math.pi / 4])
+_BOX = st.builds(OrientedBox, st.tuples(_COORD, _COORD, _COORD), st.tuples(_SIZE, _SIZE, _SIZE), _YAW)
+
+
+@st.composite
+def box_pairs(draw):
+    """Rotated pairs drawn freely, and pairs nested, touching or disjoint."""
+    a = draw(_BOX)
+    kind = draw(st.sampled_from(["free", "nested", "touching", "disjoint"]))
+    if kind == "free":
+        return a, draw(_BOX)
+    (x, y, z), (l, w, h) = a.center, a.size
+    if kind == "nested":
+        scale = draw(st.tuples(*[st.floats(0.1, 1.0)] * 3))
+        size = (l * scale[0], w * scale[1], h * scale[2])
+        return a, OrientedBox(a.center, size, a.yaw + draw(st.sampled_from([0.0, math.pi])))
+    if kind == "touching":  # face to face along the box's own x axis, or stacked
+        other = draw(_BOX)
+        if draw(st.booleans()):
+            reach = (l + other.size[0]) / 2
+            center = (x + reach * math.cos(a.yaw), y + reach * math.sin(a.yaw), z)
+            return a, OrientedBox(center, (other.size[0], w, h), a.yaw)
+        return a, OrientedBox((x, y, z + (h + other.size[2]) / 2), other.size, other.yaw)
+    other = draw(_BOX)
+    reach = boxes.box_diagonal(a) + boxes.box_diagonal(other)
+    return a, OrientedBox((x + reach, y, z), other.size, other.yaw)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(pair=box_pairs())
+def test_iou_equals_the_numpy_row_form(pair):
+    a, b = pair
+    assert bits(iou_3d(a, b)) == bits(iou_reference(a, b))
+    for first, second in (pair, pair[::-1]):
+        subject, clip = first.footprint(), second.footprint()
+        polygon = boxes._clip_polygon(subject, clip)
+        assert np.array_equal(bits(polygon), bits(clip_polygon_reference(subject, clip)))
+        assert bits(boxes._polygon_area(polygon)) == bits(polygon_area_reference(polygon))
 
 class TestCanonicalize:
     def test_corner_maps_to_half(self):

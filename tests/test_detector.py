@@ -4,8 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from pcsaliency.detector import (
     _MIN_PRODUCT_ROWS,
+    _NEIGHBOR_OFFSETS_26,
     ReferenceDetector,
     ReferenceDetectorConfig,
+    _connected_components,
     _scatter_sum,
     grad_check,
 )
@@ -729,6 +731,64 @@ def test_scatter_sum_bit_identical_to_add_at(seed, rows, groups, cols):
     expected = np.zeros((groups, cols))
     np.add.at(expected, inverse, values)
     assert bits(_scatter_sum(inverse, values, groups)) == bits(expected)
+
+
+def connected_components_reference(coords, active):
+    """The numpy-scalar form ``_connected_components`` replaced."""
+    coord_rows = {tuple(coords[r]): r for r in active.tolist()}
+    seen = set()
+    components = []
+    for row in active.tolist():
+        if row in seen:
+            continue
+        stack = [row]
+        seen.add(row)
+        comp = []
+        while stack:
+            r = stack.pop()
+            comp.append(r)
+            cx, cy, cz = coords[r]
+            for dx, dy, dz in _NEIGHBOR_OFFSETS_26:
+                nr = coord_rows.get((cx + dx, cy + dy, cz + dz))
+                if nr is not None and nr not in seen:
+                    seen.add(nr)
+                    stack.append(nr)
+        components.append(np.array(sorted(comp)))
+    return components
+
+
+_ANY_STEP = st.sampled_from(_NEIGHBOR_OFFSETS_26)
+_CORNER_STEP = st.sampled_from([o for o in _NEIGHBOR_OFFSETS_26 if 0 not in o])
+_CELL = st.tuples(*[st.integers(0, 30)] * 3)
+
+
+@st.composite
+def active_sets(draw):
+    """Occupied rows in any order and the active ones among them: chains of
+    26-neighbour steps, chains touching only at corners, isolated rows."""
+    cells = set()
+    for step in draw(st.lists(st.sampled_from([_ANY_STEP, _CORNER_STEP]), max_size=4)):
+        cell = draw(_CELL)
+        cells.add(cell)
+        for dx, dy, dz in draw(st.lists(step, max_size=15)):
+            cell = (cell[0] + dx, cell[1] + dy, cell[2] + dz)
+            cells.add(cell)
+    cells.update((3 * x, 3 * y, 3 * z) for x, y, z in draw(st.lists(_CELL, max_size=10)))
+    rows = draw(st.permutations(sorted(cells)))
+    coords = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    mask = draw(st.lists(st.booleans() | st.just(True), min_size=len(rows), max_size=len(rows)))
+    return coords, np.flatnonzero(np.array(mask, dtype=bool))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=active_sets())
+def test_connected_components_equal_the_numpy_scalar_form(case):
+    coords, active = case
+    got = _connected_components(coords, active)
+    expected = connected_components_reference(coords, active)
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and np.array_equal(g, e)
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ from pcsaliency.errors import (
 from pcsaliency.metrics import (
     Curve,
     EvalThresholds,
+    _center_distances,
     auc,
     deletion_curve,
     energy_pg,
@@ -168,6 +169,22 @@ class TestDeletionInsertion:
             assert kept_region_del | kept_region_ins == region_set
             assert not (kept_region_del & kept_region_ins)
 
+
+    def test_region_distances_are_the_row_norm_bit_for_bit(self):
+        # a numpy that adds a 3-wide row in another order than (x + y) + z
+        # fails here by name, not as a golden hash
+        rng = np.random.default_rng(7)
+        cloud = np.vstack([
+            rng.normal(scale=25.0, size=(60_000, 4)),
+            rng.uniform(-80.0, 80.0, size=(60_000, 4)).astype(np.float32).astype(float),
+            rng.normal(scale=1e-3, size=(1_000, 4)) + 12.5,  # cancellation near the center
+        ])
+        centers = [(0.0, 0.0, 0.0), (12.5, 12.5, 12.5), tuple(rng.normal(scale=30.0, size=3)),
+                   tuple(np.float32(rng.normal(scale=30.0, size=3)))]
+        for center in centers:
+            expected = np.linalg.norm(cloud[:, :3] - np.array(center), axis=1)
+            got = _center_distances(cloud, center)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), center
 
 class TestVea:
     def test_indicator_saliency_is_perfect(self):

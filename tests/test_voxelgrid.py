@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from pcsaliency.voxelgrid import (
     UpsampleConfig,
     UpsamplePlan,
     _group_rows,
+    _linear_key,
+    _offsets_within,
     upsample_to_points,
 )
 
@@ -61,6 +64,25 @@ class TestVoxelizePoint:
             [9.999, 9.999, 9.999], [0.0, 5.0, 0.0],
         ])
         assert GRID.contains(points).tolist() == [False, False, False, True, True]
+
+    def test_contains_equals_the_row_reduction(self):
+        # per axis: on, just below and just above each face, inside, non-finite
+        grid = GridSpec(0.2, (0.100000002, 4.0), (-2.0, 2.5), (-1.0, 1.0))
+        axes = [
+            [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf),
+             np.nextafter(hi, np.inf), (lo + hi) / 2, np.nan, np.inf, -np.inf]
+            for lo, hi in (grid.x_range, grid.y_range, grid.z_range)
+        ]
+        points = np.array(list(itertools.product(*axes)))
+        for xyz in (points, points.astype(np.float32), np.column_stack([points, points[:, 0]])):
+            expected = np.all((xyz[:, :3] >= grid.lower) & (xyz[:, :3] < grid.upper), axis=1)
+            assert np.array_equal(grid.contains(xyz), expected)
+        # float32 rounds 0.100000002 down, so the point lies below the float64
+        # bound; compared with a Python float bound it would compare in float32
+        below = np.array([[0.100000002, 0.0, 0.0]], dtype=np.float32)
+        assert grid.contains(below).tolist() == [False]
+        assert grid.contains(below.astype(float)).tolist() == [False]
+        assert grid.contains(np.array([[0.100000002, 0.0, 0.0]])).tolist() == [True]
 
 
 class TestVoxelizeCloud:
@@ -382,3 +404,21 @@ def test_upsample_matches_per_point_loop(near, far, points, range_threshold, k, 
     ]
     # + 0.0: a -0.0 voxel reads as 0.0, every other value bit for bit
     assert np.array_equal(bits(upsample_to_points(vmap, cloud, OWN_VOXEL)), bits(np.array(own) + 0.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    cells=_sized_lists(st.tuples(*[st.integers(0, 2**21)] * 3), 0, 30),
+    r=st.integers(0, 3),
+    # spans whose product passes 2**63: the wrapped keys must agree as well
+    span=st.tuples(*[st.integers(1, 2**22)] * 3),
+)
+def test_plan_query_keys_are_cell_keys_plus_offset_keys(cells, r, span):
+    """``UpsamplePlan`` keys each (cell, offset) query as the cell's key plus
+    the offset's: the same integers as keying every cell + offset row."""
+    cells = np.array(cells, dtype=np.int64).reshape(-1, 3)
+    span = np.array(span, dtype=np.int64)
+    offsets = np.array(_offsets_within(r), dtype=np.int64)
+    rows = (cells[:, None, :] + offsets + r).reshape(-1, 3)
+    expected = _linear_key(rows, span).reshape(len(cells), len(offsets))
+    assert np.array_equal(_linear_key(cells + r, span)[:, None] + _linear_key(offsets, span), expected)
