@@ -48,12 +48,13 @@ def points_in_box(points: np.ndarray, box: OrientedBox) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[None, :]
-    xyz = points[:, :3] - np.array(box.center)
+    # per column (a row op over 3 columns runs one loop per row), minus the
+    # float64 numpy scalars of ``points[:, :3] - np.array(box.center)``
+    x, y, zb = (points[:, k] - c for k, c in enumerate(np.array(box.center)))
     c, s = math.cos(box.yaw), math.sin(box.yaw)
     # rotate by -yaw into the box frame
-    xb = c * xyz[:, 0] + s * xyz[:, 1]
-    yb = -s * xyz[:, 0] + c * xyz[:, 1]
-    zb = xyz[:, 2]
+    xb = c * x + s * y
+    yb = -s * x + c * y
     l, w, h = box.size
     return (np.abs(xb) <= l / 2) & (np.abs(yb) <= w / 2) & (np.abs(zb) <= h / 2)
 

@@ -102,13 +102,15 @@ _MIN_PRODUCT_ROWS = 128
 @dataclass
 class _SceneHold:
     """The cloud a ``scene`` scope serves, its layout and carried values
-    pass once built, and the forward of every point kept while no curve
-    step has moved the carry since."""
+    pass once built, the forward of every point kept while no curve step
+    has moved the carry since, and that forward's detections, which
+    outlive it."""
 
     cloud: np.ndarray
     layout: "_Layout | None" = None
     carry: "_Carry | None" = None
     forward: "_Forward | None" = None
+    detections: "list[Detection] | None" = None
 
 
 @dataclass
@@ -128,6 +130,13 @@ class _Layout:
     parent_rows: list[np.ndarray]  # block b>=2: child row -> parent row
 
     @functools.cached_property
+    def point_rows(self) -> np.ndarray:
+        """Cloud point -> its in-grid point, -1 outside the grid."""
+        rows = np.full(len(self.inside), -1, dtype=np.int64)
+        rows[self.inside] = np.arange(len(self.base_rows))
+        return rows
+
+    @functools.cached_property
     def beneath(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per block, the entries beneath each row (in-grid points at block
         1, child rows above) in ascending order, as ``(entries, starts)``:
@@ -138,7 +147,7 @@ class _Layout:
             held = self.base_rows if b == 0 else self.parent_rows[b]
             starts = np.zeros(len(coords) + 1, dtype=np.int64)
             np.cumsum(np.bincount(held, minlength=len(coords)), out=starts[1:])
-            csr.append((np.argsort(held, kind="stable"), starts))
+            csr.append((_stable_argsort(held), starts))
         return csr
 
 
@@ -149,18 +158,22 @@ class _Carry:
     Per block, ``counts`` counts what lies beneath each held row (its kept
     points at block 1, its live children above) and ``values`` holds each
     live row's block output; a row with count 0 is dead and its values are
-    stale. ``live`` is the number of live rows per block.
+    stale. ``live`` is the number of live rows per block. ``detections``
+    is the head's answer on the last pass.
     """
 
+    keep: np.ndarray  # cloud point -> kept by the last pass
     kept: np.ndarray  # in-grid point -> kept by the last pass
     counts: list[np.ndarray]
     live: list[int]
     values: list["np.ndarray | None"]
+    detections: "list[Detection] | None" = None
 
     @classmethod
     def empty(cls, layout: _Layout) -> "_Carry":
         """The state of no kept point: every row dead, no values yet."""
         return cls(
+            np.zeros(len(layout.inside), dtype=bool),
             np.zeros(len(layout.base_rows), dtype=bool),
             [np.zeros(len(coords), dtype=np.int64) for coords in layout.block_coords],
             [0] * len(layout.block_coords),
@@ -199,6 +212,7 @@ class ReferenceDetector:
         # Zero-mean class vectors: the argmax then keys on the channel mix of
         # a cluster rather than its overall magnitude.
         self._class_vecs = rng.normal(size=(len(CLASS_NAMES), d))
+        self._top_grid = self.grid.scaled(2 ** (self.cfg.num_blocks - 1))
         self._hold: _SceneHold | None = None
 
     # ------------------------------------------------------------------
@@ -216,7 +230,10 @@ class ReferenceDetector:
         moves the carried pass to its keep mask, recomputing only the rows
         beneath the points whose keep flag flipped; a later
         ``detect``/``features``/``gradient`` call moves it back to every
-        point the same way. Any other array, such as a perturbed copy, gets
+        point the same way. A ``detect_subset`` mask that keeps every point
+        once the forward of every point has run, or that equals the carried
+        one, gets the answer the scope already holds and leaves the carry
+        where it is. Any other array, such as a perturbed copy, gets
         a scope of its own. The match is by identity, not content, so the
         cloud must not be mutated inside the block. A block nested in one
         on the same array reuses the outer block's hold. Leaving the
@@ -243,14 +260,22 @@ class ReferenceDetector:
             raise EmptyCloud("detector requires a non-empty point cloud")
         with self.scene(cloud):
             hold = self._hold
+            if hold.detections is not None and keep.all():
+                return list(hold.detections)
             layout = self._held_layout(hold)
+            carry = hold.carry
+            flipped = np.flatnonzero(keep != carry.keep)
+            if len(flipped) == 0:
+                return list(carry.detections)
             # the step overwrites the block values the held forward shares,
             # which only ``features`` hands out, as copies
             hold.forward = None
-            self._advance(layout, hold.carry, keep)
-            live = hold.carry.counts[-1] > 0
+            # a copy: the caller may change its mask in place
+            self._advance(layout, carry, keep.copy(), flipped)
+            live = carry.counts[-1] > 0
             coords = np.compress(live, layout.block_coords[-1], axis=0)
-            return self._head(coords, np.compress(live, hold.carry.values[-1], axis=0))[2]
+            carry.detections = self._head(coords, np.compress(live, carry.values[-1], axis=0))[2]
+            return list(carry.detections)
 
     def features(self, cloud: np.ndarray, block_index: int) -> SparseVoxelMap:
         self._check_block(block_index)
@@ -304,9 +329,12 @@ class ReferenceDetector:
         """The forward of every point of the held cloud: the carried values
         pass moved to every point kept, whose block values it shares."""
         layout = self._held_layout(hold)
-        self._advance(layout, hold.carry, None)
-        values = list(hold.carry.values)
+        carry = hold.carry
+        every = np.ones(len(hold.cloud), dtype=bool)
+        self._advance(layout, carry, every, np.flatnonzero(~carry.keep))
+        values = list(carry.values)
         activations, clusters, detections = self._head(layout.block_coords[-1], values[-1])
+        carry.detections = hold.detections = detections
         return _Forward(
             layout.block_coords, values, layout.parent_rows,
             activations, clusters, detections,
@@ -329,9 +357,12 @@ class ReferenceDetector:
         inside = self.grid.contains(cloud)
         pts = cloud[inside]
         coords, base_rows, _ = _group_rows(self.grid.coords_for(pts))
-        corners = self.grid.lower + coords * self.grid.voxel_size
         per_point = pts[:, :4].copy()
-        per_point[:, :3] -= corners[base_rows]
+        # per column (a row op over 3 columns runs one loop per row), with
+        # the float64 numpy scalar bounds of ``lower + coords * voxel_size``
+        for k, lo in enumerate(self.grid.lower):
+            corners = lo + coords[:, k] * self.grid.voxel_size
+            per_point[:, k] -= corners[base_rows]
         block_coords = [coords]
         parent_rows: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
         for _ in range(1, self.cfg.num_blocks):
@@ -340,14 +371,15 @@ class ReferenceDetector:
             parent_rows.append(inverse)
         return _Layout(inside, base_rows, per_point, block_coords, parent_rows)
 
-    def _advance(self, layout: _Layout, carry: _Carry, keep: np.ndarray | None):
-        """Move ``carry`` to the forward under ``keep`` (all points when None).
+    def _advance(self, layout: _Layout, carry: _Carry, keep: np.ndarray, flipped: np.ndarray):
+        """Move ``carry`` to the forward under the cloud mask ``keep``, which
+        differs from the carried mask at the cloud points ``flipped``.
 
         Only the rows beneath a flipped keep flag are dirty: a base voxel
-        under a flipped point, then each parent of a dirty child. A dirty
-        row is recounted, and recomputed if live, from its kept points or
-        live children in ascending order, which ``_scatter_sum`` adds as a
-        whole pass does; the block product runs on those rows padded with
+        under a flipped in-grid point, then each parent of a dirty child. A
+        dirty row is recounted, and recomputed if live, from its kept points
+        or live children in ascending order, which ``_scatter_sum`` adds as
+        a whole pass does; the block product runs on those rows padded with
         zero rows to ``_MIN_PRODUCT_ROWS``.
 
         A block with fewer live rows than that, now or at the last pass, is
@@ -355,12 +387,11 @@ class ReferenceDetector:
         above it, which have no more live rows. From the empty state every
         block is whole.
         """
-        if keep is None:
-            kept = np.ones(len(layout.base_rows), dtype=bool)
-        else:
-            # np.compress: a boolean row gather several times faster than a[mask]
-            kept = np.compress(layout.inside, keep)
-        kept_before, carry.kept = carry.kept, kept
+        carry.keep = keep
+        points = layout.point_rows[flipped]
+        points = points[points >= 0]  # the flipped points in the grid
+        kept = carry.kept
+        kept[points] = ~kept[points]
         whole = False
         for b in range(self.cfg.num_blocks):
             m = len(layout.block_coords[b])
@@ -371,7 +402,7 @@ class ReferenceDetector:
             whole = whole or carry.live[b] < _MIN_PRODUCT_ROWS
             if not whole:
                 if b == 0:
-                    touched = layout.base_rows[np.flatnonzero(kept != kept_before)]
+                    touched = layout.base_rows[points]
                 mark = np.zeros(m, dtype=bool)
                 mark[touched] = True
                 dirty = np.flatnonzero(mark)  # np.unique(touched), without the sort
@@ -462,8 +493,7 @@ class ReferenceDetector:
     def _cluster_stats(self, coords, cluster, w):
         """Last-block voxel centers of a cluster and their ``w``-weighted
         total, mean and variance: the statistics every box attribute reads."""
-        stride = 2 ** (self.cfg.num_blocks - 1)
-        centers = self.grid.scaled(stride).centers(coords[cluster])
+        centers = self._top_grid.centers(coords[cluster])
         total = w.sum()
         mu = (w[:, None] * centers).sum(axis=0) / total
         var = (w[:, None] * (centers - mu) ** 2).sum(axis=0) / total
@@ -599,6 +629,17 @@ def _scatter_sum(inverse: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     flat = (inverse[:, None] * cols + np.arange(cols)).ravel()
     sums = np.bincount(flat, weights=values.ravel(), minlength=n * cols)
     return sums.reshape(n, cols)
+
+
+def _stable_argsort(held: np.ndarray) -> np.ndarray:
+    """``np.argsort(held, kind="stable")`` for non-negative ``held`` below
+    its length: the plain sort of the unique keys ``held * n + index`` is
+    several times faster than the stable sort, and each key's remainder is
+    its index. The keys fit in int64 below 3e9 entries."""
+    n = len(held)
+    keys = held * n + np.arange(n)
+    keys.sort()
+    return keys % n
 
 
 def _segments(entries: np.ndarray, starts: np.ndarray, rows: np.ndarray):

@@ -98,12 +98,13 @@ def _region_order(cloud, d: Detection, saliency):
     return cloud, order
 
 
-def _detection_iou(detector, cloud: np.ndarray, keep: np.ndarray, d: Detection) -> float:
-    """Best same-class IoU against d's box after rerunning the detector on
-    the points of ``cloud`` under ``keep``; 0 when none are kept."""
+def _detection_iou(
+    detector, cloud: np.ndarray, keep: np.ndarray, d: Detection, box: OrientedBox
+) -> float:
+    """Best same-class IoU against ``box``, d's box, after rerunning the
+    detector on the points of ``cloud`` under ``keep``; 0 when none are kept."""
     if not keep.any():
         return 0.0
-    box = d.box()
     best = 0.0
     for found in detector.detect_subset(cloud, keep):
         if found.label == d.label:
@@ -129,14 +130,18 @@ def _perturbation_curve(detector, cloud, d, saliency, steps, inserting: bool) ->
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     cloud, order = _region_order(cloud, d, saliency)
-    start = np.ones(len(cloud), dtype=bool)
-    start[order] = not inserting
+    box = d.box()
+    keep = np.ones(len(cloud), dtype=bool)
+    keep[order] = not inserting
     values = []
+    done = 0
     with detector.scene(cloud):
         for i in range(steps + 1):
-            keep = start.copy()
-            keep[order[: round(i * len(order) / steps)]] = inserting
-            values.append(_detection_iou(detector, cloud, keep, d))
+            # one running mask: each step flips only its own points
+            upto = round(i * len(order) / steps)
+            keep[order[done:upto]] = inserting
+            done = upto
+            values.append(_detection_iou(detector, cloud, keep, d, box))
     return Curve(np.arange(steps + 1) / steps, np.array(values))
 
 
@@ -164,14 +169,17 @@ def vea(saliency, cloud, gt_box: OrientedBox) -> float:
     if peak <= 0:
         return 0.0
     normalized = saliency / peak
+    # the counts of the masks {normalized >= t} and {normalized >= t} & gt,
+    # read off the sorted values: NaN compares false and sorts last
+    thresholds = np.array(_VEA_THRESHOLDS)
+    counts = []
+    for values in (normalized, normalized[gt_mask]):
+        values = np.sort(values)
+        counts.append(np.searchsorted(values, np.nan) - np.searchsorted(values, thresholds))
+    gt = int(np.count_nonzero(gt_mask))
     best = 0.0
-    for t in _VEA_THRESHOLDS:
-        pred = normalized >= t
-        union = int(np.count_nonzero(pred | gt_mask))
-        if union == 0:
-            continue
-        inter = int(np.count_nonzero(pred & gt_mask))
-        best = max(best, inter / union)
+    for pred, inter in zip(*(c.tolist() for c in counts)):
+        best = max(best, inter / (pred + gt - inter))  # union >= gt > 0
     return best
 
 

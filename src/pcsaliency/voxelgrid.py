@@ -67,8 +67,13 @@ class GridSpec:
 
     def coords_for(self, points: np.ndarray) -> np.ndarray:
         """Voxel coordinates for an (N, 3+) array; no range checking."""
-        xyz = np.asarray(points, dtype=float)[:, :3]
-        return np.floor((xyz - self.lower) / self.voxel_size).astype(np.int64)
+        points = np.asarray(points, dtype=float)
+        # per column, as ``contains``: each element is
+        # floor((coord - lower) / voxel_size) with the float64 lower bound
+        coords = np.empty((len(points), 3), dtype=np.int64)
+        for k, lo in enumerate(self.lower):
+            coords[:, k] = np.floor((points[:, k] - lo) / self.voxel_size)
+        return coords
 
     def centers(self, coords: np.ndarray) -> np.ndarray:
         """Metric centers of the given integer voxel coordinates."""
@@ -169,7 +174,7 @@ def _group_rows(coords: np.ndarray):
     """
     if len(coords) == 0:
         return coords.reshape(0, 3), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    span = coords.max(axis=0) + 1
+    span = np.array([coords[:, k].max() for k in range(3)]) + 1  # per column: coords.max(axis=0)
     keys, inverse, counts = np.unique(
         _linear_key(coords, span), return_inverse=True, return_counts=True
     )

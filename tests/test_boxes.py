@@ -45,6 +45,17 @@ def mc_iou(a, b, n, seed):
     return 0.0 if union == 0 else int(np.count_nonzero(in_a & in_b)) / union
 
 
+def points_in_box_row_form(points, box):
+    """``points_in_box`` as first written, on (N, 3) rows."""
+    points = np.asarray(points, dtype=float)
+    xyz = points[:, :3] - np.array(box.center)
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    xb = c * xyz[:, 0] + s * xyz[:, 1]
+    yb = -s * xyz[:, 0] + c * xyz[:, 1]
+    l, w, h = box.size
+    return (np.abs(xb) <= l / 2) & (np.abs(yb) <= w / 2) & (np.abs(xyz[:, 2]) <= h / 2)
+
+
 class TestPointInBox:
     def test_center_inside(self):
         box = OrientedBox((1.0, 2.0, 3.0), (2.0, 1.0, 1.5), 0.3)
@@ -76,6 +87,34 @@ class TestPointInBox:
                 inside &= side >= -1e-12
             inside &= np.abs(pts[:, 2] - box.center[2]) <= box.size[2] / 2 + 1e-12
             assert np.array_equal(got, inside)
+
+    def test_equals_the_row_form(self):
+        """``points_in_box`` per column against the (N, 3) form it replaced,
+        bit for bit: free and rotated boxes, points on, beside and across
+        every face, as float64, float32-derived and 4-column input."""
+        rng = np.random.default_rng(11)
+        boxes = [
+            OrientedBox((1.25, -0.5, 0.75), (2.5, 1.0, 1.5), 0.0),
+            OrientedBox((0.1, 0.2, 0.3), (0.7, 0.3, 0.9), math.pi / 2),
+            *(random_box(rng) for _ in range(8)),
+        ]
+        for box in boxes:
+            c, s = math.cos(box.yaw), math.sin(box.yaw)
+            half = np.array(box.size) / 2
+            # box-frame points on each face, a step to either side, and inside
+            local = rng.uniform(-1.2, 1.2, size=(3000, 3)) * half
+            axis = rng.integers(0, 3, len(local))
+            face = rng.choice([-1.0, 1.0], len(local)) * half[axis]
+            local[np.arange(len(local)), axis] = face
+            local[1000:2000, :] = np.nextafter(local[1000:2000], np.inf)
+            local[2000:2500, :] = np.nextafter(local[2000:2500], -np.inf)
+            world = np.column_stack([
+                c * local[:, 0] - s * local[:, 1], s * local[:, 0] + c * local[:, 1], local[:, 2],
+            ]) + np.array(box.center)
+            for pts in (world, world.astype(np.float32), np.column_stack([world, world[:, 0]])):
+                got, expected = points_in_box(pts, box), points_in_box_row_form(pts, box)
+                assert got.dtype == bool and np.array_equal(got, expected)
+            assert 0 < np.count_nonzero(expected) < len(world)
 
     def test_membership_volume_consistency(self):
         rng = np.random.default_rng(17)

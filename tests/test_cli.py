@@ -708,8 +708,11 @@ def test_eval_factorizes_once_per_scene(multi_scene_dir, tmp_path, work):
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert len({(r["scene_id"], r["detection_id"]) for r in rows}) == 4
     assert work["factorize"] == 2
-    # one scene forward, then two curves of eval.steps + 1 reruns per detection
-    assert work["forward"] == 2 * (1 + 2 * 2 * 6)
+    # one scene forward, then two curves of eval.steps + 1 reruns per
+    # detection, of which three the scope already answered: deletion's first
+    # step and insertion's last keep every point, and insertion's first
+    # equals deletion's last
+    assert work["forward"] == 2 * (1 + 2 * (2 * 6 - 3))
     # the reruns sort nothing: the scene forward's layout serves every curve step
     assert work["layout"] == 2
 

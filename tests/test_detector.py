@@ -9,6 +9,7 @@ from pcsaliency.detector import (
     ReferenceDetectorConfig,
     _connected_components,
     _scatter_sum,
+    _stable_argsort,
     grad_check,
 )
 from pcsaliency.errors import DetectionNotFound, DetectorFailure, EmptyCloud, LengthMismatch
@@ -452,18 +453,25 @@ def test_subset_forward_bit_identical_on_random_clouds(seed, n, with_intensity, 
 
 
 def assert_carry_matches_fresh(detector, cloud, keep):
-    """The scope's carried state under ``keep``, row for row, against a
-    fresh forward on ``cloud[keep]``; returns that forward."""
+    """The scope's carried state, row for row, against a fresh forward on
+    the cloud under the carry's own recorded mask, which a held answer
+    (``keep`` keeping every point, or equal to that mask) leaves in place;
+    returns the fresh forward on ``cloud[keep]``."""
     hold = detector._hold
-    fresh = detector._forward(cloud[keep])
+    carry = hold.carry
+    assert bits(carry.kept) == bits(carry.keep[hold.layout.inside])
+    fresh = detector._forward(cloud[carry.keep])
+    assert carry.detections == fresh.detections
     for b, (coords, counts, values) in enumerate(
-        zip(hold.layout.block_coords, hold.carry.counts, hold.carry.values)
+        zip(hold.layout.block_coords, carry.counts, carry.values)
     ):
         live = counts > 0
-        assert hold.carry.live[b] == np.count_nonzero(live)
+        assert carry.live[b] == np.count_nonzero(live)
         assert bits(np.compress(live, coords, axis=0)) == bits(fresh.block_coords[b])
         assert bits(np.compress(live, values, axis=0)) == bits(fresh.block_values[b])
-    return fresh
+    if np.array_equal(carry.keep, keep):
+        return fresh
+    return detector._forward(cloud[keep])
 
 
 class CountingDeltas:
@@ -584,6 +592,86 @@ def test_steps_take_over_the_scene_forward_but_not_handed_out_maps():
         assert [bits(m.values) for m in maps] == before
         assert bits(detector.features(cloud, 3).values) == before[2]
         assert detector.detect_subset(cloud, keep) == detector.detect(cloud[keep])
+
+
+def carry_bits(carry):
+    return (
+        bits(carry.keep), bits(carry.kept), [bits(c) for c in carry.counts], list(carry.live),
+        [bits(v) for v in carry.values], carry.detections,
+    )
+
+
+def test_held_answers_leave_the_carry(monkeypatch):
+    """Once the scene forward has run, a keep-all mask and a mask equal to
+    the carried one return ``detect(cloud[keep])`` without a values pass or
+    a head and leave every bit of the carry; the next delta still matches a
+    fresh forward."""
+    cloud, _, _ = single_object_scene(0)
+    every = np.ones(len(cloud), dtype=bool)
+    thinned = np.arange(len(cloud)) % 9 != 0
+    further = thinned & (np.arange(len(cloud)) % 5 != 0)
+    fresh = ReferenceDetector()
+    expected = [fresh.detect(cloud[keep]) for keep in (every, thinned)]
+    detector = ReferenceDetector()
+    with detector.scene(cloud):
+        detector.detect(cloud)
+        detector.detect_subset(cloud, thinned)
+        before = carry_bits(detector._hold.carry)
+        calls = []
+        for name in ("_advance", "_head"):
+            method = getattr(detector, name)
+            monkeypatch.setattr(
+                detector, name, lambda *args, m=method, n=name: calls.append(n) or m(*args)
+            )
+        assert detector.detect_subset(cloud, every) == expected[0]
+        assert detector.detect_subset(cloud, thinned.copy()) == expected[1]
+        assert detector.detect_subset(cloud, every) == expected[0]
+        assert calls == []
+        assert carry_bits(detector._hold.carry) == before
+        got = detector.detect_subset(cloud, further)
+        assert calls == ["_advance", "_head"]
+        assert got == assert_carry_matches_fresh(detector, cloud, further).detections
+
+
+def test_a_mask_changed_in_place_is_a_new_step():
+    """The carry records a copy of the mask: a caller that flips points of
+    the same array, as the curves do, gets the delta of those flips."""
+    detector = ReferenceDetector()
+    cloud, _, _ = single_object_scene(1)
+    keep = np.arange(len(cloud)) % 4 != 0
+    with detector.scene(cloud):
+        detector.detect_subset(cloud, keep)
+        for points in (slice(0, 500), slice(600, 1200), slice(0, 1200)):
+            keep[points] = ~keep[points]
+            got = detector.detect_subset(cloud, keep)
+            assert got == assert_carry_matches_fresh(detector, cloud, keep).detections
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    n=st.integers(1, 3000),
+    rows=st.integers(1, 3000),
+    arrangement=st.sampled_from(("random", "ascending", "descending")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stable_argsort_equals_numpy_on_ties(n, rows, arrangement, seed):
+    # ``held`` references no more rows than it has entries; few rows, many ties
+    held = np.random.default_rng(seed).integers(0, min(rows, n), size=n)
+    if arrangement != "random":
+        held = np.sort(held)[:: 1 if arrangement == "ascending" else -1].copy()
+    assert bits(_stable_argsort(held)) == bits(np.argsort(held, kind="stable"))
+
+
+@pytest.mark.parametrize("make_cloud", [
+    lambda: single_object_scene(0)[0],
+    lambda: single_object_scene(1, n_noise_points=60_000)[0],
+], ids=["default-scene", "60k-noise-scene"])
+def test_beneath_is_the_stable_argsort_on_every_block(make_cloud):
+    layout = ReferenceDetector()._layout(make_cloud())
+    for b, (entries, starts) in enumerate(layout.beneath):
+        held = layout.base_rows if b == 0 else layout.parent_rows[b]
+        assert bits(entries) == bits(np.argsort(held, kind="stable"))
+        assert bits(starts) == bits(np.searchsorted(held[entries], np.arange(len(starts))))
 
 
 def test_carried_steps_take_every_path(monkeypatch):

@@ -6,6 +6,7 @@ from pcsaliency.errors import (
     EmptyGroundTruth, LengthMismatch, NoRegionPoints, ValidationError, ZeroEnergy,
 )
 from pcsaliency.metrics import (
+    _VEA_THRESHOLDS,
     Curve,
     EvalThresholds,
     _center_distances,
@@ -186,7 +187,60 @@ class TestDeletionInsertion:
             got = _center_distances(cloud, center)
             assert np.array_equal(got.view(np.int64), expected.view(np.int64)), center
 
+def vea_mask_loop(saliency, cloud, gt_box):
+    """``vea`` as first written: one pair of masks per threshold."""
+    saliency, cloud = np.asarray(saliency, dtype=float), np.asarray(cloud, dtype=float)
+    gt_mask = points_in_box(cloud, gt_box)
+    peak = saliency.max()
+    if peak <= 0:
+        return 0.0
+    normalized = saliency / peak
+    best = 0.0
+    for t in _VEA_THRESHOLDS:
+        pred = normalized >= t
+        union = int(np.count_nonzero(pred | gt_mask))
+        if union == 0:
+            continue
+        inter = int(np.count_nonzero(pred & gt_mask))
+        best = max(best, inter / union)
+    return best
+
+
+def _on_thresholds(n, rng):
+    """Maps of peak 1 whose values sit on the thresholds, a step to either
+    side of them, and on their unrounded ``k * 0.05``."""
+    t = np.array(_VEA_THRESHOLDS)
+    values = np.concatenate([
+        t, np.nextafter(t, 0.0), np.nextafter(t, 2.0), np.arange(1, 20) * 0.05, [0.0, 1.0],
+    ])
+    return rng.choice(values, n)
+
+
 class TestVea:
+    @pytest.mark.parametrize("case", [
+        "uniform", "on-thresholds", "negative", "ties", "all-zero", "inf", "nan", "one-point-box",
+    ])
+    def test_equals_the_mask_loop(self, case):
+        rng = np.random.default_rng(7)
+        cloud = rng.uniform(-3, 3, size=(5000, 3))
+        box = OrientedBox((0.5, -0.5, 0.0), (2.0, 1.5, 2.0), 0.4)
+        saliency = {
+            "uniform": lambda: rng.uniform(size=len(cloud)),
+            "on-thresholds": lambda: _on_thresholds(len(cloud), rng),
+            "negative": lambda: rng.uniform(-1, 1, size=len(cloud)),
+            "ties": lambda: rng.integers(0, 4, size=len(cloud)).astype(float),
+            "all-zero": lambda: np.zeros(len(cloud)),
+            # inf / inf is NaN, which no threshold admits
+            "inf": lambda: np.where(np.arange(len(cloud)) % 50 == 0, np.inf, 1.0),
+            "nan": lambda: np.where(np.arange(len(cloud)) == 5, np.nan, 1.0),
+            "one-point-box": lambda: _on_thresholds(len(cloud), rng),
+        }[case]()
+        if case == "one-point-box":
+            box = OrientedBox(tuple(cloud[17]), (1e-6, 1e-6, 1e-6), 0.0)
+            assert np.count_nonzero(points_in_box(cloud, box)) == 1
+        got, expected = vea(saliency, cloud, box), vea_mask_loop(saliency, cloud, box)
+        assert type(got) is float and got.hex() == expected.hex()
+
     def test_indicator_saliency_is_perfect(self):
         box = OrientedBox((0.0, 0.0, 0.0), (2.0, 2.0, 2.0), 0.0)
         rng = np.random.default_rng(0)

@@ -84,6 +84,37 @@ class TestVoxelizePoint:
         assert grid.contains(below.astype(float)).tolist() == [False]
         assert grid.contains(np.array([[0.100000002, 0.0, 0.0]])).tolist() == [True]
 
+    def test_coords_for_equals_the_row_form(self):
+        # per axis: on voxel faces, a step to either side of them, the
+        # bounds themselves and random values, over and beyond the extent
+        grid = GridSpec(0.2, (0.100000002, 4.0), (-2.0, 2.5), (-1.0, 1.0))
+        rng = np.random.default_rng(0)
+        axes = []
+        for lo, hi in (grid.x_range, grid.y_range, grid.z_range):
+            faces = lo + np.arange(-2, int((hi - lo) / grid.voxel_size) + 3) * grid.voxel_size
+            axes.append(np.concatenate([
+                faces, np.nextafter(faces, -np.inf), np.nextafter(faces, np.inf),
+                [lo, hi], rng.uniform(lo - 1, hi + 1, 20),
+            ]))
+        points = np.column_stack([rng.choice(axis, 20_000) for axis in axes])
+        for xyz in (points, points.astype(np.float32), np.column_stack([points, points[:, 0]])):
+            expected = np.floor(
+                (np.asarray(xyz, dtype=float)[:, :3] - grid.lower) / grid.voxel_size
+            ).astype(np.int64)
+            got = grid.coords_for(xyz)
+            assert got.dtype == np.int64 and np.array_equal(got, expected)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(coords=st.lists(st.tuples(*[st.integers(0, 6)] * 3), min_size=1, max_size=300)
+       | st.lists(st.tuples(*[st.integers(0, 2**20)] * 3), min_size=1, max_size=50))
+def test_group_rows_equals_np_unique(coords):
+    coords = np.array(coords, dtype=np.int64)
+    expected = np.unique(coords, axis=0, return_inverse=True, return_counts=True)
+    got = _group_rows(coords)
+    for g, e in zip(got, (expected[0], expected[1].reshape(-1), expected[2])):
+        assert g.dtype == e.dtype and np.array_equal(g, e)
+
 
 class TestVoxelizeCloud:
     def test_two_points_share_a_cell(self):
