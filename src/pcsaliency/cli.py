@@ -335,14 +335,12 @@ def _cmd_sweep(args) -> int:
         for rows in _map_scenes(variant, args.scenes, _eval_worker):
             for row in rows:
                 by_metric.setdefault(row["metric"], []).append(row["value"])
-        means = {
-            name: (float(np.mean(vals)) if (vals := by_metric.get(name)) else 0.0)
+        # nan, not 0, for no objects: a deletion AUC of 0 is a perfect score
+        means = [
+            float(np.mean(by_metric[name])) if name in by_metric else float("nan")
             for name in ("deletion", "insertion", "vea", "pg", "enpg")
-        }
-        lines.append(
-            f"{axis},{setting},{means['deletion']:.6g},{means['insertion']:.6g},"
-            f"{means['vea']:.6g},{means['pg']:.6g},{means['enpg']:.6g}"
-        )
+        ]
+        lines.append(f"{axis},{setting}," + ",".join(f"{m:.6g}" for m in means))
     with writing(out) as fh:
         fh.write(f"# config_hash={cfg.config_hash()}\n" + "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} sweep rows to {out}")

@@ -102,14 +102,12 @@ _MIN_PRODUCT_ROWS = 128
 @dataclass
 class _SceneHold:
     """The cloud a ``scene`` scope serves, its layout and carried values
-    pass once built, the forward of every point kept while no curve step
-    has moved the carry since, and that forward's detections, which
-    outlive it."""
+    pass once built, and the detections of every point kept, which stay
+    while curve steps move the carry."""
 
     cloud: np.ndarray
     layout: "_Layout | None" = None
     carry: "_Carry | None" = None
-    forward: "_Forward | None" = None
     detections: "list[Detection] | None" = None
 
 
@@ -158,8 +156,10 @@ class _Carry:
     Per block, ``counts`` counts what lies beneath each held row (its kept
     points at block 1, its live children above) and ``values`` holds each
     live row's block output; a row with count 0 is dead and its values are
-    stale. ``live`` is the number of live rows per block. ``detections``
-    is the head's answer on the last pass.
+    stale. ``live`` is the number of live rows per block. ``activations``,
+    ``clusters`` and ``detections`` are the head's answer on the last
+    pass, over the live last-block rows: over every row when every point
+    is kept.
     """
 
     keep: np.ndarray  # cloud point -> kept by the last pass
@@ -167,6 +167,8 @@ class _Carry:
     counts: list[np.ndarray]
     live: list[int]
     values: list["np.ndarray | None"]
+    activations: "np.ndarray | None" = None
+    clusters: "list[np.ndarray] | None" = None
     detections: "list[Detection] | None" = None
 
     @classmethod
@@ -179,18 +181,6 @@ class _Carry:
             [0] * len(layout.block_coords),
             [None] * len(layout.block_coords),
         )
-
-
-@dataclass
-class _Forward:
-    """Cached per-block state of one forward pass."""
-
-    block_coords: list[np.ndarray]  # per block 1..B, lex-sorted voxel coords
-    block_values: list[np.ndarray]  # per block 1..B, (M_b, d)
-    parent_rows: list[np.ndarray]  # block b>=2: child row -> parent row
-    activations: np.ndarray  # head activations on the last block
-    clusters: list[np.ndarray]  # active-row groups, 26-connected
-    detections: list[Detection]
 
 
 class ReferenceDetector:
@@ -224,20 +214,18 @@ class ReferenceDetector:
 
         Every call runs in a scope; outside a caller's, in one of its own
         that ends with the call. The calls on this very array object share
-        one layout of its voxels and one carried values pass. The first
-        ``detect``/``features``/``gradient`` call computes the forward of
-        every point and later ones reuse it. Each ``detect_subset`` call
-        moves the carried pass to its keep mask, recomputing only the rows
-        beneath the points whose keep flag flipped; a later
-        ``detect``/``features``/``gradient`` call moves it back to every
-        point the same way. A ``detect_subset`` mask that keeps every point
-        once the forward of every point has run, or that equals the carried
-        one, gets the answer the scope already holds and leaves the carry
-        where it is. Any other array, such as a perturbed copy, gets
-        a scope of its own. The match is by identity, not content, so the
-        cloud must not be mutated inside the block. A block nested in one
-        on the same array reuses the outer block's hold. Leaving the
-        outermost block, also by an exception, releases what is held.
+        one layout of its voxels and one carried values pass. Each call
+        moves the carried pass to its keep mask, every point for
+        ``detect``/``features``/``gradient``, recomputing only the rows
+        beneath the points whose keep flag flipped; a mask equal to the
+        carried one costs a comparison. A ``detect_subset`` mask that keeps
+        every point once ``detect``/``features``/``gradient`` has run gets
+        the detections the scope holds for it and leaves the carry where
+        it is. Any other array, such as a perturbed copy, gets a scope of
+        its own. The match is by identity, not content, so the cloud must
+        not be mutated inside the block. A block nested in one on the same
+        array reuses the outer block's hold. Leaving the outermost block,
+        also by an exception, releases what is held.
         """
         outer = self._hold
         if outer is None or outer.cloud is not cloud:
@@ -262,28 +250,15 @@ class ReferenceDetector:
             hold = self._hold
             if hold.detections is not None and keep.all():
                 return list(hold.detections)
-            layout = self._held_layout(hold)
-            carry = hold.carry
-            flipped = np.flatnonzero(keep != carry.keep)
-            if len(flipped) == 0:
-                return list(carry.detections)
-            # the step overwrites the block values the held forward shares,
-            # which only ``features`` hands out, as copies
-            hold.forward = None
-            # a copy: the caller may change its mask in place
-            self._advance(layout, carry, keep.copy(), flipped)
-            live = carry.counts[-1] > 0
-            coords = np.compress(live, layout.block_coords[-1], axis=0)
-            carry.detections = self._head(coords, np.compress(live, carry.values[-1], axis=0))[2]
-            return list(carry.detections)
+            return list(self._pass(hold, keep).detections)
 
     def features(self, cloud: np.ndarray, block_index: int) -> SparseVoxelMap:
         self._check_block(block_index)
-        fw = self._forward(cloud)
-        # a copy: curve steps overwrite the held forward's values in place
+        hold = self._forward(cloud)
+        # a copy: curve steps overwrite the carried values in place
         return SparseVoxelMap(
-            fw.block_coords[block_index - 1],
-            fw.block_values[block_index - 1].copy(),
+            hold.layout.block_coords[block_index - 1],
+            hold.carry.values[block_index - 1].copy(),
             self.grid.scaled(2 ** (block_index - 1)),
         )
 
@@ -297,14 +272,15 @@ class ReferenceDetector:
         self._check_block(block_index)
         if not mask:
             raise EmptyMask("attribute mask selects nothing")
-        fw = self._forward(cloud)
+        hold = self._forward(cloud)
+        carry = hold.carry
         # float64 boxes of this forward: a caller's copy differs by round-off at most
-        cluster = fw.clusters[match_detection(fw.detections, d, atol=1e-9)]
-        grad = self._head_gradient(fw, cluster, mask)
+        cluster = carry.clusters[match_detection(carry.detections, d, atol=1e-9)]
+        grad = self._head_gradient(hold, cluster, mask)
         for b in range(self.cfg.num_blocks, block_index, -1):
-            grad = self._backprop_block(fw, b, grad)
+            grad = self._backprop_block(hold, b, grad)
         return SparseVoxelMap(
-            fw.block_coords[block_index - 1],
+            hold.layout.block_coords[block_index - 1],
             grad,
             self.grid.scaled(2 ** (block_index - 1)),
         )
@@ -318,35 +294,36 @@ class ReferenceDetector:
                 f"block_index must be in 1..{self.cfg.num_blocks}, got {block_index}"
             )
 
-    def _forward(self, cloud: np.ndarray) -> _Forward:
+    def _forward(self, cloud: np.ndarray) -> _SceneHold:
+        """The scope's hold on ``cloud`` with its carry at every point kept,
+        whose detections it holds."""
         with self.scene(cloud):
             hold = self._hold
-            if hold.forward is None:
-                hold.forward = self._compute_forward(hold)
-            return hold.forward
+            hold.detections = self._pass(hold, np.ones(len(cloud), dtype=bool)).detections
+            return hold
 
-    def _compute_forward(self, hold: _SceneHold) -> _Forward:
-        """The forward of every point of the held cloud: the carried values
-        pass moved to every point kept, whose block values it shares."""
-        layout = self._held_layout(hold)
-        carry = hold.carry
-        every = np.ones(len(hold.cloud), dtype=bool)
-        self._advance(layout, carry, every, np.flatnonzero(~carry.keep))
-        values = list(carry.values)
-        activations, clusters, detections = self._head(layout.block_coords[-1], values[-1])
-        carry.detections = hold.detections = detections
-        return _Forward(
-            layout.block_coords, values, layout.parent_rows,
-            activations, clusters, detections,
-        )
+    def _pass(self, hold: _SceneHold, keep: np.ndarray) -> _Carry:
+        """The held carry moved to the cloud mask ``keep``, with the head's
+        answer; the layout and the empty carry are built on first use.
 
-    def _held_layout(self, hold: _SceneHold) -> _Layout:
-        """The held cloud's layout, built with the empty carried state on
-        first use."""
+        A mask equal to the carried one returns the carry as it is. Every
+        mask keeps a point, so the empty carry is never returned.
+        """
         if hold.layout is None:
             hold.layout = self._layout(hold.cloud)
             hold.carry = _Carry.empty(hold.layout)
-        return hold.layout
+        layout, carry = hold.layout, hold.carry
+        flipped = np.flatnonzero(keep != carry.keep)
+        if len(flipped) == 0:
+            return carry
+        # a copy: the caller may change its mask in place
+        self._advance(layout, carry, keep.copy(), flipped)
+        coords, values = layout.block_coords[-1], carry.values[-1]
+        if carry.live[-1] < len(coords):
+            live = carry.counts[-1] > 0
+            coords, values = np.compress(live, coords, axis=0), np.compress(live, values, axis=0)
+        carry.activations, carry.clusters, carry.detections = self._head(coords, values)
+        return carry
 
     def _layout(self, cloud: np.ndarray) -> _Layout:
         """Lex-sorted occupied voxels of every block, each in-grid point's
@@ -521,10 +498,10 @@ class ReferenceDetector:
     # ------------------------------------------------------------------
     # gradients
 
-    def _head_gradient(self, fw: _Forward, cluster: np.ndarray, mask) -> np.ndarray:
+    def _head_gradient(self, hold: _SceneHold, cluster: np.ndarray, mask) -> np.ndarray:
         """d(loss)/d(last-block features), supported on the cluster's rows."""
         centers, total, mu, var = self._cluster_stats(
-            fw.block_coords[-1], cluster, fw.activations[cluster]
+            hold.layout.block_coords[-1], cluster, hold.carry.activations[cluster]
         )
         std = np.sqrt(var)
 
@@ -545,18 +522,18 @@ class ReferenceDetector:
             sig = _logistic(total)
             g_w += sig * (1.0 - sig)
 
-        grad = np.zeros_like(fw.block_values[-1])
+        grad = np.zeros_like(hold.carry.values[-1])
         grad[cluster] = np.outer(g_w, self._score_vec)
         return grad
 
-    def _backprop_block(self, fw: _Forward, b: int, grad: np.ndarray) -> np.ndarray:
+    def _backprop_block(self, hold: _SceneHold, b: int, grad: np.ndarray) -> np.ndarray:
         """Gradient at block b's output -> gradient at block b-1's output."""
-        out = fw.block_values[b - 1]
+        out = hold.carry.values[b - 1]
         pre = (out > 0) * grad
         pooled_grad = pre @ self._block_weights[b - 1]
-        return pooled_grad[fw.parent_rows[b - 1]]
+        return pooled_grad[hold.layout.parent_rows[b - 1]]
 
-    def _loss_from_block(self, fw, block_index, values, cluster, mask) -> float:
+    def _loss_from_block(self, hold, block_index, values, cluster, mask) -> float:
         """``object_loss`` of a cluster's box recomputed from substituted
         block features.
 
@@ -564,12 +541,13 @@ class ReferenceDetector:
         the unperturbed forward pass; only the continuous attribute math is
         re-evaluated. This is the function central finite differences probe.
         """
+        layout = hold.layout
         for b in range(block_index, self.cfg.num_blocks):
-            pooled = _scatter_sum(fw.parent_rows[b], values, len(fw.block_coords[b]))
+            pooled = _scatter_sum(layout.parent_rows[b], values, len(layout.block_coords[b]))
             values = self._block_output(b, pooled)
         w = values[cluster] @ self._score_vec
         # the loss reads continuous attributes only, so any label serves
-        box = self._cluster_box(fw.block_coords[-1], cluster, w, CLASS_NAMES[0])
+        box = self._cluster_box(layout.block_coords[-1], cluster, w, CLASS_NAMES[0])
         return object_loss(box, mask)
 
 
@@ -593,18 +571,18 @@ def grad_check(cfg: ReferenceDetectorConfig | None = None, scene_seed: int = 0) 
     worst = 0.0
     # one scope: the analytic gradients read the forward the differences probe
     with detector.scene(cloud):
-        fw = detector._forward(cloud)
-        base_values = fw.block_values[block - 1]
-        for detection, cluster in zip(fw.detections, fw.clusters):
+        hold = detector._forward(cloud)
+        base_values = hold.carry.values[block - 1]
+        for detection, cluster in zip(hold.carry.detections, hold.carry.clusters):
             analytic = np.asarray(detector.gradient(cloud, detection, mask, block).values)
             fd = np.zeros_like(analytic)
             values = base_values.copy()
             for flat in range(values.size):
                 orig = values.flat[flat]
                 values.flat[flat] = orig + step
-                hi = detector._loss_from_block(fw, block, values, cluster, mask)
+                hi = detector._loss_from_block(hold, block, values, cluster, mask)
                 values.flat[flat] = orig - step
-                lo = detector._loss_from_block(fw, block, values, cluster, mask)
+                lo = detector._loss_from_block(hold, block, values, cluster, mask)
                 values.flat[flat] = orig
                 fd.flat[flat] = (hi - lo) / (2.0 * step)
             diff = np.abs(analytic - fd)

@@ -238,6 +238,15 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "nmf.r=64" in err and "nmf.r=128" in err and "feature_dim=32" in err
 
+    def test_no_objects_scores_nan_not_zero(self, empty_scene_dir, tmp_path):
+        # a deletion AUC of 0 is the best score there is: a scene with nothing
+        # to explain must not read as a perfect explanation
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--scenes", str(empty_scene_dir), "--out", str(out), *FAST]) == 0
+        rows = out.read_text().splitlines()[2:]
+        assert len(rows) == 3 + 4 + 4
+        assert all(row.rsplit(",", 5)[1:] == ["nan"] * 5 for row in rows)
+
     def test_one_rank_row_per_effective_rank(self, capsys):
         from pcsaliency.cli import _sweep_variants
 

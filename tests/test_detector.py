@@ -1,6 +1,9 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from pcsaliency.detector import (
     _MIN_PRODUCT_ROWS,
@@ -160,9 +163,9 @@ class TestGradient:
     def test_finite_difference_agreement(self):
         detector = weak_detector()
         cloud = weak_cluster_scene()
-        fw = detector._forward(cloud)
-        d, cluster = fw.detections[0], fw.clusters[0]
-        values = fw.block_values[2]
+        hold = detector._forward(cloud)
+        d, cluster = hold.carry.detections[0], hold.carry.clusters[0]
+        values = hold.carry.values[2]
         analytic = np.asarray(detector.gradient(cloud, d, full_mask(), 3).values)
         rng = np.random.default_rng(0)
         rows = np.flatnonzero(np.abs(analytic).sum(axis=1) > 0)
@@ -171,9 +174,9 @@ class TestGradient:
             for col in rng.integers(0, values.shape[1], size=3):
                 probe = values.copy()
                 probe[row, col] += h
-                hi = detector._loss_from_block(fw, 3, probe, cluster, full_mask())
+                hi = detector._loss_from_block(hold, 3, probe, cluster, full_mask())
                 probe[row, col] -= 2 * h
-                lo = detector._loss_from_block(fw, 3, probe, cluster, full_mask())
+                lo = detector._loss_from_block(hold, 3, probe, cluster, full_mask())
                 fd = (hi - lo) / (2 * h)
                 assert analytic[row, col] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
@@ -271,20 +274,21 @@ def bits(a):
 
 
 def assert_forward_matches_reference(detector, cloud):
-    fw = detector._forward(cloud)
+    hold = detector._forward(cloud)
+    layout, carry = hold.layout, hold.carry
     coords, values, parents, activations, clusters, detections = reference_forward(
         detector, cloud
     )
     for got, want in (
-        (fw.block_coords, coords),
-        (fw.block_values, values),
-        (fw.parent_rows, parents),
-        (fw.clusters, clusters),
+        (layout.block_coords, coords),
+        (carry.values, values),
+        (layout.parent_rows, parents),
+        (carry.clusters, clusters),
     ):
         assert [bits(a) for a in got] == [bits(a) for a in want]
-    assert bits(fw.activations) == bits(activations)
-    assert fw.detections == detections
-    return fw
+    assert bits(carry.activations) == bits(activations)
+    assert hold.detections == carry.detections == detections
+    return hold
 
 
 def boundary_cloud(grid):
@@ -326,9 +330,9 @@ def test_forward_at_key_range_limit():
         boundary_cloud(detector.grid),
         dense_cluster((edge - 2.0, edge - 2.0, edge - 2.0), (3.0, 3.0, 3.0), 200, seed=5),
     ])
-    fw = assert_forward_matches_reference(detector, cloud)
-    assert fw.block_coords[0].max() == 2**21 - 3
-    assert fw.detections
+    hold = assert_forward_matches_reference(detector, cloud)
+    assert hold.layout.block_coords[0].max() == 2**21 - 3
+    assert hold.detections
 
 
 _SMALL_GRID = ReferenceDetectorConfig(
@@ -467,8 +471,8 @@ def assert_carry_matches_fresh(detector, cloud, keep):
     ):
         live = counts > 0
         assert carry.live[b] == np.count_nonzero(live)
-        assert bits(np.compress(live, coords, axis=0)) == bits(fresh.block_coords[b])
-        assert bits(np.compress(live, values, axis=0)) == bits(fresh.block_values[b])
+        assert bits(np.compress(live, coords, axis=0)) == bits(fresh.layout.block_coords[b])
+        assert bits(np.compress(live, values, axis=0)) == bits(fresh.carry.values[b])
     if np.array_equal(carry.keep, keep):
         return fresh
     return detector._forward(cloud[keep])
@@ -588,7 +592,8 @@ def test_steps_take_over_the_scene_forward_but_not_handed_out_maps():
         maps = [detector.features(cloud, b) for b in range(1, 5)]
         before = [bits(m.values) for m in maps]
         detector.detect_subset(cloud, keep)
-        assert detector._hold.forward is None
+        assert bits(detector._hold.carry.keep) == bits(keep)
+        assert detector._hold.detections == ReferenceDetector().detect(cloud)
         assert [bits(m.values) for m in maps] == before
         assert bits(detector.features(cloud, 3).values) == before[2]
         assert detector.detect_subset(cloud, keep) == detector.detect(cloud[keep])
@@ -881,15 +886,17 @@ def test_connected_components_equal_the_numpy_scalar_form(case):
 
 @pytest.fixture
 def count_forwards(monkeypatch):
-    """Counter of the detector forwards actually computed."""
+    """The clouds of the detector forwards actually computed: the values
+    passes that move the carry to every point kept."""
     calls = []
-    compute = ReferenceDetector._compute_forward
+    advance = ReferenceDetector._advance
 
-    def counted(self, hold):
-        calls.append(hold.cloud)
-        return compute(self, hold)
+    def counted(self, layout, carry, keep, flipped):
+        if keep.all():
+            calls.append(self._hold.cloud)
+        return advance(self, layout, carry, keep, flipped)
 
-    monkeypatch.setattr(ReferenceDetector, "_compute_forward", counted)
+    monkeypatch.setattr(ReferenceDetector, "_advance", counted)
     return calls
 
 
@@ -1015,16 +1022,144 @@ class TestSceneScope:
             assert len(detector.detect(cloud)) == 1
 
 
+class SceneScopeMachine(RuleBasedStateMachine):
+    """One detector's calls interleaved freely over scopes on one cloud, on
+    copies of it and nested in each other: every answer equals a fresh
+    detector's, no map handed out changes afterwards, and the detector's
+    hold is the innermost open scope's."""
+
+    # two small-grid clouds to each default scene, whose fresh answers cost more
+    @initialize(
+        scene=st.sampled_from(("small", "small", "default")),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def setup(self, scene, seed):
+        if scene == "default":
+            cfg, (cloud, _, _) = ReferenceDetectorConfig(), single_object_scene(0)
+        else:
+            cfg, rng = _SMALL_GRID, np.random.default_rng(seed)
+            n = int(rng.integers(1, 1500))
+            cloud = np.hstack([rng.normal((3.0, 3.0, 1.5), 1.5, size=(n, 3)), rng.uniform(size=(n, 1))])
+        self.detector, self.fresh, self.cloud = ReferenceDetector(cfg), ReferenceDetector(cfg), cloud
+        self.top = cfg.num_blocks
+        self.detections = self.fresh.detect(cloud)
+        self.maps = {b: bits(self.fresh.features(cloud, b).values) for b in range(1, self.top + 1)}
+        self.gradients = {}
+        self.history = [np.ones(len(cloud), dtype=bool)]
+        self.in_place = self.history[0].copy()  # the one mask array changed in place
+        self.handed = []
+        # open scopes as (exit stack, array, hold); the outermost stays open until teardown
+        self.scopes = []
+        self.enter(cloud)
+
+    def teardown(self):
+        while getattr(self, "scopes", None):
+            self.scopes.pop()[0].close()
+            assert self.detector._hold is (self.scopes[-1][2] if self.scopes else None)
+
+    def enter(self, array):
+        stack = contextlib.ExitStack()
+        stack.enter_context(self.detector.scene(array))
+        self.scopes.append((stack, array, self.detector._hold))
+
+    def target(self, on_inner):
+        return self.scopes[-1][1] if on_inner else self.cloud
+
+    def check_subset(self, array, keep):
+        got = self.detector.detect_subset(array, keep)
+        assert got == self.fresh.detect(self.cloud[keep])
+        self.history.append(keep.copy())
+
+    @rule(on_inner=st.booleans())
+    def detect(self, on_inner):
+        assert self.detector.detect(self.target(on_inner)) == self.detections
+
+    @rule(on_inner=st.booleans(), b=st.integers(1, 4))
+    def features(self, on_inner, b):
+        b = min(b, self.top)
+        fmap = self.detector.features(self.target(on_inner), b)
+        assert bits(fmap.values) == self.maps[b]
+        self.handed.append((fmap, bits(fmap.coords), bits(fmap.values)))
+
+    @rule(on_inner=st.booleans(), which=st.integers(0, 3), b=st.integers(1, 4),
+          mask=st.sampled_from(("all", "x", "lwh", "s")))
+    def gradient(self, on_inner, which, b, mask):
+        if not self.detections:
+            return
+        which, b = which % len(self.detections), min(b, self.top)
+        d, attrs = self.detections[which], full_mask() if mask == "all" else make_mask(*mask)
+        key = (which, b, mask)
+        if key not in self.gradients:
+            self.gradients[key] = bits(self.fresh.gradient(self.cloud, d, attrs, b).values)
+        gmap = self.detector.gradient(self.target(on_inner), d, attrs, b)
+        assert bits(gmap.values) == self.gradients[key]
+        self.handed.append((gmap, bits(gmap.coords), bits(gmap.values)))
+
+    @rule(on_inner=st.booleans(), op=st.sampled_from(("grow", "shrink", "few", "revert")),
+          fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def detect_subset(self, on_inner, op, fraction, seed):
+        keep = _apply(op, fraction, seed, self.history[-1], self.history)
+        self.check_subset(self.target(on_inner), keep)
+
+    @rule(on_inner=st.booleans(), op=st.sampled_from(("grow", "shrink", "few", "revert")),
+          fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def detect_subset_changed_in_place(self, on_inner, op, fraction, seed):
+        # a step on the caller's array, then one on the same array changed in place
+        array = self.target(on_inner)
+        self.check_subset(array, self.in_place)
+        self.in_place[:] = _apply(op, fraction, seed, self.in_place, self.history)
+        self.check_subset(array, self.in_place)
+
+    @precondition(lambda self: len(self.scopes) < 4)
+    @rule(on_copy=st.booleans())
+    def enter_scope(self, on_copy):
+        array = self.cloud.copy() if on_copy else self.cloud
+        outer = self.detector._hold
+        self.enter(array)
+        if outer.cloud is array:
+            assert self.detector._hold is outer
+
+    @precondition(lambda self: len(self.scopes) > 1)
+    @rule()
+    def leave_scope(self):
+        self.scopes.pop()[0].close()
+
+    @rule(on_copy=st.booleans(), op=st.sampled_from(("grow", "shrink", "few", "revert")),
+          fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def exception_in_scope(self, on_copy, op, fraction, seed):
+        array = self.cloud.copy() if on_copy else self.cloud
+        keep = _apply(op, fraction, seed, self.history[-1], self.history)
+        with pytest.raises(DetectorFailure):
+            with self.detector.scene(array):
+                self.check_subset(array, keep)
+                self.detector.features(array, 9)
+
+    @invariant()
+    def hold_is_the_innermost_scopes(self):
+        assert self.detector._hold is self.scopes[-1][2]
+
+    @invariant()
+    def handed_out_maps_never_change(self):
+        for fmap, coords, values in self.handed:
+            assert (bits(fmap.coords), bits(fmap.values)) == (coords, values)
+
+
+TestSceneScopeMachine = SceneScopeMachine.TestCase
+TestSceneScopeMachine.settings = settings(
+    derandomize=True, deadline=None, max_examples=60, stateful_step_count=20,
+)
+
+
 @pytest.mark.parametrize("block_index", [1, 3, 4])
 def test_object_loss_equals_frozen_loss(detector, block_index):
     from pcsaliency.pipeline import object_loss
 
     cloud, _ = multi_object_scene(11)
-    fw = detector._forward(cloud)
-    values = fw.block_values[block_index - 1]
+    hold = detector._forward(cloud)
+    values = hold.carry.values[block_index - 1]
     masks = [full_mask(), make_mask("x"), make_mask("l", "w", "h"), make_mask("s", "z")]
-    assert len(fw.detections) == 2
-    for d, cluster in zip(fw.detections, fw.clusters):
+    assert len(hold.detections) == 2
+    for d, cluster in zip(hold.detections, hold.carry.clusters):
         for mask in masks:
-            frozen = detector._loss_from_block(fw, block_index, values, cluster, mask)
+            frozen = detector._loss_from_block(hold, block_index, values, cluster, mask)
             assert frozen == pytest.approx(object_loss(d, mask), rel=1e-12, abs=0)

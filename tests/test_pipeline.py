@@ -315,9 +315,15 @@ def work(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(ReferenceDetector, "features", counted("features", ReferenceDetector.features))
-    monkeypatch.setattr(
-        ReferenceDetector, "_compute_forward", counted("forward", ReferenceDetector._compute_forward)
-    )
+    advance = ReferenceDetector._advance
+
+    def counted_forward(self, layout, carry, keep, flipped):
+        # a forward is the values pass that moves the carry to every point kept
+        if keep.all():
+            counts["forward"] += 1
+        return advance(self, layout, carry, keep, flipped)
+
+    monkeypatch.setattr(ReferenceDetector, "_advance", counted_forward)
     monkeypatch.setattr(nmf, "factorize", counted("factorize", nmf.factorize))
     monkeypatch.setattr(voxelgrid, "UpsamplePlan", CountedPlan)
     return counts
