@@ -27,7 +27,9 @@ from .errors import IoFailure, SaliencyError, ValidationError, WorkerDied, ZeroE
 from .fileio import read_kitti_bin, read_labels_json, write_json, write_saliency, writing
 from .metrics import auc, deletion_curve, energy_pg, insertion_curve, pointing_game, vea
 from .nmf import NmfConfig, factorize
-from .pipeline import ATTRIBUTE_NAMES, explain_detection, full_mask, make_mask
+from .pipeline import (
+    ATTRIBUTE_NAMES, CONCEPT_FREE, OWN_VOXEL, explain_detection, full_mask, make_mask,
+)
 from .runconfig import RunConfig, find_scene_files
 
 _SWEEP_R = (8, 16, 32, 64, 128)
@@ -251,51 +253,51 @@ def _cmd_explain(args) -> int:
 # ----------------------------------------------------------------------
 # eval
 
-def _eval_worker(cfg: RunConfig, scene):
+def _eval_worker(cfg: RunConfig, variants, scene):
+    """The metric rows of each config of ``variants`` on one scene, each row
+    under its config's hash. One read, one detector, one pick and one scene
+    scope of ``cfg`` serve every config, so the configs may differ only in
+    ``nmf.*``, ``upsample.*`` and ``pipeline.*`` keys."""
     scene_id, bin_path, labels_path = scene
     cloud, gts = _load_scene(bin_path, labels_path)
     detector = cfg.build_detector()
     steps = cfg.get("eval.steps")
-    config_hash = cfg.config_hash()
     rows = []
-    # one scope for the explanation and every curve step: one layout of the
+    # one scope for every explanation and curve step: one layout of the
     # cloud's voxels, and each step a delta of the one before, through both
-    # curves of every detection
+    # curves of every detection under every config
     with detector.scene(cloud):
-        detections, explained = _explain_scene(
-            detector, cfg, cloud, _well_detected(cfg, gts), [full_mask()]
-        )
-        for (pi, gi, _), [saliency] in explained:
-            det = detections[pi]
-            gt_box = gts[gi][0]
-            try:
-                enpg = energy_pg(saliency, cloud, gt_box)
-            except ZeroEnergy:
-                enpg = 0.0
-            values = {
-                "deletion": auc(deletion_curve(detector, cloud, det, saliency, steps)),
-                "insertion": auc(insertion_curve(detector, cloud, det, saliency, steps)),
-                "vea": vea(saliency, cloud, gt_box),
-                "pg": 1.0 if pointing_game(saliency, cloud, gt_box) else 0.0,
-                "enpg": enpg,
-            }
-            for metric in sorted(values):
-                rows.append(
-                    {
-                        "scene_id": scene_id,
-                        "detection_id": pi,
-                        "metric": metric,
-                        "value": values[metric],
-                        "config_hash": config_hash,
-                    }
-                )
+        for variant in variants:
+            config_hash = variant.config_hash()
+            detections, explained = _explain_scene(
+                detector, variant, cloud, _well_detected(cfg, gts), [full_mask()]
+            )
+            for (pi, gi, _), [saliency] in explained:
+                det = detections[pi]
+                gt_box = gts[gi][0]
+                try:
+                    enpg = energy_pg(saliency, cloud, gt_box)
+                except ZeroEnergy:
+                    enpg = 0.0
+                values = {
+                    "deletion": auc(deletion_curve(detector, cloud, det, saliency, steps)),
+                    "insertion": auc(insertion_curve(detector, cloud, det, saliency, steps)),
+                    "vea": vea(saliency, cloud, gt_box),
+                    "pg": 1.0 if pointing_game(saliency, cloud, gt_box) else 0.0,
+                    "enpg": enpg,
+                }
+                rows += [
+                    {"scene_id": scene_id, "detection_id": pi, "metric": metric,
+                     "value": values[metric], "config_hash": config_hash}
+                    for metric in sorted(values)
+                ]
     return rows
 
 
 def _cmd_eval(args) -> int:
     cfg = _runconfig(args)
     out = _out_file(args.out, cfg, "metrics.jsonl")
-    rows = [row for rows in _map_scenes(cfg, args.scenes, _eval_worker) for row in rows]
+    rows = [row for rows in _map_scenes(cfg, args.scenes, _eval_worker, [cfg]) for row in rows]
     rows.sort(key=lambda r: (r["scene_id"], r["detection_id"], r["metric"]))
     with writing(out) as fh:
         fh.writelines(json.dumps(row) + "\n" for row in rows)
@@ -307,21 +309,29 @@ def _cmd_eval(args) -> int:
 # sweep
 
 def _sweep_variants(cfg: RunConfig):
-    # the factorization rank is at most the feature width, so every r above
-    # it gives the row of r = feature width
-    dim = cfg.get("detector.feature_dim")
-    clamped = [f"nmf.r={r}" for r in _SWEEP_R if r > dim]
-    if clamped:
-        print(f"sweep: {', '.join(clamped)} clamp to feature_dim={dim}: one row r={dim}",
-              file=sys.stderr)
-    for r in dict.fromkeys(min(r, dim) for r in _SWEEP_R):
-        yield ("r", str(r), cfg.with_values({"nmf.r": r}))
-    for rng, k in _SWEEP_RANGE_K:
-        yield (
-            "range_k",
-            f"({rng},{k})",
-            cfg.with_values({"upsample.range_threshold": rng, "upsample.k": k}),
-        )
+    """``(axis, setting, config)`` per sweep row, none for an axis that
+    ``pipeline.ablation`` leaves without effect."""
+    ablation = cfg.get("pipeline.ablation")
+    skipped = [axis for axis, by in (("r", CONCEPT_FREE), ("range_k", OWN_VOXEL)) if ablation in by]
+    for axis in skipped:
+        print(f"sweep: pipeline.ablation={ablation} ignores {axis}: no {axis} rows", file=sys.stderr)
+    if "r" not in skipped:
+        # the factorization rank is at most the feature width, so every r
+        # above it gives the row of r = feature width
+        dim = cfg.get("detector.feature_dim")
+        clamped = [f"nmf.r={r}" for r in _SWEEP_R if r > dim]
+        if clamped:
+            print(f"sweep: {', '.join(clamped)} clamp to feature_dim={dim}: one row r={dim}",
+                  file=sys.stderr)
+        for r in dict.fromkeys(min(r, dim) for r in _SWEEP_R):
+            yield ("r", str(r), cfg.with_values({"nmf.r": r}))
+    if "range_k" not in skipped:
+        for rng, k in _SWEEP_RANGE_K:
+            yield (
+                "range_k",
+                f"({rng},{k})",
+                cfg.with_values({"upsample.range_threshold": rng, "upsample.k": k}),
+            )
     for block in _SWEEP_BLOCKS:
         yield ("block", str(block), cfg.with_values({"pipeline.block_index": block}))
 
@@ -329,15 +339,20 @@ def _sweep_variants(cfg: RunConfig):
 def _cmd_sweep(args) -> int:
     cfg = _runconfig(args)
     out = _out_file(args.out, cfg, "sweep.csv")
+    variants = list(_sweep_variants(cfg))
+    # one pass over the scenes; a setting equal to another is computed once
+    configs = list(dict.fromkeys(variant for _, _, variant in variants))
+    values: dict[tuple[str, str], list[float]] = {}
+    for rows in _map_scenes(cfg, args.scenes, _eval_worker, configs):
+        for row in rows:
+            values.setdefault((row["config_hash"], row["metric"]), []).append(row["value"])
     lines = ["axis,setting,deletion,insertion,vea,pg,enpg"]
-    for axis, setting, variant in _sweep_variants(cfg):
-        by_metric: dict[str, list[float]] = {}
-        for rows in _map_scenes(variant, args.scenes, _eval_worker):
-            for row in rows:
-                by_metric.setdefault(row["metric"], []).append(row["value"])
+    for axis, setting, variant in variants:
+        config_hash = variant.config_hash()
         # nan, not 0, for no objects: a deletion AUC of 0 is a perfect score
         means = [
-            float(np.mean(by_metric[name])) if name in by_metric else float("nan")
+            float(np.mean(values[config_hash, name])) if (config_hash, name) in values
+            else float("nan")
             for name in ("deletion", "insertion", "vea", "pg", "enpg")
         ]
         lines.append(f"{axis},{setting}," + ",".join(f"{m:.6g}" for m in means))

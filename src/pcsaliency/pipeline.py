@@ -22,6 +22,8 @@ ATTRIBUTE_NAMES = ("x", "y", "z", "l", "w", "h", "yaw", "s")
 CLASS_NAMES = ("car", "pedestrian", "cyclist")  # class ids index this table
 
 ABLATIONS = ("full", "no_ff", "no_vu", "gradient_only")
+CONCEPT_FREE = ("no_ff", "gradient_only")  # no concept map
+OWN_VOXEL = ("no_vu", "gradient_only")  # each point reads its own voxel
 
 _KNOWN_ATTRIBUTES = frozenset(ATTRIBUTE_NAMES)
 # Built once: `object_loss` reads attributes in the inner loop of `grad_check`.
@@ -190,7 +192,7 @@ def explain_detection(
         if m == 0:
             raise DetectorFailure("feature map has no occupied voxels")
         concept = None
-        if cfg.ablation not in ("no_ff", "gradient_only"):
+        if cfg.ablation not in CONCEPT_FREE:
             values = np.asarray(features.values, dtype=float)
             # Desk-scale feature maps can have fewer voxels than the requested
             # concept count; the factorization rank cannot exceed min(M, d).
@@ -201,7 +203,6 @@ def explain_detection(
             omega = channel_aggregate(detector.gradient(cloud, d, mask, cfg.block_index))
             combined[:, j] = combine(omega, concept, features).values
 
-    own_voxel = cfg.ablation in ("no_vu", "gradient_only")
-    upsample = UpsampleConfig(range_threshold=0, k=1) if own_voxel else cfg.upsample
+    upsample = UpsampleConfig(range_threshold=0, k=1) if cfg.ablation in OWN_VOXEL else cfg.upsample
     columns = iter(upsample_to_points(features.with_values(combined), cloud, upsample).T)
     return [[next(columns) for _ in masks] for _ in detections]

@@ -6,10 +6,8 @@ Points are assigned to cubic cells of side ``voxel_size`` by flooring
 per cell (``_linear_key``, range-checked by ``_check_key_range``) groups
 points into cells. Activation maps are transferred back to points with a
 Gaussian kernel over the Manhattan ball around each point's cell: every
-(cell, offset) neighbor is gathered at once from the map's sorted keys.
-That transfer is an ``UpsamplePlan``, which holds everything that depends
-only on the coordinates, the cloud and the config, applied to the values;
-the columns of one (M, n) payload share one plan.
+(cell, offset) neighbor is gathered at once from the map's sorted keys,
+and the columns of one (M, n) payload share that one search.
 """
 
 from __future__ import annotations
@@ -184,91 +182,6 @@ def _group_rows(coords: np.ndarray):
     return unique, inverse, counts
 
 
-class UpsamplePlan:
-    """The half of ``upsample_to_points`` that does not depend on the values.
-
-    Built from one map's coordinates and grid, one cloud and one config:
-    the lex-sorted map keys and their uniqueness check, the in-grid points
-    grouped into cells, every (cell, offset) neighbor found in the sorted
-    keys and capped at ``cfg.k``, and the kernel weights with their row
-    sums. ``apply`` is the other half: it gathers the values, averages them
-    and scatters the averages to the points.
-
-    Raises ValueError for a non-empty map with repeated coordinates, or
-    for a grid whose voxel key could wrap int64.
-    """
-
-    def __init__(self, activation: SparseVoxelMap, cloud, cfg: UpsampleConfig):
-        self.voxels = len(activation)
-        cloud = np.asarray(cloud, dtype=float)
-        self.inside = np.zeros(len(cloud), dtype=bool)
-        if len(activation) == 0:
-            return  # every point scores 0
-        grid, r = activation.grid, cfg.range_threshold
-        span = _check_key_range(grid, pad=r)
-
-        order = np.lexsort(activation.coords.T[::-1])
-        coords = activation.coords[order]
-        if np.any(np.all(coords[1:] == coords[:-1], axis=1)):
-            raise ValueError("voxel coordinates are not unique")
-        # Only voxels within r of the grid can neighbor an in-grid cell. Their
-        # keys ascend with the lexicographic order; the int64 max sentinel keeps
-        # every searchsorted position a valid index and matches no query.
-        near = np.all((coords >= -r) & (coords < span - r), axis=1)
-        keys = np.append(_linear_key(coords[near] + r, span), np.iinfo(np.int64).max)
-
-        # the in-grid points' cells, which cells have a neighbor, and each such
-        # cell's anchor row and (cell, offset) neighbor rows of the map's values
-        self.inside = grid.contains(cloud)
-        cells, self.inverse, _ = _group_rows(grid.coords_for(cloud[self.inside]))
-        offsets = np.array(_offsets_within(r), dtype=np.int64)  # lexicographic
-        dist = np.abs(offsets).sum(axis=1)
-        by_distance = np.argsort(dist, kind="stable")
-        offsets, dist = offsets[by_distance], dist[by_distance]
-
-        # _linear_key is linear, so the key of cell + offset is the sum of keys
-        query = _linear_key(cells + r, span)[:, None] + _linear_key(offsets, span)
-        pos = np.searchsorted(keys, query)
-        found = keys[pos] == query
-        found &= np.cumsum(found, axis=1) <= cfg.k
-        self.hit = found.any(axis=1)
-        found, pos = found[self.hit], pos[self.hit]
-
-        # anchored at the first neighbor's value so single-neighbor and
-        # constant-activation cells come out bit-exact; slots without a
-        # neighbor read the anchor, so they deviate by 0 with weight 0
-        first = pos[np.arange(len(pos)), found.argmax(axis=1)]
-        rows = order[near]
-        self.anchor = rows[first]
-        self.neighbors = rows[np.where(found, pos, first[:, None])]
-        self.weights = np.where(found, np.exp(-0.5 * dist**2), 0.0)
-        self.weight_sums = self.weights.sum(axis=1)
-
-    def apply(self, values) -> np.ndarray:
-        """Per-point scores for values in the map's row order: (N,) for an
-        (M,) vector, (N, n) for an (M, n) array, whose columns are applied
-        one by one, so each is bit for bit its own (M,) call."""
-        values = np.asarray(values, dtype=float)
-        if values.shape[:1] != (self.voxels,) or values.ndim > 2:
-            raise ValueError(
-                f"values of shape {values.shape}, want ({self.voxels},) or ({self.voxels}, n)"
-            )
-        if values.ndim == 2:
-            scores = np.empty((len(self.inside), values.shape[1]), order="F")  # contiguous columns
-            for j in range(values.shape[1]):
-                scores[:, j] = self.apply(values[:, j])
-            return scores
-        scores = np.zeros(len(self.inside))
-        if len(values) == 0:
-            return scores
-        anchor = values[self.anchor]
-        deviations = values[self.neighbors] - anchor[:, None]
-        cell_scores = np.zeros(len(self.hit))
-        cell_scores[self.hit] = anchor + (self.weights * deviations).sum(axis=1) / self.weight_sums
-        scores[self.inside] = cell_scores[self.inverse]
-        return scores
-
-
 def upsample_to_points(
     activation: SparseVoxelMap, cloud: np.ndarray, cfg: UpsampleConfig
 ) -> np.ndarray:
@@ -287,10 +200,68 @@ def upsample_to_points(
     ``-0.0`` voxel read as ``0.0``.
 
     An (M,) payload gives (N,) scores. An (M, n) payload gives (N, n)
-    scores: one ``UpsamplePlan`` serves every column, and each column is
+    scores: one neighbor search serves every column, and each column is
     bit for bit the scores of its own (M,) call.
 
-    Raises ValueError for a non-empty map with repeated coordinates, or
-    for a grid whose voxel key could wrap int64.
+    Raises ValueError for a payload of more than two dimensions, for a
+    non-empty map with repeated coordinates, or for a grid whose voxel key
+    could wrap int64.
     """
-    return UpsamplePlan(activation, cloud, cfg).apply(activation.values)
+    values = np.asarray(activation.values, dtype=float)
+    if values.ndim > 2:
+        raise ValueError(f"payload of shape {values.shape}, want (M,) or (M, n)")
+    cloud = np.asarray(cloud, dtype=float)
+    if len(activation) == 0:  # every point scores 0
+        return np.zeros((len(cloud), *values.shape[1:]), order="F")
+    grid, r = activation.grid, cfg.range_threshold
+    span = _check_key_range(grid, pad=r)
+
+    order = np.lexsort(activation.coords.T[::-1])
+    coords = activation.coords[order]
+    if np.any(np.all(coords[1:] == coords[:-1], axis=1)):
+        raise ValueError("voxel coordinates are not unique")
+    # Only voxels within r of the grid can neighbor an in-grid cell. Their
+    # keys ascend with the lexicographic order; the int64 max sentinel keeps
+    # every searchsorted position a valid index and matches no query.
+    near = np.all((coords >= -r) & (coords < span - r), axis=1)
+    keys = np.append(_linear_key(coords[near] + r, span), np.iinfo(np.int64).max)
+
+    # the in-grid points' cells, which cells have a neighbor, and each such
+    # cell's anchor row and (cell, offset) neighbor rows of the map's values
+    inside = grid.contains(cloud)
+    cells, inverse, _ = _group_rows(grid.coords_for(cloud[inside]))
+    offsets = np.array(_offsets_within(r), dtype=np.int64)  # lexicographic
+    dist = np.abs(offsets).sum(axis=1)
+    by_distance = np.argsort(dist, kind="stable")
+    offsets, dist = offsets[by_distance], dist[by_distance]
+
+    # _linear_key is linear, so the key of cell + offset is the sum of keys
+    query = _linear_key(cells + r, span)[:, None] + _linear_key(offsets, span)
+    pos = np.searchsorted(keys, query)
+    found = keys[pos] == query
+    found &= np.cumsum(found, axis=1) <= cfg.k
+    hit = found.any(axis=1)
+    found, pos = found[hit], pos[hit]
+
+    # anchored at the first neighbor's value so single-neighbor and
+    # constant-activation cells come out bit-exact; slots without a
+    # neighbor read the anchor, so they deviate by 0 with weight 0
+    first = pos[np.arange(len(pos)), found.argmax(axis=1)]
+    rows = order[near]
+    anchor_rows, neighbors = rows[first], rows[np.where(found, pos, first[:, None])]
+    weights = np.where(found, np.exp(-0.5 * dist**2), 0.0)
+    weight_sums = weights.sum(axis=1)
+    del coords, keys, cells, query, pos, found  # the search's temporaries, before the scores
+
+    columns = values if values.ndim == 2 else values[:, None]
+    scores = np.zeros((len(cloud), columns.shape[1]), order="F")  # contiguous columns
+    for j, column in enumerate(columns.T):
+        anchor = column[anchor_rows]
+        cell_scores = np.zeros(len(hit))
+        # the deviations stay a temporary: a name would hold them into the
+        # next column, beside that column's
+        cell_scores[hit] = anchor + (
+            weights * (column[neighbors] - anchor[:, None])
+        ).sum(axis=1) / weight_sums
+        scores[:, j][inside] = cell_scores[inverse]
+    return scores if values.ndim == 2 else scores[:, 0]

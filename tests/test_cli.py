@@ -258,6 +258,24 @@ class TestSweep:
         assert all(f"nmf.r={r}" in err for r in (16, 32, 64, 128))
         assert "nmf.r=8" not in err
 
+    @pytest.mark.parametrize("ablation, skipped", [
+        ("full", set()), ("no_ff", {"r"}), ("no_vu", {"range_k"}),
+        ("gradient_only", {"r", "range_k"}),
+    ])
+    def test_no_rows_for_an_axis_the_ablation_ignores(self, capsys, ablation, skipped):
+        # no_ff runs no factorization and no_vu forces range 0, k 1: every row
+        # of such an axis would be the same row
+        from pcsaliency.cli import _sweep_variants
+
+        cfg = RunConfig.from_sources(None, [f"pipeline.ablation={ablation}"])
+        axes = {axis for axis, _, _ in _sweep_variants(cfg)}
+        assert axes == {"r", "range_k", "block"} - skipped
+        err = capsys.readouterr().err
+        for axis in ("r", "range_k"):
+            assert (f"no {axis} rows" in err) == (axis in skipped)
+        # the clamp is named only where there are r rows
+        assert ("nmf.r=64" in err) == ("r" not in skipped)
+
 
 class TestAggregateCli:
     def test_grid_outputs(self, scene_dir, tmp_path):
@@ -591,6 +609,7 @@ _SCENE_COMMANDS = {
         "modes", "--scenes", str(sd), "--out", str(out / "modes.json"),
         "--grids-dir", str(out / "grids"),
     ],
+    "sweep": lambda sd, out: ["sweep", "--scenes", str(sd), "--out", str(out / "sweep.csv")],
 }
 
 
@@ -598,7 +617,7 @@ def _outputs(root):
     """Every file under ``root`` by relative path, its config hash blanked."""
     return {
         str(path.relative_to(root)): re.sub(
-            rb'"config_hash": "[0-9a-f]+"', b'"config_hash": ""', path.read_bytes()
+            rb'("config_hash": "|# config_hash=)[0-9a-f]+', rb"\1", path.read_bytes()
         )
         for path in sorted(root.rglob("*")) if path.is_file()
     }
@@ -726,6 +745,18 @@ def test_eval_factorizes_once_per_scene(multi_scene_dir, tmp_path, work):
     assert work["layout"] == 2
 
 
+def test_sweep_reads_each_scene_once_and_factorizes_each_distinct_config_once(
+    scene_dir, tmp_path, work
+):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--scenes", str(scene_dir), "--out", str(out), *FAST]) == 0
+    assert len(out.read_text().splitlines()[2:]) == 3 + 4 + 4
+    # one detector and one layout per scene. FAST's nmf.r=16, range_k (2,16)
+    # and block 3 are all the base config, so 9 of the 11 rows are distinct
+    # configs, each factorized once per scene
+    assert (len(work["detectors"]), work["layout"], work["factorize"]) == (2, 2, 2 * 9)
+
+
 def test_modes_factorizes_once_per_scene(multi_scene_dir, tmp_path, work):
     out = tmp_path / "modes.json"
     assert main(["modes", "--scenes", str(multi_scene_dir), "--out", str(out), *FAST]) == 0
@@ -763,7 +794,7 @@ def test_aggregate_saliency_equals_unscoped_explanation(scene_dir, tmp_path, exp
 
 def test_aggregate_of_two_scenes_equals_each_scene_alone(scene_dir, tmp_path):
     """Two scenes in one run give the grids of each scene explained on its
-    own and accumulated in order: no concept map or upsampling plan of one
+    own and accumulated in order: no concept map or neighbor search of one
     scene reaches the next."""
     from pcsaliency import cli
     from pcsaliency.aggregate import CanonicalGrid, grid_to_csv, write_grid

@@ -1,7 +1,7 @@
 """Golden outputs: every file a fixed set of CLI runs writes, pinned.
 
 The runs cover ``eval`` in full and under the three ablations,
-``aggregate`` with the default masks, ``modes --grids-dir`` and
+``aggregate`` with the default masks, ``modes --grids-dir``, ``sweep`` and
 ``explain --format csv|ply``, on three ``single_object_scene`` and two
 ``multi_object_scene`` seeds. ``tests/golden/manifest.json`` holds each
 file's sha256 and a numeric summary (metric values, column sums, grid sums
@@ -65,6 +65,7 @@ def _runs(scenes: Path) -> dict[str, list[str]]:
     runs["aggregate"] = ["aggregate", "--scenes", str(scenes), "--out-dir", "{out}"]
     runs["modes"] = ["modes", "--scenes", str(scenes), "--out", "{out}/modes.json",
                      "--grids-dir", "{out}/grids"]
+    runs["sweep"] = ["sweep", "--scenes", str(scenes), "--out", "{out}/sweep.csv"]
     for fmt in ("csv", "ply"):
         runs[f"explain-{fmt}"] = ["explain", "--scene", str(scenes / "multi1.bin"),
                                   "--detection", "1", "--format", fmt,
@@ -151,6 +152,15 @@ def summarize(path: Path) -> dict:
             "occupied": int(np.count_nonzero(counts)),
         }
     lines = path.read_text().splitlines()
+    if lines[0].startswith("#"):  # the sweep table, under its config hash line
+        names = lines[1].split(",")[2:]
+        summary = {}
+        for line in lines[2:]:
+            # a range_k setting such as "(2,16)" holds a comma of its own
+            head, *values = line.rsplit(",", len(names))
+            summary.update({f"{head.replace(',', '/', 1)}/{n}": float(v)
+                            for n, v in zip(names, values)})
+        return summary
     if path.suffix == ".ply":
         header = lines.index("end_header")
         names = [line.split()[-1] for line in lines[:header] if line.startswith("property")]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcsaliency import nmf, voxelgrid
+from pcsaliency import nmf, pipeline
 from pcsaliency.boxes import points_in_box
 from pcsaliency.errors import EmptyMask, LengthMismatch
 from pcsaliency.pipeline import (
@@ -295,24 +295,32 @@ class TestSeedStability:
             assert _spearman(maps[i], maps[j]) >= 0.99
 
 
+@pytest.mark.parametrize("scene", [("single", s) for s in (0, 1, 2)] + [("multi", 0), ("multi", 1)])
+def test_readme_statement_about_concepts_holds(detector, scene):
+    """README's "Reference detector" section says that the block-3 feature
+    map of each golden scene is one concept: its top singular direction
+    holds all but ~1e-6 of its energy, so the concept map is the feature
+    magnitude at any r."""
+    kind, seed = scene
+    cloud = (single_object_scene(seed) if kind == "single" else multi_object_scene(seed))[0]
+    singular = np.linalg.svd(np.asarray(detector.features(cloud, 3).values), compute_uv=False)
+    share = singular[0] ** 2 / np.sum(singular**2)
+    assert share > 0.9999, f"README's statement about concepts is stale: top share {share:.7f}"
+
+
 @pytest.fixture
 def work(monkeypatch):
     """Counts of feature maps read, detector forwards computed,
-    factorizations run and upsampling plans built."""
+    factorizations run and ``upsample_to_points`` calls made."""
     from pcsaliency.detector import ReferenceDetector
 
-    counts = dict.fromkeys(("features", "forward", "factorize", "plans"), 0)
+    counts = dict.fromkeys(("features", "forward", "factorize", "upsample"), 0)
 
     def counted(name, fn):
         def wrapper(*args):
             counts[name] += 1
             return fn(*args)
         return wrapper
-
-    class CountedPlan(voxelgrid.UpsamplePlan):
-        def __init__(self, *args):
-            counts["plans"] += 1
-            super().__init__(*args)
 
     monkeypatch.setattr(ReferenceDetector, "features", counted("features", ReferenceDetector.features))
     advance = ReferenceDetector._advance
@@ -325,7 +333,7 @@ def work(monkeypatch):
 
     monkeypatch.setattr(ReferenceDetector, "_advance", counted_forward)
     monkeypatch.setattr(nmf, "factorize", counted("factorize", nmf.factorize))
-    monkeypatch.setattr(voxelgrid, "UpsamplePlan", CountedPlan)
+    monkeypatch.setattr(pipeline, "upsample_to_points", counted("upsample", pipeline.upsample_to_points))
     return counts
 
 
@@ -377,8 +385,9 @@ class TestConceptMemo:
 
 
 class TestPlanMemo:
-    """One ``explain_detection`` call builds one upsampling plan and applies
-    it to every combined map as a column of one payload."""
+    """One ``explain_detection`` call makes one ``upsample_to_points`` call,
+    whose one neighbor search serves every combined map as a column of one
+    payload."""
 
     MASKS = [make_mask(name) for name in ATTRIBUTE_NAMES] + [full_mask()]
 
@@ -388,8 +397,8 @@ class TestPlanMemo:
         cfg = pconfig(ablation=ablation)
         work.update(dict.fromkeys(work, 0))
         got = explain_detection(detector, cloud, detections, self.MASKS, cfg)
-        # the own-voxel ablations still map through one (range 0, k 1) plan
-        assert work["plans"] == 1
+        # the own-voxel ablations still map through one (range 0, k 1) call
+        assert work["upsample"] == 1
         assert_each_pair_explained_alone(detector, cloud, detections, self.MASKS, cfg, got)
 
     def test_one_plan_per_block_and_upsampling_config(self, detector, work):
@@ -399,5 +408,5 @@ class TestPlanMemo:
         for cfg in cfgs:
             work.update(dict.fromkeys(work, 0))
             got = explain_detection(detector, cloud, detections, masks, cfg)
-            assert work["plans"] == 1
+            assert work["upsample"] == 1
             assert_each_pair_explained_alone(detector, cloud, detections, masks, cfg, got)

@@ -10,7 +10,6 @@ from pcsaliency.voxelgrid import (
     GridSpec,
     SparseVoxelMap,
     UpsampleConfig,
-    UpsamplePlan,
     _group_rows,
     _linear_key,
     _offsets_within,
@@ -271,8 +270,6 @@ def test_repeated_coords_rejected_by_every_upsampling_call(repeated, values):
         with pytest.raises(ValueError, match="not unique"):
             upsample_to_points(vmap, cloud, OWN_VOXEL)
         with pytest.raises(ValueError, match="not unique"):
-            UpsamplePlan(vmap, cloud, UpsampleConfig())
-        with pytest.raises(ValueError, match="not unique"):
             upsample_to_points(vmap.with_values(np.ones((3, 2))), cloud, UpsampleConfig())
 
 
@@ -301,56 +298,58 @@ def test_voxel_out_of_reach_does_not_alias_a_neighbor():
 
 
 # ----------------------------------------------------------------------
-# one plan, many value vectors
+# one neighbor search, many value columns
 
-_PLAN_CLOUD = np.array([
+_PAYLOAD_CLOUD = np.array([
     [2.5, 2.5, 2.5, 0.0], [2.7, 2.1, 2.9, 0.0], [3.5, 2.5, 2.5, 0.0],
     [5.5, 5.5, 5.5, 0.0], [9.9, 0.1, 4.4, 0.0],
     [-1.0, 2.5, 2.5, 0.0], [50.0, 0.0, 0.0, 0.0], [2.5, 2.5, 10.0, 0.0],  # out of grid
 ])
 
 
-_PLAN_COORDS = [
+_PAYLOAD_COORDS = [
     [],
     [(2, 2, 2)],
     [(2, 2, 2), (3, 2, 2), (2, 3, 3), (9, 0, 4), (9, 1, 4), (-1, 2, 2), (30, 30, 30)],
 ]
-_PLAN_CFGS = [UpsampleConfig(), UpsampleConfig(1, 2), OWN_VOXEL]
+_PAYLOAD_CFGS = [UpsampleConfig(), UpsampleConfig(1, 2), OWN_VOXEL]
 
 
-@pytest.mark.parametrize("coords", _PLAN_COORDS)
-@pytest.mark.parametrize("cfg", _PLAN_CFGS)
+@pytest.mark.parametrize("coords", _PAYLOAD_COORDS)
+@pytest.mark.parametrize("cfg", _PAYLOAD_CFGS)
 def test_one_plan_applies_like_fresh_calls(coords, cfg):
+    """One call's neighbor search, shared by every column of the payload,
+    gives each value vector what a fresh map of it alone gives."""
     rng = np.random.default_rng(len(coords))
-    first = scalar_map(coords, rng.normal(size=len(coords)))
-    plan = UpsamplePlan(first, _PLAN_CLOUD, cfg)
-    for values in (first.values, rng.normal(size=len(coords)), np.full(len(coords), 0.25)):
-        vmap = first.with_values(values)
-        fresh = upsample_to_points(vmap, _PLAN_CLOUD, cfg)
-        assert np.array_equal(bits(plan.apply(values)), bits(fresh))
-    assert np.all(plan.apply(first.values)[5:] == 0.0)  # the out-of-grid points
+    first = rng.normal(size=len(coords))
+    vectors = (first, rng.normal(size=len(coords)), np.full(len(coords), 0.25))
+    shared = upsample_to_points(scalar_map(coords, np.column_stack(vectors)), _PAYLOAD_CLOUD, cfg)
+    for j, values in enumerate(vectors):
+        fresh = upsample_to_points(scalar_map(coords, values), _PAYLOAD_CLOUD, cfg)
+        assert np.array_equal(bits(shared[:, j]), bits(fresh))
+    assert np.all(shared[5:, 0] == 0.0)  # the out-of-grid points
 
 
-@pytest.mark.parametrize("coords", _PLAN_COORDS)
-@pytest.mark.parametrize("cfg", _PLAN_CFGS)
+@pytest.mark.parametrize("coords", _PAYLOAD_COORDS)
+@pytest.mark.parametrize("cfg", _PAYLOAD_CFGS)
 def test_columns_of_a_2d_payload_equal_1d_calls(coords, cfg):
     rng = np.random.default_rng(len(coords))
     columns = [rng.normal(size=len(coords)), np.full(len(coords), 0.25),
                -rng.uniform(size=len(coords)), np.full(len(coords), -0.0)]
     vmap = scalar_map(coords, np.column_stack(columns))
-    got = upsample_to_points(vmap, _PLAN_CLOUD, cfg)
-    assert got.shape == (len(_PLAN_CLOUD), len(columns))
+    got = upsample_to_points(vmap, _PAYLOAD_CLOUD, cfg)
+    assert got.shape == (len(_PAYLOAD_CLOUD), len(columns))
     for j, values in enumerate(columns):
-        alone = upsample_to_points(vmap.with_values(values), _PLAN_CLOUD, cfg)
+        alone = upsample_to_points(vmap.with_values(values), _PAYLOAD_CLOUD, cfg)
         assert np.array_equal(bits(got[:, j]), bits(alone))
         assert got[:, j].flags.c_contiguous
+    assert np.all(got[5:] == 0.0)  # the out-of-grid points
 
 
-def test_plan_rejects_values_of_another_length():
-    plan = UpsamplePlan(scalar_map([(2, 2, 2)], [1.0]), _PLAN_CLOUD, UpsampleConfig())
-    for values in (np.array([1.0, 2.0]), np.ones((2, 3)), np.ones((1, 2, 2))):
-        with pytest.raises(ValueError, match="shape"):
-            plan.apply(values)
+def test_upsample_rejects_a_3d_payload():
+    vmap = scalar_map([(2, 2, 2)], [1.0])
+    with pytest.raises(ValueError, match="shape"):
+        upsample_to_points(vmap.with_values(np.ones((1, 2, 2))), _PAYLOAD_CLOUD, UpsampleConfig())
 
 
 # ----------------------------------------------------------------------
@@ -423,9 +422,6 @@ def test_upsample_matches_per_point_loop(near, far, points, range_threshold, k, 
     assert np.array_equal(
         bits(upsample_to_points(flat, cloud, cfg)), bits(np.where(counts > 0, constant + 0.0, 0.0))
     )
-    # the plan of the first map serves the second bit for bit
-    plan = UpsamplePlan(vmap, cloud, cfg)
-    assert np.array_equal(bits(plan.apply(flat.values)), bits(upsample_to_points(flat, cloud, cfg)))
 
     index = voxel_index(vmap)
     own = [
@@ -445,7 +441,7 @@ def test_upsample_matches_per_point_loop(near, far, points, range_threshold, k, 
     span=st.tuples(*[st.integers(1, 2**22)] * 3),
 )
 def test_plan_query_keys_are_cell_keys_plus_offset_keys(cells, r, span):
-    """``UpsamplePlan`` keys each (cell, offset) query as the cell's key plus
+    """``upsample_to_points`` keys each (cell, offset) query as the cell's key plus
     the offset's: the same integers as keying every cell + offset row."""
     cells = np.array(cells, dtype=np.int64).reshape(-1, 3)
     span = np.array(span, dtype=np.int64)
