@@ -1,6 +1,6 @@
 """Saliency explanations for point-cloud object detections."""
 
-from .boxes import OrientedBox, box_diagonal, canonicalize, iou_3d, point_in_box
+from .boxes import OrientedBox, box_diagonal, canonicalize, iou_3d
 from .detector import ReferenceDetector, ReferenceDetectorConfig, grad_check
 from .nmf import Factorization, NmfConfig, factorize, global_concept_map
 from .pipeline import (
@@ -36,6 +36,5 @@ __all__ = [
     "iou_3d",
     "make_mask",
     "object_loss",
-    "point_in_box",
     "upsample_to_points",
 ]

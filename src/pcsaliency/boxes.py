@@ -43,25 +43,23 @@ class OrientedBox:
         return local @ rot.T + np.array(self.center[:2])
 
 
+def _box_frame(points: np.ndarray, box: OrientedBox):
+    """``(xb, yb, z)``: an (N, 3+) float array's coordinates moved by -center
+    and rotated by -yaw into the box frame, one array per axis."""
+    # per column: a row op over 3 columns runs one loop per row
+    x, y, z = (points[:, k] - center for k, center in enumerate(box.center))
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    return c * x + s * y, -s * x + c * y, z
+
+
 def points_in_box(points: np.ndarray, box: OrientedBox) -> np.ndarray:
     """Closed-box membership mask for an (N, 3+) point array."""
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[None, :]
-    # per column (a row op over 3 columns runs one loop per row), minus the
-    # float64 numpy scalars of ``points[:, :3] - np.array(box.center)``
-    x, y, zb = (points[:, k] - c for k, c in enumerate(np.array(box.center)))
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    # rotate by -yaw into the box frame
-    xb = c * x + s * y
-    yb = -s * x + c * y
+    xb, yb, zb = _box_frame(points, box)
     l, w, h = box.size
     return (np.abs(xb) <= l / 2) & (np.abs(yb) <= w / 2) & (np.abs(zb) <= h / 2)
-
-
-def point_in_box(p, box: OrientedBox) -> bool:
-    """Closed-box membership for a single point."""
-    return bool(points_in_box(np.asarray(p, dtype=float)[None, :3], box)[0])
 
 
 def box_diagonal(box: OrientedBox) -> float:
@@ -143,14 +141,9 @@ def canonicalize(points: np.ndarray, box: OrientedBox) -> np.ndarray:
     points inside the box land in [-0.5, 0.5]^3. Saliency values stay
     aligned with the returned rows.
     """
-    if any(s <= 0 for s in box.size):
-        raise DegenerateBox(f"box size must be positive, got {box.size}")
-    points = np.asarray(points, dtype=float)
-    x, y, z = (points[:, k] - box.center[k] for k in range(3))
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    frame = _box_frame(np.asarray(points, dtype=float), box)
     # one contiguous row per axis; the (N, 3) result is their transpose
-    out = np.empty((3, len(points)))
-    np.divide(c * x + s * y, box.size[0], out=out[0])
-    np.divide(-s * x + c * y, box.size[1], out=out[1])
-    np.divide(z, box.size[2], out=out[2])
+    out = np.empty((3, len(frame[0])))
+    for row, coord, size in zip(out, frame, box.size):
+        np.divide(coord, size, out=row)
     return out.T

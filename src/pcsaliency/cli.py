@@ -53,7 +53,7 @@ def main(argv=None) -> int:
     except IoFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, SaliencyError, ValueError) as exc:
+    except (SaliencyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -201,7 +201,7 @@ def _well_detected(cfg: RunConfig, gts):
 
 def _map_scenes(cfg: RunConfig, scenes_dir, worker, *args):
     """Yield ``worker(cfg, *args, scene)`` per scene file of ``scenes_dir``, in
-    order; ``parallelism`` processes run them when there are several scenes."""
+    order, from a pool of at most ``parallelism`` processes, one per scene."""
     scenes = find_scene_files(scenes_dir)
     if not scenes:
         raise ValidationError(f"no .bin scenes found in {scenes_dir}")
@@ -209,12 +209,13 @@ def _map_scenes(cfg: RunConfig, scenes_dir, worker, *args):
         raise ValidationError(f"a feature dump holds one scene; {scenes_dir} has {len(scenes)}")
     task = functools.partial(worker, cfg, *args)
     parallelism = cfg.get("parallelism")
-    if parallelism <= 1 or len(scenes) <= 1:
+    workers = min(parallelism, len(scenes))  # a fork pool starts every worker at once
+    if workers <= 1:
         yield from map(task, scenes)
     else:
         # a spawn or forkserver worker does not inherit the allocator policy
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=parallelism, initializer=_keep_freed_memory
+            max_workers=workers, initializer=_keep_freed_memory
         ) as pool:
             try:
                 yield from pool.map(task, scenes)
@@ -311,14 +312,15 @@ def _cmd_eval(args) -> int:
 def _sweep_variants(cfg: RunConfig):
     """``(axis, setting, config)`` per sweep row, none for an axis that
     ``pipeline.ablation`` leaves without effect."""
+    # explain_detection clamps the rank to the feature width, so a base rank
+    # above it is the config of rank = feature width
+    dim = cfg.get("detector.feature_dim")
+    cfg = cfg.with_values({"nmf.r": min(cfg.get("nmf.r"), dim)})
     ablation = cfg.get("pipeline.ablation")
     skipped = [axis for axis, by in (("r", CONCEPT_FREE), ("range_k", OWN_VOXEL)) if ablation in by]
     for axis in skipped:
         print(f"sweep: pipeline.ablation={ablation} ignores {axis}: no {axis} rows", file=sys.stderr)
     if "r" not in skipped:
-        # the factorization rank is at most the feature width, so every r
-        # above it gives the row of r = feature width
-        dim = cfg.get("detector.feature_dim")
         clamped = [f"nmf.r={r}" for r in _SWEEP_R if r > dim]
         if clamped:
             print(f"sweep: {', '.join(clamped)} clamp to feature_dim={dim}: one row r={dim}",

@@ -333,7 +333,7 @@ class ReferenceDetector:
             raise EmptyCloud("detector requires a non-empty point cloud")
         inside = self.grid.contains(cloud)
         pts = cloud[inside]
-        coords, base_rows, _ = _group_rows(self.grid.coords_for(pts))
+        coords, base_rows = _group_rows(self.grid.coords_for(pts))
         per_point = pts[:, :4].copy()
         # per column (a row op over 3 columns runs one loop per row), with
         # the float64 numpy scalar bounds of ``lower + coords * voxel_size``
@@ -343,7 +343,7 @@ class ReferenceDetector:
         block_coords = [coords]
         parent_rows: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
         for _ in range(1, self.cfg.num_blocks):
-            coords, inverse, _ = _group_rows(coords // 2)
+            coords, inverse = _group_rows(coords // 2)
             block_coords.append(coords)
             parent_rows.append(inverse)
         return _Layout(inside, base_rows, per_point, block_coords, parent_rows)
@@ -634,7 +634,7 @@ def _compact(held: np.ndarray, n: int):
     """``(live, rows, counts)`` of the used ones among ``n`` held rows:
     ``live`` marks the held rows that ``held`` references, ``rows`` is
     ``held`` renumbered to rank among them and ``counts`` their use counts,
-    as ``_group_rows`` would return them for the subset."""
+    as ``np.unique`` would return them for the subset."""
     counts = np.bincount(held, minlength=n)
     live = counts > 0
     if live.all():  # no row to renumber: ``held`` itself, shared

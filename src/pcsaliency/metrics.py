@@ -8,7 +8,7 @@ and the energy pointing game score a map against a ground-truth box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,14 +20,15 @@ from .errors import (
     ValidationError,
     ZeroEnergy,
 )
-from .pipeline import Detection
+from .pipeline import CLASS_NAMES, Detection
 
 _VEA_THRESHOLDS = tuple(np.round(np.arange(1, 20) * 0.05, 2))
 
 
 @dataclass(frozen=True)
 class EvalThresholds:
-    """Per-class IoU thresholds for matching predictions to ground truth."""
+    """Per-class IoU thresholds for matching predictions to ground truth: one
+    field per ``CLASS_NAMES`` label, and ``fallback`` for any other label."""
 
     car: float = 0.7
     pedestrian: float = 0.5
@@ -35,17 +36,13 @@ class EvalThresholds:
     fallback: float = 0.5
 
     def __post_init__(self):
-        for name in ("car", "pedestrian", "cyclist", "fallback"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} threshold must be in (0, 1], got {value}")
+                raise ValueError(f"{f.name} threshold must be in (0, 1], got {value}")
 
     def for_label(self, label: str) -> float:
-        return {
-            "car": self.car,
-            "pedestrian": self.pedestrian,
-            "cyclist": self.cyclist,
-        }.get(label, self.fallback)
+        return getattr(self, label if label in CLASS_NAMES else "fallback")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .errors import InvalidConfig, IoFailure, ValidationError
 from .fileio import read_text
 from .metrics import EvalThresholds
 from .nmf import NmfConfig
-from .pipeline import PipelineConfig
+from .pipeline import CLASS_NAMES, PipelineConfig
 from .voxelgrid import UpsampleConfig
 
 # Section prefix -> the typed config that owns its keys and the fields of it
@@ -34,7 +34,7 @@ _SECTIONS = {
     "nmf": (NmfConfig, ("r", "max_iterations", "relative_tolerance", "seed", "clamp_negatives")),
     "upsample": (UpsampleConfig, ("range_threshold", "k")),
     "pipeline": (PipelineConfig, ("block_index", "ablation")),
-    "thresholds": (EvalThresholds, ("car", "pedestrian", "cyclist")),
+    "thresholds": (EvalThresholds, CLASS_NAMES),
 }
 
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from .boxes import OrientedBox
+from .detector import ReferenceDetectorConfig
 from .pipeline import CLASS_NAMES
 
-_EXTENT = ((0.0, 24.0), (0.0, 24.0), (0.0, 4.0))  # default detector grid, x/y/z
-_BASE_CELL_VOLUME = 0.25**3  # default detector voxel size, cubed
+_GRID = ReferenceDetectorConfig().grid
+_BASE_CELL_VOLUME = _GRID.voxel_size**3
 # points per base voxel in an object's body and in its dense core, and the
 # share of the box volume the core fills
 _BODY_DENSITY = 3.0
@@ -45,9 +46,7 @@ def _cluster_points(rng, box: OrientedBox) -> np.ndarray:
 
 
 def _noise_points(rng, n: int) -> np.ndarray:
-    lows = np.array([lo for lo, _ in _EXTENT])
-    highs = np.array([hi for _, hi in _EXTENT])
-    xyz = rng.uniform(lows, highs, size=(n, 3))
+    xyz = rng.uniform(_GRID.lower, _GRID.upper, size=(n, 3))
     return np.hstack([xyz, rng.uniform(size=(n, 1))])
 
 
@@ -59,10 +58,10 @@ def _random_box(rng) -> OrientedBox:
         float(rng.uniform(1.2, 1.8)),
     )
     center = []
-    for (lo, hi), s in zip(_EXTENT[:2], size[:2]):
+    for (lo, hi), s in zip((_GRID.x_range, _GRID.y_range), size[:2]):
         pad = max(4.0, s / 2 + 0.1)
         center.append(float(rng.uniform(lo + pad, hi - pad)))
-    z_lo, z_hi = _EXTENT[2]
+    z_lo, z_hi = _GRID.z_range
     center.append(float(rng.uniform(z_lo + size[2] / 2 + 0.2, z_hi - size[2] / 2 - 0.2)))
     return OrientedBox(tuple(center), size, yaw=0.0)
 

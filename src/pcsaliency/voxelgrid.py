@@ -166,20 +166,18 @@ def _linear_key(coords: np.ndarray, span: np.ndarray) -> np.ndarray:
 def _group_rows(coords: np.ndarray):
     """Unique rows of a non-negative (N, 3) integer array, lex-sorted.
 
-    Returns ``(unique, inverse, counts)`` exactly as ``np.unique(coords,
-    axis=0, return_inverse=True, return_counts=True)`` does, but sorts one
-    ``_linear_key`` per row instead of whole rows.
+    Returns ``(unique, inverse)`` exactly as ``np.unique(coords, axis=0,
+    return_inverse=True)`` does, but sorts one ``_linear_key`` per row
+    instead of whole rows.
     """
     if len(coords) == 0:
-        return coords.reshape(0, 3), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return coords.reshape(0, 3), np.zeros(0, dtype=np.int64)
     span = np.array([coords[:, k].max() for k in range(3)]) + 1  # per column: coords.max(axis=0)
-    keys, inverse, counts = np.unique(
-        _linear_key(coords, span), return_inverse=True, return_counts=True
-    )
+    keys, inverse = np.unique(_linear_key(coords, span), return_inverse=True)
     unique = np.empty((len(keys), 3), dtype=np.int64)
     keys, unique[:, 2] = np.divmod(keys, span[2])
     unique[:, 0], unique[:, 1] = np.divmod(keys, span[1])
-    return unique, inverse, counts
+    return unique, inverse
 
 
 def upsample_to_points(
@@ -229,7 +227,7 @@ def upsample_to_points(
     # the in-grid points' cells, which cells have a neighbor, and each such
     # cell's anchor row and (cell, offset) neighbor rows of the map's values
     inside = grid.contains(cloud)
-    cells, inverse, _ = _group_rows(grid.coords_for(cloud[inside]))
+    cells, inverse = _group_rows(grid.coords_for(cloud[inside]))
     offsets = np.array(_offsets_within(r), dtype=np.int64)  # lexicographic
     dist = np.abs(offsets).sum(axis=1)
     by_distance = np.argsort(dist, kind="stable")

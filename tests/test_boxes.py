@@ -12,7 +12,6 @@ from pcsaliency.boxes import (
     box_diagonal,
     canonicalize,
     iou_3d,
-    point_in_box,
     points_in_box,
 )
 from pcsaliency.errors import DegenerateBox
@@ -59,18 +58,18 @@ def points_in_box_row_form(points, box):
 class TestPointInBox:
     def test_center_inside(self):
         box = OrientedBox((1.0, 2.0, 3.0), (2.0, 1.0, 1.5), 0.3)
-        assert point_in_box((1.0, 2.0, 3.0), box)
+        assert points_in_box((1.0, 2.0, 3.0), box)[0]
 
     def test_just_outside_face(self):
         box = OrientedBox((0.0, 0.0, 0.0), (2.0, 1.0, 1.0), 0.0)
-        assert point_in_box((1.0, 0.0, 0.0), box)  # boundary inclusive
-        assert not point_in_box((1.0 + 1e-9, 0.0, 0.0), box)
+        assert points_in_box((1.0, 0.0, 0.0), box)[0]  # boundary inclusive
+        assert not points_in_box((1.0 + 1e-9, 0.0, 0.0), box)[0]
 
     def test_yawed_unit_box_at_diagonal_reach(self):
         # rotated frame coords of (0.7, 0, 0) are (~0.495, ~-0.495): inside
         box = OrientedBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), math.pi / 4)
-        assert point_in_box((0.7, 0.0, 0.0), box)
-        assert not point_in_box((0.72, 0.0, 0.0), box)  # beyond corner reach
+        assert points_in_box((0.7, 0.0, 0.0), box)[0]
+        assert not points_in_box((0.72, 0.0, 0.0), box)[0]  # beyond corner reach
 
     def test_against_halfplane_oracle(self):
         rng = np.random.default_rng(5)

@@ -276,6 +276,19 @@ class TestSweep:
         # the clamp is named only where there are r rows
         assert ("nmf.r=64" in err) == ("r" not in skipped)
 
+    @pytest.mark.parametrize("override, distinct", [
+        ([], 9), (["pipeline.ablation=no_vu"], 6), (["detector.feature_dim=10"], 8),
+    ])
+    def test_one_config_per_distinct_computation(self, override, distinct):
+        # the base nmf.r=64 clamps to the feature width, as the r row of that
+        # width does: the two rows run one config
+        from pcsaliency.cli import _sweep_variants
+
+        cfg = RunConfig.from_sources(None, override)
+        configs = {variant for _, _, variant in _sweep_variants(cfg)}
+        assert len(configs) == distinct
+        assert all(variant.get("nmf.r") <= cfg.get("detector.feature_dim") for variant in configs)
+
 
 class TestAggregateCli:
     def test_grid_outputs(self, scene_dir, tmp_path):
@@ -646,6 +659,33 @@ def test_parallel_matches_serial(command, multi_scene_dir, tmp_path, monkeypatch
     # parallelism changes the config hash but no other output byte
     expected = _outputs(serial)
     assert expected and _outputs(parallel) == expected
+
+
+def test_pool_holds_at_most_one_process_per_scene(tmp_path, monkeypatch):
+    # a fork pool starts all of its max_workers at the first task
+    from pcsaliency import cli
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.bin").touch()
+    cfg = RunConfig.from_sources(None, ["parallelism=8"])
+    scene_ids = list(cli._map_scenes(cfg, tmp_path, lambda cfg, scene: scene[0]))
+    assert scene_ids == ["a", "b"] and sizes == [2]
 
 
 def test_dying_pool_worker_exits_one(multi_scene_dir, tmp_path, monkeypatch, capsys):

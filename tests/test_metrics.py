@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from pcsaliency.metrics import (
     vea,
     well_detected,
 )
-from pcsaliency.pipeline import Detection, explain_detection, full_mask
+from pcsaliency.pipeline import CLASS_NAMES, Detection, explain_detection, full_mask
 from pcsaliency.synthetic import single_object_scene
 
 
@@ -398,3 +400,14 @@ def test_thresholds_validation():
     with pytest.raises(ValueError):
         EvalThresholds(car=0.0)
     assert EvalThresholds().for_label("unknown") == 0.5
+
+
+def test_thresholds_follow_the_class_table():
+    names = [f.name for f in dataclasses.fields(EvalThresholds)]
+    assert names == [*CLASS_NAMES, "fallback"]
+    values = {name: 0.1 * (i + 1) for i, name in enumerate(names)}
+    thresholds = EvalThresholds(**values)
+    for label in CLASS_NAMES:
+        assert thresholds.for_label(label) == values[label]
+    for label in ("unknown", "Car", "fallback", "__class__", ""):
+        assert thresholds.for_label(label) == values["fallback"]
