@@ -7,6 +7,7 @@ Canonicalized points (object-centered, yaw-aligned, size-normalized into
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -25,11 +26,12 @@ class CanonicalGrid:
         self.resolution = resolution
         self.sums = np.zeros((resolution,) * 3)
         self.counts = np.zeros((resolution,) * 3, dtype=np.int64)
+        self.binned = 0
         self.discarded = 0
 
     def accumulate(self, points: np.ndarray, saliency: np.ndarray) -> None:
-        """Bin canonical points; points outside the closed unit cube are tallied
-        into ``discarded`` instead of binned."""
+        """Bin canonical points, tallied into ``binned``; points outside the
+        closed unit cube are tallied into ``discarded`` instead."""
         points = np.asarray(points, dtype=float).reshape(-1, 3)
         saliency = np.asarray(saliency, dtype=float).ravel()
         if len(points) != len(saliency):
@@ -38,8 +40,10 @@ class CanonicalGrid:
         inside = np.abs(points[:, 0]) <= 0.5
         inside &= np.abs(points[:, 1]) <= 0.5
         inside &= np.abs(points[:, 2]) <= 0.5
-        self.discarded += int(np.count_nonzero(~inside))
-        if not inside.any():
+        n_inside = int(np.count_nonzero(inside))
+        self.binned += n_inside
+        self.discarded += len(points) - n_inside
+        if not n_inside:
             return
         pts = points[inside]
         idx = np.floor((pts + 0.5) * self.resolution).astype(np.int64)
@@ -120,31 +124,44 @@ def read_grid(path):
     return averages, counts
 
 
-def grid_to_csv(path, grid: CanonicalGrid) -> None:
-    """Point-list export: one row per cell (center coords, value, count),
-    x fastest."""
-    res = grid.resolution
+_EMPTY_CELL = "0,0\n"  # how an empty cell's row ends: average 0.0, count 0
+
+
+@functools.cache  # ~1.3 MB per resolution, built once per process
+def _csv_template(res: int):
+    """The CSV of an empty grid at ``res`` as one ``bytes``, and the end
+    offset of each cell's row in it, x fastest."""
     cell = 1.0 / res
     # a cell center's coordinate on each axis depends only on that axis' index
     axis = [f"{-0.5 + (i + 0.5) * cell:.6g}" for i in range(res)]
     xy = [f"{cx},{cy}," for cy in axis for cx in axis]
-    with writing(path) as fh:
-        fh.write("cx,cy,cz,value,count\n")
-        # one z slice at a time keeps the row strings few, and with them
-        # the memory the writer holds. An empty cell's row is its prefix and
-        # "cz,0,0" (average 0.0, count 0), so each run of empty cells is one
-        # join and only the occupied cells are formatted.
-        for iz, cz in enumerate(axis):
-            empty = f"{cz},0,0\n"
-            counts = grid.counts[:, :, iz].ravel(order="F")
-            occupied = np.flatnonzero(counts)
-            n_occupied = counts[occupied]
-            # the occupied cells' averages, as ``CanonicalGrid.averages`` divides them
-            values = grid.sums[:, :, iz].ravel(order="F")[occupied] / n_occupied
-            rows, start = [], 0
-            for i, v, n in zip(occupied.tolist(), values.tolist(), n_occupied.tolist()):
-                rows.append(empty.join([*xy[start:i], ""]))
-                rows.append(f"{xy[i]}{cz},{v:.6g},{n}\n")
-                start = i + 1
-            rows.append(empty.join([*xy[start:], ""]))
-            fh.write("".join(rows))
+    header = b"cx,cy,cz,value,count\n"
+    # one z slice at a time keeps the row strings few
+    slices = [f"{cz},{_EMPTY_CELL}".join([*xy, ""]).encode() for cz in axis]
+    xy_len = np.array([len(s) for s in xy])
+    lengths = np.concatenate([xy_len + len(cz) + 1 + len(_EMPTY_CELL) for cz in axis])
+    ends = len(header) + np.cumsum(lengths)
+    ends.flags.writeable = False  # shared by every call at this resolution
+    return b"".join([header, *slices]), ends
+
+
+def grid_to_csv(path, grid: CanonicalGrid) -> None:
+    """Point-list export: one row per cell (center coords, value, count),
+    x fastest."""
+    template, ends = _csv_template(grid.resolution)
+    counts = grid.counts.ravel(order="F")
+    occupied = np.flatnonzero(counts)
+    n_occupied = counts[occupied]
+    # the occupied cells' averages, as ``CanonicalGrid.averages`` divides them
+    values = grid.sums.ravel(order="F")[occupied] / n_occupied
+    # every row up to an occupied cell's value is the empty grid's, so only
+    # the occupied cells are formatted
+    view = memoryview(template)
+    pieces, start = [], 0
+    for end, v, n in zip(ends[occupied].tolist(), values.tolist(), n_occupied.tolist()):
+        pieces.append(view[start:end - len(_EMPTY_CELL)])
+        pieces.append(b"%.6g,%d\n" % (v, n))
+        start = end
+    pieces.append(view[start:])
+    with writing(path, "wb") as fh:
+        fh.write(b"".join(pieces))

@@ -13,6 +13,7 @@ import argparse
 import concurrent.futures
 import ctypes
 import functools
+import glob
 import json
 import sys
 from pathlib import Path
@@ -42,7 +43,7 @@ _M_MMAP_THRESHOLD = -3
 
 
 def main(argv=None) -> int:
-    _keep_freed_memory()
+    _set_up_process()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -138,6 +139,49 @@ def _keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 128 << 20)
 
 
+@functools.cache
+def _openblas():
+    """``name -> ctypes function`` over numpy's bundled OpenBLAS (config,
+    corename, get/set_num_threads), or None where it is not found."""
+    numpy_dir = Path(np.__file__).parent
+    libs = sorted(glob.glob(str(numpy_dir.parent / "numpy.libs" / "*openblas*")))
+    libs += sorted(glob.glob(str(numpy_dir / ".dylibs" / "*openblas*")))
+    names = ("get_config", "get_corename", "get_num_threads", "set_num_threads")
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            funcs = {n: getattr(lib, f"{prefix}_{n}{suffix}", None) for n in names}
+            if all(funcs.values()):
+                funcs["get_config"].restype = funcs["get_corename"].restype = ctypes.c_char_p
+                funcs["set_num_threads"].argtypes = (ctypes.c_int,)
+                return funcs
+    return None
+
+
+@functools.cache  # the thread count is process-wide, so it is set once per process
+def _one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread, whatever
+    ``OPENBLAS_NUM_THREADS`` says: NMF's ``h.T @ a`` rounds differently at
+    two threads, and a second thread buys these small products no wall
+    time. Set by the command line, not at import, so that a library
+    caller's thread count stays its own. Does nothing where the library
+    is not found.
+    """
+    blas = _openblas()
+    if blas is not None:
+        blas["set_num_threads"](1)
+
+
+def _set_up_process() -> None:
+    """The process-wide policies, set by ``main`` and by each pool worker."""
+    _keep_freed_memory()
+    _one_blas_thread()
+
+
 def _runconfig(args) -> RunConfig:
     return RunConfig.from_sources(args.config, args.overrides)
 
@@ -213,9 +257,9 @@ def _map_scenes(cfg: RunConfig, scenes_dir, worker, *args):
     if workers <= 1:
         yield from map(task, scenes)
     else:
-        # a spawn or forkserver worker does not inherit the allocator policy
+        # a spawn or forkserver worker does not inherit the process policies
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_keep_freed_memory
+            max_workers=workers, initializer=_set_up_process
         ) as pool:
             try:
                 yield from pool.map(task, scenes)
@@ -404,7 +448,7 @@ def _cmd_aggregate(args) -> int:
                 "class": label,
                 "mask": mask_name,
                 "file": f"{stem}.grid",
-                "points_binned": int(grid.counts.sum()),
+                "points_binned": grid.binned,
                 "points_discarded": grid.discarded,
             }
         )

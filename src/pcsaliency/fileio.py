@@ -16,6 +16,8 @@ import contextlib
 import itertools
 import json
 import math
+import os
+import stat
 
 import numpy as np
 
@@ -44,12 +46,25 @@ def read_text(path) -> str:
 
 @contextlib.contextmanager
 def writing(path, mode: str = "w"):
-    """``path`` opened for writing (UTF-8 in text modes); an ``OSError``
-    while opening, writing or closing becomes an ``IoFailure``."""
+    """``path`` opened for writing (UTF-8 in text modes) and overwritten in
+    place: a regular file is cut to the written length when the block ends,
+    also on an exception. An ``OSError`` while opening, writing or closing
+    becomes an ``IoFailure``.
+
+    Opening without ``O_TRUNC`` keeps symlinks, hard links and mode bits as
+    ``open(path, "w")`` does, but an ext4 file truncated to zero is flushed
+    to disk on close (``auto_da_alloc``): ~1 ms per MB rewritten.
+    """
     encoding = None if "b" in mode else "utf-8"
     try:
-        with open(path, mode, encoding=encoding) as fh:
-            yield fh
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, mode, encoding=encoding) as fh:
+            try:
+                yield fh
+            finally:
+                # a device or pipe has no length to cut
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    fh.truncate()
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

@@ -1,37 +1,12 @@
 import contextlib
-import ctypes
 import functools
-import glob
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pcsaliency.cli import _openblas
 from pcsaliency.detector import ReferenceDetector, ReferenceDetectorConfig
 from pcsaliency.voxelgrid import _offsets_within
-
-
-@functools.cache
-def _openblas():
-    """``name -> ctypes function`` over numpy's bundled OpenBLAS (config,
-    corename, get/set_num_threads), or None where it is not found."""
-    numpy_dir = Path(np.__file__).parent
-    libs = sorted(glob.glob(str(numpy_dir.parent / "numpy.libs" / "*openblas*")))
-    libs += sorted(glob.glob(str(numpy_dir / ".dylibs" / "*openblas*")))
-    names = ("get_config", "get_corename", "get_num_threads", "set_num_threads")
-    for path in libs:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
-                               ("openblas", "64_"), ("openblas", "")):
-            funcs = {n: getattr(lib, f"{prefix}_{n}{suffix}", None) for n in names}
-            if all(funcs.values()):
-                funcs["get_config"].restype = funcs["get_corename"].restype = ctypes.c_char_p
-                funcs["set_num_threads"].argtypes = (ctypes.c_int,)
-                return funcs
-    return None
 
 
 def blas_fingerprint() -> dict:

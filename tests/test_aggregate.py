@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 from pcsaliency.aggregate import (
     CanonicalGrid,
     ObjectExplanation,
+    _csv_template,
     grid_to_csv,
     mode_report,
     read_grid,
@@ -46,7 +49,7 @@ class TestCanonicalGrid:
             incremental.accumulate(p[None, :], np.array([s]))
         assert np.array_equal(batch.sums, incremental.sums)
         assert np.array_equal(batch.counts, incremental.counts)
-        assert batch.discarded == incremental.discarded
+        assert (batch.binned, batch.discarded) == (incremental.binned, incremental.discarded)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
@@ -65,13 +68,14 @@ class TestCanonicalGrid:
         pts = rng.uniform(-1.0, 1.0, size=(500, 3))
         grid = CanonicalGrid(8)
         grid.accumulate(pts, np.ones(500))
-        assert int(grid.counts.sum()) + grid.discarded == 500
+        assert grid.binned == int(grid.counts.sum())
+        assert grid.binned + grid.discarded == 500
 
     def test_boundary_point_binned_into_last_cell(self):
         grid = CanonicalGrid(4)
         grid.accumulate(np.array([[0.5, 0.5, 0.5]]), np.array([1.0]))
         assert grid.counts[3, 3, 3] == 1
-        assert grid.discarded == 0
+        assert (grid.binned, grid.discarded) == (1, 0)
 
 
 def det(center, label="car", size=(4.0, 2.0, 1.5), yaw=0.0, score=0.9):
@@ -225,21 +229,51 @@ def full_grid(resolution):
     return grid
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: CanonicalGrid(2),
-        lambda: CanonicalGrid(32),
-        lambda: full_grid(2),
-        lambda: full_grid(9),
-        *[
-            (lambda s=s, r=r, n=n: random_grid(s, r, n))
-            for s, (r, n) in enumerate([(2, 5), (3, 40), (7, 2000), (32, 20000), (32, 300)])
-        ],
-    ],
-    ids=["empty-2", "empty-32", "full-2", "full-9",
-         "random-2", "random-3", "random-7", "random-32", "sparse-32"],
-)
+def centers_grid(resolution, cells, values):
+    """One point at the center of each of ``cells`` (index triples)."""
+    grid = CanonicalGrid(resolution)
+    grid.accumulate(-0.5 + (np.array(cells) + 0.5) / resolution, np.array(values))
+    return grid
+
+
+_CSV_KINDS = {
+    "empty": CanonicalGrid,
+    "full": full_grid,
+    "first-cell": lambda r: centers_grid(r, [(0, 0, 0)], [0.25]),
+    "last-cell": lambda r: centers_grid(r, [(r - 1,) * 3], [-0.75]),
+    "e-notation": lambda r: centers_grid(
+        r, [(0, 0, 0), (r - 1, 0, 0), (0, r - 1, r - 1), (r - 1,) * 3],
+        [1.5e-9, -2.5e7, 1e300, -5e-324],
+    ),
+}
+_CSV_CASES = {
+    **{
+        f"{kind}-{r}": functools.partial(make, r)
+        for kind, make in _CSV_KINDS.items()
+        for r in (2, 3, 7, 32)
+    },
+    "full-9": functools.partial(full_grid, 9),
+    **{
+        f"random-{r}": functools.partial(random_grid, s, r, n)
+        for s, (r, n) in enumerate([(2, 5), (3, 40), (7, 2000), (32, 20000)])
+    },
+    "sparse-32": functools.partial(random_grid, 4, 32, 300),
+}
+
+
+def test_csv_template_serves_each_resolution(tmp_path):
+    """The template cached for one resolution is not reused for another."""
+    _csv_template.cache_clear()
+    for i, resolution in enumerate((3, 32, 3)):
+        grid = random_grid(i, resolution, 40 * resolution)
+        grid_to_csv(tmp_path / f"fast{i}.csv", grid)
+        csv_oracle(tmp_path / f"oracle{i}.csv", grid)
+        assert (tmp_path / f"fast{i}.csv").read_bytes() == (tmp_path / f"oracle{i}.csv").read_bytes()
+    info = _csv_template.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+
+
+@pytest.mark.parametrize("make", _CSV_CASES.values(), ids=_CSV_CASES.keys())
 def test_csv_bytes_match_cellwise_writer(make, tmp_path):
     grid = make()
     grid_to_csv(tmp_path / "fast.csv", grid)

@@ -450,6 +450,9 @@ _FS_FAILURES = {
     "eval-out": lambda sd, ed, blk, tmp: [
         "eval", "--scenes", str(ed), "--out", str(blk / "m.jsonl"),
     ],
+    "eval-out-is-a-directory": lambda sd, ed, blk, tmp: [
+        "eval", "--scenes", str(ed), "--out", str(tmp),
+    ],
     "sweep-out": lambda sd, ed, blk, tmp: [
         "sweep", "--scenes", str(ed), "--out", str(blk / "s.csv"),
     ],
@@ -654,8 +657,8 @@ def test_parallel_matches_serial(command, multi_scene_dir, tmp_path, monkeypatch
     argv = _SCENE_COMMANDS[command](multi_scene_dir, parallel)
     assert main([*argv, *FAST, "--set", "parallelism=2"]) == 0
     assert len(pools) == 1 and pools[0]._max_workers == 2
-    # a spawn or forkserver worker sets the allocator policy itself
-    assert pools[0]._initializer is cli._keep_freed_memory
+    # a spawn or forkserver worker sets the allocator policy and the BLAS pin itself
+    assert pools[0]._initializer is cli._set_up_process
     # parallelism changes the config hash but no other output byte
     expected = _outputs(serial)
     assert expected and _outputs(parallel) == expected
@@ -885,6 +888,7 @@ def libc(monkeypatch):
 
     calls = []
     stub = {"load": lambda: types.SimpleNamespace(mallopt=lambda *a: calls.append(a))}
+    cli._openblas()  # numpy's OpenBLAS is looked up, and cached, through the real ctypes
     monkeypatch.setattr(
         cli, "ctypes", types.SimpleNamespace(CDLL=lambda name: stub["load"](), c_int=ctypes.c_int)
     )

@@ -1,24 +1,95 @@
 import json
+import os
 import re
+import stat
 import struct
 
 import numpy as np
 import pytest
 
 from pcsaliency.boxes import OrientedBox
-from pcsaliency.errors import MalformedFile, SchemaViolation
+from pcsaliency.errors import IoFailure, MalformedFile, SchemaViolation
 from pcsaliency.fileio import (
     read_detections_json,
     read_kitti_bin,
     read_labels_json,
     read_saliency_csv,
     write_detections_json,
+    write_json,
     write_kitti_bin,
     write_labels_json,
     write_saliency,
+    writing,
 )
 from pcsaliency.pipeline import Detection
 from pcsaliency.runconfig import parse_config_file
+
+
+class TestWriting:
+    """``writing`` overwrites in place and cuts a regular file to the new
+    length, so an output path behaves as under ``open(path, "w")``."""
+
+    @pytest.mark.parametrize("mode", ["w", "wb"])
+    @pytest.mark.parametrize("new", ["short\n", ""], ids=["short", "empty"])
+    def test_shorter_rewrite_leaves_no_stale_tail(self, tmp_path, mode, new):
+        path = tmp_path / "out"
+        path.write_bytes(b"x" * 10_000)
+        with writing(path, mode) as fh:
+            fh.write(new if mode == "w" else new.encode())
+        assert path.read_bytes() == new.encode()
+
+    def test_symlink_is_kept_and_its_target_updated(self, tmp_path):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_text("old contents, longer than the new\n")
+        link.symlink_to(target)
+        write_json(link, [1])
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == "[\n  1\n]\n"
+
+    def test_hard_link_sees_the_new_bytes(self, tmp_path):
+        path, other = tmp_path / "out", tmp_path / "other"
+        path.write_text("old contents, longer than the new\n")
+        os.link(path, other)
+        write_json(path, {"a": 1})
+        assert other.read_bytes() == path.read_bytes() == b'{\n  "a": 1\n}\n'
+        assert os.stat(other).st_ino == os.stat(path).st_ino
+
+    def test_mode_bits_are_kept(self, tmp_path):
+        path = tmp_path / "out"
+        path.write_text("old contents, longer than the new\n")
+        path.chmod(0o640)
+        write_json(path, [])
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert path.read_text() == "[]\n"
+
+    @pytest.mark.parametrize("mode", ["w", "wb"])
+    def test_exception_leaves_the_bytes_written_so_far(self, tmp_path, mode):
+        path = tmp_path / "out"
+        path.write_bytes(b"y" * 10_000)
+        with pytest.raises(RuntimeError, match="midway"):
+            with writing(path, mode) as fh:
+                fh.write("head" if mode == "w" else b"head")
+                raise RuntimeError("midway")
+        assert path.read_bytes() == b"head"
+
+    def test_dev_null(self):
+        write_json(os.devnull, {"a": [1, 2]})
+        with writing(os.devnull, "wb") as fh:
+            fh.write(b"bytes")
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd paths here")
+    def test_pipe_path(self):
+        read_end, write_end = os.pipe()
+        with os.fdopen(read_end, "rb") as reader:
+            try:
+                write_json(f"/dev/fd/{write_end}", [1, 2])
+            finally:
+                os.close(write_end)
+            assert reader.read() == b"[\n  1,\n  2\n]\n"
+
+    def test_directory_is_io_failure(self, tmp_path):
+        with pytest.raises(IoFailure, match=re.escape(f"cannot write {tmp_path}")):
+            write_json(tmp_path, [])
 
 
 class TestKittiBin:
