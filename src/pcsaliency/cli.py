@@ -232,13 +232,6 @@ def _explain_scene(detector, cfg: RunConfig, cloud, pick, masks):
     return detections, list(zip(picks, saliencies))
 
 
-def _load_scene(bin_path, labels_path):
-    cloud = read_kitti_bin(bin_path)
-    if labels_path is None:
-        raise ValidationError(f"scene {bin_path} has no companion .labels.json")
-    return cloud, read_labels_json(labels_path)
-
-
 def _well_detected(cfg: RunConfig, gts):
     return lambda detections: metrics.well_detected(detections, gts, cfg.thresholds())
 
@@ -247,8 +240,6 @@ def _map_scenes(cfg: RunConfig, scenes_dir, worker, *args):
     """Yield ``worker(cfg, *args, scene)`` per scene file of ``scenes_dir``, in
     order, from a pool of at most ``parallelism`` processes, one per scene."""
     scenes = find_scene_files(scenes_dir)
-    if not scenes:
-        raise ValidationError(f"no .bin scenes found in {scenes_dir}")
     if cfg.get("detector.kind") == "dump" and len(scenes) > 1:
         raise ValidationError(f"a feature dump holds one scene; {scenes_dir} has {len(scenes)}")
     task = functools.partial(worker, cfg, *args)
@@ -276,9 +267,9 @@ def _map_scenes(cfg: RunConfig, scenes_dir, worker, *args):
 
 def _cmd_explain(args) -> int:
     cfg = _runconfig(args)
+    mask = _parse_mask(args.mask)
     scene_id = Path(args.scene).stem
     out = _out_file(args.out, cfg, f"{scene_id}_{args.detection}.{args.format}")
-    mask = _parse_mask(args.mask)
     cloud = read_kitti_bin(args.scene)
 
     def pick(detections):
@@ -304,7 +295,7 @@ def _eval_worker(cfg: RunConfig, variants, scene):
     scope of ``cfg`` serve every config, so the configs may differ only in
     ``nmf.*``, ``upsample.*`` and ``pipeline.*`` keys."""
     scene_id, bin_path, labels_path = scene
-    cloud, gts = _load_scene(bin_path, labels_path)
+    cloud, gts = read_kitti_bin(bin_path), read_labels_json(labels_path)
     detector = cfg.build_detector()
     steps = cfg.get("eval.steps")
     rows = []
@@ -413,7 +404,7 @@ def _cmd_sweep(args) -> int:
 
 def _aggregate_worker(cfg: RunConfig, masks, scene):
     _, bin_path, labels_path = scene
-    cloud, gts = _load_scene(bin_path, labels_path)
+    cloud, gts = read_kitti_bin(bin_path), read_labels_json(labels_path)
     detections, explained = _explain_scene(
         cfg.build_detector(), cfg, cloud, _well_detected(cfg, gts), masks
     )
@@ -461,27 +452,27 @@ def _cmd_aggregate(args) -> int:
 # modes
 
 def _modes_worker(cfg: RunConfig, grids: bool, scene):
-    """The scene's explained detections; their canonical points and saliency
-    only when ``grids`` asks for them."""
+    """The scene's detections, each with its mode; their canonical points and
+    saliency, and so any explanation, only when ``grids`` asks for them."""
     _, bin_path, labels_path = scene
-    cloud, gts = _load_scene(bin_path, labels_path)
+    cloud, gts = read_kitti_bin(bin_path), read_labels_json(labels_path)
 
     def every_detection(detections):
         tp_set = {pi for pi, _, _ in metrics.well_detected(detections, gts, cfg.thresholds())}
         return [(pi, pi in tp_set) for pi in range(len(detections))]
 
     detections, explained = _explain_scene(
-        cfg.build_detector(), cfg, cloud, every_detection, [full_mask()]
+        cfg.build_detector(), cfg, cloud, every_detection, [full_mask()] if grids else []
     )
     records = []
-    for (pi, is_tp), [saliency] in explained:
+    for (pi, is_tp), saliencies in explained:
         box = detections[pi].box()
         records.append(
             ObjectExplanation(
                 label=detections[pi].label,
                 is_tp=is_tp,
                 canonical_points=canonicalize(cloud, box) if grids else None,
-                saliency=saliency if grids else None,
+                saliency=saliencies[0] if grids else None,
                 in_box_points=int(np.count_nonzero(points_in_box(cloud, box))),
             )
         )

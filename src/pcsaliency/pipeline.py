@@ -183,9 +183,10 @@ def explain_detection(
     The ``no_ff`` ablation drops the concept map; ``no_vu`` and
     ``gradient_only`` replace upsampling with the point's own voxel value
     (range 0, k 1), and ``gradient_only`` also drops the concept map.
+    No masks give one empty list per detection, and compute nothing.
     """
-    if not detections:
-        return []
+    if not detections or not masks:
+        return [[] for _ in detections]
     with detector.scene(cloud):
         features = detector.features(cloud, cfg.block_index)
         m = len(features)

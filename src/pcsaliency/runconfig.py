@@ -71,9 +71,9 @@ _DEFAULTS: dict[str, object] = {
 
 
 def _coerce(key: str, raw: str):
-    if key not in _DEFAULTS:
-        raise InvalidConfig(key, "unknown configuration key")
-    default = _DEFAULTS[key]
+    """``raw`` as the type of ``key``'s default; an unknown key's value stays
+    text for ``_check`` to reject."""
+    default = _DEFAULTS.get(key)
     if isinstance(default, bool):
         if raw.lower() in ("true", "1", "yes"):
             return True
@@ -93,27 +93,39 @@ def _coerce(key: str, raw: str):
     return raw
 
 
-def _check(values: dict[str, object]) -> None:
-    """Raise ``InvalidConfig`` for the first key whose value is out of range:
-    a section whose config fails its checks is built up again one field at a
-    time, and the field whose addition fails them names the key (a range its
-    ``_max``)."""
+def _check(values: dict[str, object]) -> dict[str, object]:
+    """The typed config of each section, built once from ``values``.
+
+    Raises ``InvalidConfig`` for the first key that is unknown or whose
+    value is out of range: a section whose config fails its checks is built
+    up again one field at a time, and the field whose addition fails them
+    names the key (a range its ``_max``)."""
     for key, value in values.items():
+        if key not in _DEFAULTS:
+            raise InvalidConfig(key, "unknown configuration key")
         if isinstance(value, float) and not math.isfinite(value):
             raise InvalidConfig(key, f"expected a finite number, got {value!r}")
     for key in ("eval.steps", "parallelism"):
         if values[key] < 1:
             raise InvalidConfig(key, f"must be >= 1, got {values[key]!r}")
+    kind = values["detector.kind"]
+    if kind not in ("reference", "dump"):
+        raise InvalidConfig("detector.kind", f"expected reference or dump, got {kind!r}")
+    if kind == "dump" and not values["detector.dump_path"]:
+        raise InvalidConfig("detector.dump_path", "required when detector.kind=dump")
+    built: dict[str, object] = {}
     for prefix, (config, names) in _SECTIONS.items():
         fields = {name: _field(values, prefix, name) for name in names}
+        nested = {p: built[p] for p in ("nmf", "upsample")} if prefix == "pipeline" else {}
         try:
-            config(**fields)
+            built[prefix] = config(**fields, **nested)
         except ValueError:
             for n, name in enumerate(names, start=1):
                 try:
-                    config(**{key: fields[key] for key in names[:n]})
+                    config(**{key: fields[key] for key in names[:n]}, **nested)
                 except ValueError as exc:
                     raise InvalidConfig(_keys(prefix, name)[-1], str(exc)) from None
+    return built
 
 
 def _canonical(value) -> str:
@@ -145,7 +157,8 @@ class RunConfig:
     values: tuple[tuple[str, object], ...]
 
     def __post_init__(self):
-        _check(dict(self.values))
+        # not a field: equality, hashing and config_hash read only ``values``
+        object.__setattr__(self, "_configs", _check(dict(self.values)))
 
     @classmethod
     def from_sources(cls, config_file=None, overrides=()) -> "RunConfig":
@@ -166,12 +179,7 @@ class RunConfig:
 
     def with_values(self, updates: dict[str, object]) -> "RunConfig":
         """Copy with some keys replaced by already-typed values."""
-        merged = dict(self.values)
-        for key, value in updates.items():
-            if key not in _DEFAULTS:
-                raise InvalidConfig(key, "unknown configuration key")
-            merged[key] = value
-        return RunConfig(tuple(sorted(merged.items())))
+        return RunConfig(tuple(sorted({**dict(self.values), **updates}.items())))
 
     def config_hash(self) -> str:
         digest = hashlib.sha256()
@@ -179,39 +187,33 @@ class RunConfig:
             digest.update(f"{key}={_canonical(value)}\n".encode())
         return digest.hexdigest()[:12]
 
-    def _build(self, prefix: str, **nested):
-        config, names = _SECTIONS[prefix]
-        values = dict(self.values)
-        return config(**{name: _field(values, prefix, name) for name in names}, **nested)
-
     def detector_config(self) -> ReferenceDetectorConfig:
-        return self._build("detector")
+        return self._configs["detector"]
 
     def build_detector(self):
-        kind = self.get("detector.kind")
-        if kind == "reference":
-            return ReferenceDetector(self.detector_config())
-        if kind == "dump":
-            path = self.get("detector.dump_path")
-            if not path:
-                raise ValidationError("detector.kind=dump requires detector.dump_path")
-            return load_dump(path)
-        raise ValidationError(f"unknown detector kind {kind!r}")
+        if self.get("detector.kind") == "dump":
+            return load_dump(self.get("detector.dump_path"))
+        return ReferenceDetector(self.detector_config())
 
     def pipeline_config(self) -> PipelineConfig:
-        return self._build("pipeline", nmf=self._build("nmf"), upsample=self._build("upsample"))
+        return self._configs["pipeline"]
 
     def thresholds(self) -> EvalThresholds:
-        return self._build("thresholds")
+        return self._configs["thresholds"]
 
 
-def find_scene_files(directory) -> list[tuple[str, Path, Path | None]]:
-    """Discover ``<id>.bin`` clouds with optional ``<id>.labels.json`` files."""
+def find_scene_files(directory) -> list[tuple[str, Path, Path]]:
+    """``(id, <id>.bin, <id>.labels.json)`` per runnable scene, in id order.
+
+    Raises ``ValidationError`` for a directory with no ``.bin`` and for a
+    ``.bin`` without its labels, so a run fails before any scene is read."""
     root = Path(directory)
     if not root.is_dir():
         raise IoFailure(f"scene directory {directory} does not exist")
-    out = []
-    for bin_path in sorted(root.glob("*.bin")):
-        labels = bin_path.parent / f"{bin_path.stem}.labels.json"
-        out.append((bin_path.stem, bin_path, labels if labels.exists() else None))
-    return out
+    scenes = [(p.stem, p, p.with_name(f"{p.stem}.labels.json")) for p in sorted(root.glob("*.bin"))]
+    if not scenes:
+        raise ValidationError(f"no .bin scenes found in {directory}")
+    for _, bin_path, labels in scenes:
+        if not labels.exists():
+            raise ValidationError(f"scene {bin_path} has no companion .labels.json")
+    return scenes

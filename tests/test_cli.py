@@ -61,10 +61,14 @@ class TestRunConfig:
         assert cfg.get("pipeline.block_index") == 2
 
     def test_unknown_key_rejected(self):
-        from pcsaliency.errors import ValidationError
+        from pcsaliency.errors import InvalidConfig
 
-        with pytest.raises(ValidationError):
+        with pytest.raises(InvalidConfig) as err:
             RunConfig.from_sources(None, ["bogus.key=1"])
+        assert err.value.key == "bogus.key"
+        with pytest.raises(InvalidConfig) as err:
+            RunConfig.from_sources().with_values({"bogus.key": 1})
+        assert err.value.key == "bogus.key"
 
     @pytest.mark.parametrize("override", [
         "eval.steps=0",
@@ -84,6 +88,7 @@ class TestRunConfig:
         "detector.voxel_size=1e-7",
         "detector.x_max=-1",
         "detector.seed=-1",
+        "detector.kind=nope",
     ])
     def test_out_of_range_value_names_its_key(self, override):
         from pcsaliency.errors import InvalidConfig
@@ -100,6 +105,62 @@ class TestRunConfig:
         with pytest.raises(InvalidConfig) as err:
             RunConfig.from_sources(None, ["nmf.r=many"])
         assert err.value.key == "nmf.r"
+
+    @pytest.mark.parametrize("override, expected", [
+        ("nmf.clamp_negatives=maybe", "expected a boolean, got 'maybe'"),
+        ("nmf.relative_tolerance=abc", "expected a number, got 'abc'"),
+    ], ids=["boolean", "number"])
+    def test_mistyped_boolean_or_number_names_its_key(self, override, expected):
+        from pcsaliency.errors import InvalidConfig
+
+        key = override.split("=")[0]
+        with pytest.raises(InvalidConfig) as err:
+            RunConfig.from_sources(None, [override])
+        assert str(err.value) == f"{key}: {expected}"
+
+    @pytest.mark.parametrize("text, value", [
+        ("true", True), ("1", True), ("yes", True), ("YES", True),
+        ("false", False), ("0", False), ("no", False), ("False", False),
+    ])
+    def test_boolean_spellings(self, text, value):
+        cfg = RunConfig.from_sources(None, [f"nmf.clamp_negatives={text}"])
+        assert cfg.get("nmf.clamp_negatives") is value
+        assert cfg.pipeline_config().nmf.clamp_negatives is value
+
+    def test_override_without_equals_sign_rejected(self):
+        from pcsaliency.errors import ValidationError
+
+        with pytest.raises(ValidationError, match="'nmf.r' must look like key=value"):
+            RunConfig.from_sources(None, ["nmf.r"])
+
+    def test_dump_kind_without_a_path_names_the_path_key(self):
+        from pcsaliency.errors import InvalidConfig
+
+        with pytest.raises(InvalidConfig) as err:
+            RunConfig.from_sources(None, ["detector.kind=dump"])
+        assert err.value.key == "detector.dump_path"
+        # a path makes it valid; the file is read only when a detector is built
+        RunConfig.from_sources(None, ["detector.kind=dump", "detector.dump_path=x.ffdp"])
+
+    def test_typed_configs_built_once_and_outside_equality(self):
+        from pcsaliency.detector import ReferenceDetectorConfig
+        from pcsaliency.metrics import EvalThresholds
+        from pcsaliency.nmf import NmfConfig
+        from pcsaliency.pipeline import PipelineConfig
+        from pcsaliency.voxelgrid import UpsampleConfig
+
+        cfg = RunConfig.from_sources(None, FAST[1::2])
+        assert cfg.pipeline_config() is cfg.pipeline_config()
+        assert cfg.detector_config() is cfg.detector_config()
+        assert cfg.thresholds() is cfg.thresholds()
+        assert cfg.pipeline_config() == PipelineConfig(
+            nmf=NmfConfig(r=16, max_iterations=60), upsample=UpsampleConfig()
+        )
+        assert cfg.detector_config() == ReferenceDetectorConfig()
+        assert cfg.thresholds() == EvalThresholds()
+        again = RunConfig.from_sources(None, FAST[1::2])
+        assert again == cfg and hash(again) == hash(cfg) and again.values == cfg.values
+        assert "_configs" not in repr(cfg)
 
     def test_keys_types_and_hashes_pinned(self):
         # artifacts embed the hash: the key set, the value types and the
@@ -169,6 +230,18 @@ class TestExplain:
         assert code == 1
         assert "DetectionNotFound" in capsys.readouterr().err
 
+    def test_unknown_mask_exits_one_before_making_the_output_directory(
+        self, scene_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "made" / "x.csv"
+        code = main([
+            "explain", "--scene", str(scene_dir / "scene000.bin"),
+            "--detection", "0", "--mask", "bogus", "--out", str(out), *FAST,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown attributes: ['bogus']\n"
+        assert not out.parent.exists()
+
     def test_single_attribute_mask(self, scene_dir, tmp_path):
         out = tmp_path / "sal_h.csv"
         code = main([
@@ -216,6 +289,14 @@ class TestEval:
         out = tmp_path / "out" / "metrics.jsonl"
         code = main(["eval", "--scenes", str(tmp_path / "nope"), "--out", str(out), *FAST])
         assert code == 2
+
+    def test_directory_without_scenes_fails_validation(self, tmp_path, capsys):
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        (scenes / "orphan.labels.json").write_text("[]\n")
+        code = main(["eval", "--scenes", str(scenes), "--out", str(tmp_path / "m.jsonl"), *FAST])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: no .bin scenes found in {scenes}\n"
 
 
 class TestSweep:
@@ -413,6 +494,11 @@ def test_explain_from_dump(tmp_path, detector):
 
 def test_selftest_passes():
     assert main(["selftest"]) == 0
+
+
+def test_selftest_rejects_an_unknown_detector_kind(capsys):
+    assert main(["selftest", "--set", "detector.kind=nope"]) == 1
+    assert capsys.readouterr().err.startswith("error: detector.kind: ")
 
 
 def test_config_that_is_not_utf8_exits_one(tmp_path, capsys):
@@ -686,6 +772,7 @@ def test_pool_holds_at_most_one_process_per_scene(tmp_path, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     for name in ("a", "b"):
         (tmp_path / f"{name}.bin").touch()
+        (tmp_path / f"{name}.labels.json").touch()
     cfg = RunConfig.from_sources(None, ["parallelism=8"])
     scene_ids = list(cli._map_scenes(cfg, tmp_path, lambda cfg, scene: scene[0]))
     assert scene_ids == ["a", "b"] and sizes == [2]
@@ -801,11 +888,20 @@ def test_sweep_reads_each_scene_once_and_factorizes_each_distinct_config_once(
 
 
 def test_modes_factorizes_once_per_scene(multi_scene_dir, tmp_path, work):
+    # the report reads no saliency: only --grids-dir explains, with one
+    # factorization per scene, and the report is the same either way
     out = tmp_path / "modes.json"
     assert main(["modes", "--scenes", str(multi_scene_dir), "--out", str(out), *FAST]) == 0
     report = json.loads(out.read_text())
     assert report["tp"]["count"] + report["fp"]["count"] == 4
-    assert (work["forward"], work["factorize"]) == (2, 2)
+    assert (work["forward"], work["factorize"]) == (2, 0)
+    with_grids = tmp_path / "with_grids.json"
+    assert main([
+        "modes", "--scenes", str(multi_scene_dir), "--out", str(with_grids),
+        "--grids-dir", str(tmp_path / "grids"), *FAST,
+    ]) == 0
+    assert (work["forward"], work["factorize"]) == (2 + 2, 0 + 2)
+    assert with_grids.read_bytes() == out.read_bytes()
 
 
 def test_scene_released_after_failed_explain(scene_dir, tmp_path, work, capsys):
@@ -1009,6 +1105,14 @@ def test_eval_from_dump_exits_one(dumped_scene, tmp_path, capsys):
     assert not out.exists()
 
 
+def _out_args(command, tmp_path):
+    """The output flags of one multi-scene command, all under ``tmp_path``."""
+    return {"eval": ["--out", str(tmp_path / "m.jsonl")],
+            "sweep": ["--out", str(tmp_path / "sweep.csv")],
+            "aggregate": ["--out-dir", str(tmp_path / "agg")],
+            "modes": ["--out", str(tmp_path / "modes.json")]}[command]
+
+
 @pytest.mark.parametrize("command", ["eval", "sweep", "aggregate", "modes"])
 def test_dump_over_several_scenes_exits_one_before_any_explanation(
     command, dumped_scene, tmp_path, explained, capsys
@@ -1019,13 +1123,55 @@ def test_dump_over_several_scenes_exits_one_before_any_explanation(
     two = shutil.copytree(scenes, tmp_path / "two")
     for suffix in (".bin", ".labels.json"):
         shutil.copy(two / f"scene000{suffix}", two / f"scene001{suffix}")
-    out = {"eval": ["--out", str(tmp_path / "m.jsonl")],
-           "sweep": ["--out", str(tmp_path / "sweep.csv")],
-           "aggregate": ["--out-dir", str(tmp_path / "agg")],
-           "modes": ["--out", str(tmp_path / "modes.json")]}[command]
+    out = _out_args(command, tmp_path)
     assert main([command, "--scenes", str(two), *out, *dump_args, *FAST]) == 1
     assert "holds one scene" in capsys.readouterr().err
     assert explained == []
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep", "aggregate", "modes"])
+def test_later_scene_without_labels_exits_one_before_any_scene_is_read(
+    command, scene_dir, tmp_path, explained, monkeypatch, capsys
+):
+    import shutil
+
+    from pcsaliency import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("read a scene before every scene was checked")
+
+    monkeypatch.setattr(cli, "read_kitti_bin", never)
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    for name in ("scene000.bin", "scene000.labels.json", "scene001.bin"):
+        shutil.copy(scene_dir / name, scenes)
+    out = _out_args(command, tmp_path)
+    assert main([command, "--scenes", str(scenes), *out, *FAST]) == 1
+    assert capsys.readouterr().err.endswith(
+        f"error: scene {scenes / 'scene001.bin'} has no companion .labels.json\n"
+    )
+    assert explained == []
+
+
+def test_modes_from_dump_without_gradients(tmp_path, detector, capsys):
+    # the report needs no gradient; only the --grids-dir explanation does
+    from pcsaliency.dumps import dump_from_detector, save_dump
+
+    cloud, _ = multi_object_scene(0)
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    write_kitti_bin(scenes / "s.bin", cloud)
+    write_labels_json(scenes / "s.labels.json", [(d.box(), d.label) for d in detector.detect(cloud)])
+    dump_path = tmp_path / "s.ffdp"
+    save_dump(dump_path, dump_from_detector(detector, cloud, 3, masks=()))
+    argv = [
+        "modes", "--scenes", str(scenes), "--out", str(tmp_path / "modes.json"),
+        "--set", "detector.kind=dump", "--set", f"detector.dump_path={dump_path}", *FAST,
+    ]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "modes.json").read_text())["tp"]["count"] == 2
+    assert main([*argv, "--grids-dir", str(tmp_path / "grids")]) == 1
+    assert "dump has no gradient" in capsys.readouterr().err
 
 
 # Each case builds its argv from (object scene dir, a path beneath a regular file).

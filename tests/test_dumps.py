@@ -161,6 +161,29 @@ class TestMalformed:
         with pytest.raises(MalformedDump, match="detection record 1 is not finite"):
             read_dump(path)
 
+    @pytest.mark.parametrize("change", [{"size": (0.0, 1.0, 1.0)}, {"score": 2.0}])
+    def test_invalid_detection(self, scene_dump, tmp_path, change):
+        # a record finite in every field that no Detection may hold
+        _, dump, _ = scene_dump
+        bad = replace(dump.detections[0])
+        for name, value in change.items():
+            object.__setattr__(bad, name, value)
+        path = tmp_path / "detection.ffdp"
+        save_dump(path, replace(dump, detections=[dump.detections[0], bad]))
+        with pytest.raises(MalformedDump, match="^invalid detection record: "):
+            read_dump(path)
+
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_gradient_of_a_detection_past_the_count(self, scene_dump, tmp_path, past):
+        _, dump, _ = scene_dump
+        n = len(dump.detections)
+        bad = replace(dump)
+        bad.gradients = {**dump.gradients, (n + past, 1): dump.features}
+        path = tmp_path / "gradient.ffdp"
+        save_dump(path, bad)
+        with pytest.raises(MalformedDump, match=f"^gradient references detection {n + past} of {n}$"):
+            read_dump(path)
+
     def test_shape_mismatch_on_construction(self):
         grid = GridSpec(1.0, (0, 4), (0, 4), (0, 4))
         with pytest.raises(ShapeMismatch):
@@ -228,6 +251,19 @@ class TestDumpDetector:
             replay.gradient(
                 cloud, Detection((1, 1, 1), (1, 1, 1), 0.0, 0.5, "car"), full_mask(), 3
             )
+
+    def test_no_occupied_voxels_is_a_detector_failure(self, scene_dump):
+        from pcsaliency.pipeline import PipelineConfig
+
+        cloud, dump, _ = scene_dump
+        empty = FeatureDump(
+            grid=dump.grid, block_index=3, coords=np.zeros((0, 3), dtype=np.int32),
+            features=np.zeros((0, dump.features.shape[1]), dtype=np.float32),
+            detections=dump.detections[:1],
+        )
+        replay = DumpDetector(empty)
+        with pytest.raises(DetectorFailure, match="feature map has no occupied voxels"):
+            explain_detection(replay, cloud, empty.detections, [full_mask()], PipelineConfig())
 
     def test_pipeline_runs_on_dump(self, scene_dump):
         from pcsaliency.nmf import NmfConfig

@@ -222,6 +222,38 @@ class TestDetectionsJson:
             reader(path)
         assert err.value.path == f"[0].{where}"
 
+    @pytest.mark.parametrize("text, where, message", [
+        ('{"center": [0, 0, 0]}', "$", "expected a top-level array"),
+        ('[{"center": [0, 0, 0], "size": [1, 1, 1], "yaw": 0, "score": 0.5, "class": "car"}, 7]',
+         "[1]", "expected an object"),
+        ('[{"center": [0, 0], "size": [1, 1, 1], "yaw": 0, "score": 0.5, "class": "car"}]',
+         "[0].center", "expected a list of 3 numbers"),
+        ('[{"center": "0,0,0", "size": [1, 1, 1], "yaw": 0, "score": 0.5, "class": "car"}]',
+         "[0].center", "expected a list of 3 numbers"),
+        ('[{"center": [0, 0, 0], "size": [1, 1, 1], "yaw": "0", "score": 0.5, "class": "car"}]',
+         "[0].yaw", "expected a number, got '0'"),
+        ('[{"center": [0, true, 0], "size": [1, 1, 1], "yaw": 0, "score": 0.5, "class": "car"}]',
+         "[0].center[1]", "expected a number, got True"),
+        ('[{"center": [0, 0, 0], "size": [1, 1, 1], "yaw": 0, "score": 0.5, "class": ""}]',
+         "[0].class", "expected a non-empty string"),
+        ('[{"center": [0, 0, 0], "size": [1, 1, 1], "yaw": 0, "score": 0.5, "class": 1}]',
+         "[0].class", "expected a non-empty string"),
+        ('[{"center": [0, 0, 0], "size": [1, 1, 1], "yaw": 0, "score": 1.5, "class": "car"}]',
+         "[0].score", "score must be in [0, 1]"),
+        ('[{"center": [0, 0, 0], "size": [1, 1, 1], "yaw": 0, "score": -0.1, "class": "car"}]',
+         "[0].score", "score must be in [0, 1]"),
+    ], ids=["top-level-object", "record-not-object", "center-of-two", "center-string",
+            "yaw-string", "center-bool", "class-empty", "class-number", "score-above-one",
+            "score-below-zero"])
+    @pytest.mark.parametrize("reader", [read_detections_json, read_labels_json])
+    def test_schema_violation_names_the_field(self, tmp_path, reader, text, where, message):
+        path = tmp_path / "d.json"
+        path.write_text(text)
+        with pytest.raises(SchemaViolation) as err:
+            reader(path)
+        assert err.value.path == where
+        assert str(err.value) == f"{where}: {message}"
+
     def test_round_trip(self, tmp_path):
         dets = [
             Detection((1.25, -2.5, 0.75), (3.5, 1.5, 1.25), 0.5, 0.625, "cyclist"),

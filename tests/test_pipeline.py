@@ -383,6 +383,12 @@ class TestConceptMemo:
         assert explain_detection(detector, cloud, [], self.MASKS, pconfig()) == []
         assert (work["features"], work["forward"], work["factorize"]) == (0, 0, 0)
 
+    def test_no_masks_give_one_empty_list_per_detection_and_compute_nothing(self, detector, work):
+        cloud, detections = two_detections(detector)
+        work.update(dict.fromkeys(work, 0))
+        assert explain_detection(detector, cloud, detections, [], pconfig()) == [[], []]
+        assert work == dict.fromkeys(work, 0)
+
 
 class TestPlanMemo:
     """One ``explain_detection`` call makes one ``upsample_to_points`` call,
