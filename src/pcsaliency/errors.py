@@ -41,7 +41,8 @@ class NegativeInput(ValidationError):
 
 
 class NonFiniteInput(ValidationError):
-    """Matrix handed to the factorizer has NaN or infinite entries."""
+    """Matrix handed to the factorizer, or saliency map handed to a metric,
+    has NaN or infinite entries."""
 
 
 class RankTooLarge(ValidationError):

@@ -13,7 +13,7 @@ not UTF-8 a ``MalformedFile`` naming the path (exit code 1).
 from __future__ import annotations
 
 import contextlib
-import itertools
+import functools
 import json
 import math
 import os
@@ -199,24 +199,139 @@ def write_json(path, payload) -> None:
         fh.write(text)
 
 
-_WRITE_ROWS = 4096  # rows formatted per batch; bounds the strings held
-_CSV_ROW = "%d,%.6g,%.6g,%.6g,%.6g\n"  # %.6g formats exactly as format(x, ".6g")
-_PLY_ROW = "%.6g %.6g %.6g %.6g\n"
+_FIELD = 13  # bytes per field: "-1.23456e+308" is the longest %.6g
+_ROWS = 16384  # rows formatted per batch; bounds the arrays held
+# A value's source is four little-endian words, 16 bytes, that a field
+# pattern picks from. A float's words are its six significant digits as
+# two NUL-ended triples, ".0e-" and the two digits of its |exponent|; an
+# index's are its twelve digits as four NUL-ended triples.
+_DIGIT = (0, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14)  # source offset of each digit
+_NUL, _DOT, _ZERO, _E, _MINUS, _EXP = 3, 8, 9, 10, 11, 12
+_X_MIN, _X_MAX = -16, 5  # the decimal exponents numpy formats: 10**(5 - x) is exact
+_TIE = 0.5 - 2.0**-30  # a product this near an x.5 may round either way
 
 
-def _saliency_text(cloud, saliency, row: str, indexed: bool):
-    """The rows of ``row`` over (index,) x, y, z, score, one string per
-    batch: a whole batch is formatted by one ``%`` on Python floats."""
-    for lo in range(0, len(cloud), _WRITE_ROWS):
-        hi = min(lo + _WRITE_ROWS, len(cloud))
-        columns = [cloud[lo:hi, k].tolist() for k in range(3)] + [saliency[lo:hi].tolist()]
+def _float_pattern(x: int, negative: bool, digits: int) -> list[int]:
+    """Source offsets of the ``%.6g`` field of a value with decimal exponent
+    ``x`` and ``digits`` significant digits once trailing zeros go."""
+    lead, rest = _DIGIT[:max(x + 1, 1)], _DIGIT[max(x + 1, 1):digits]
+    out = [_MINUS] if negative else []
+    if x < -4:  # %g's exponent form; -16 <= x keeps two exponent digits
+        out += [*lead, *([_DOT, *rest] if rest else []), _E, _MINUS, _EXP, _EXP + 1]
+    elif x < 0:
+        out += [_ZERO, _DOT, *[_ZERO] * (-x - 1), *_DIGIT[:digits]]
+    else:
+        out += [*lead, *([_DOT, *rest] if rest else [])]
+    return out + [_NUL] * (_FIELD - len(out))
+
+
+@functools.cache  # ~40 kB, built by the first saliency write
+def _field_tables():
+    """``(triples, exponents, zeros, pow10, floats, indices)``: the words of
+    0-999 as NUL-ended ASCII triples, and of 0-99 as two digits; the
+    trailing zeros of each triple (3 for 000); 10**0 ... 10**22, each
+    exactly a double; the float field patterns by (x, sign, significant
+    digits); the index field patterns by digit count."""
+    triples = [b"%03d" % k for k in range(1000)]
+    floats = [_float_pattern(x, negative, digits) for x in range(_X_MIN, _X_MAX + 1)
+              for negative in (False, True) for digits in range(1, 7)]
+    indices = [[*_DIGIT[12 - n:], *[_NUL] * (_FIELD - n)] for n in range(1, 13)]
+    return (
+        np.frombuffer(b"\0".join(triples) + b"\0", "<u4"),
+        np.frombuffer(b"".join(b"%02d\0\0" % k for k in range(100)), "<u4"),
+        np.array([len(t) - len(t.rstrip(b"0")) for t in triples]),
+        np.array([float(10**k) for k in range(23)]),
+        np.array(floats, dtype=np.intp),
+        np.array(indices, dtype=np.intp),
+    )
+
+
+def _pick(source: np.ndarray, patterns: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(n, _FIELD) bytes: the 16 bytes of ``source`` row i read through
+    pattern ``rows[i]``."""
+    flat = source.view(np.uint8).ravel()
+    index = patterns.take(rows, axis=0, mode="clip")
+    index += np.arange(0, flat.size, 16)[:, None]
+    return flat.take(index)
+
+
+def _float_fields(values: np.ndarray) -> np.ndarray:
+    """(n, _FIELD) bytes: ``b"%.6g" % v`` for each value, NUL-padded.
+
+    The six digits are ``rint(|v| * 10**(5 - x))`` for x = floor(log10|v|);
+    where that rounds to 10**6, the value rounds to 10**(x + 1). While the
+    product stays below 1e6 its one rounding errs by under 2**-33, so it
+    decides the digits unless it lies within 2**-30 of a tie. Python formats
+    those values, the ones with x outside [-16, 5], zeros, NaN and
+    infinities.
+    """
+    triples, exponents, zeros, pow10, floats, _ = _field_tables()
+    magnitude = np.abs(values)
+    fast = (magnitude >= 1e-17) & (magnitude < 1e6)  # NaN is neither
+    magnitude[~fast] = 1.0  # log10 warns on 0, inf and NaN
+    x = np.floor(np.log10(magnitude)).astype(np.intp)  # off by one at most
+    # 5 - x is -1 where log10 rounds a value just below 1e6 up to 6
+    product = magnitude * pow10.take(5 - x, mode="clip")
+    digits = np.rint(product)
+    fast &= np.abs(product - digits) < _TIE
+    carry = digits >= 1e6
+    x += carry
+    digits[carry] = 1e5
+    fast &= (x >= _X_MIN) & (x <= _X_MAX) & (digits >= 1e5)
+    high = np.floor(digits / 1000)  # exact: the digits are integers below 1e6
+    low = (digits - high * 1000).astype(np.intp)
+    high = high.astype(np.intp)
+    source = np.empty((len(values), 4), "<u4")
+    source[:, 0] = triples.take(high)
+    source[:, 1] = triples.take(low)
+    source[:, 2] = np.frombuffer(b".0e-", "<u4")
+    source[:, 3] = exponents.take(-x, mode="clip")  # read only where x < -4
+    trailing = zeros.take(low)
+    trailing += (low == 0) * zeros.take(high)
+    rows = ((x - _X_MIN) * 2 + np.signbit(values)) * 6 + 5 - trailing
+    fields = _pick(source, floats, rows)  # Python overwrites the rows out of range
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        text = b"".join((b"%.6g" % v).ljust(_FIELD, b"\0") for v in values[slow].tolist())
+        fields[slow] = np.frombuffer(text, np.uint8).reshape(-1, _FIELD)
+    return fields
+
+
+def _index_fields(lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, _FIELD) bytes: ``b"%d" % i`` for i in [lo, hi), NUL-padded;
+    ``hi`` is at most 10**12, far past any cloud that fits in memory."""
+    triples, *_, indices = _field_tables()
+    i = np.arange(lo, hi)
+    source = np.empty((hi - lo, 4), "<u4")
+    rows = np.searchsorted(10 ** np.arange(1, 12), i, side="right")  # digits - 1
+    for word in (3, 2, 1, 0):
+        i, group = np.divmod(i, 1000)
+        source[:, word] = triples.take(group)
+    return _pick(source, indices, rows)
+
+
+def _saliency_rows(cloud, saliency, separators: bytes, indexed: bool):
+    """The rows of (index,) x, y, z, score, each field followed by its byte
+    of ``separators``, as one ``bytes`` per batch of ``_ROWS`` rows."""
+    n = min(len(cloud), _ROWS)
+    width = _FIELD + 1
+    buffer = np.empty((n, len(separators) * width), np.uint8)
+    buffer[:, _FIELD::width] = np.frombuffer(separators, np.uint8)
+    for lo in range(0, len(cloud), _ROWS):
+        hi = min(lo + _ROWS, len(cloud))
+        fields = [_float_fields(cloud[lo:hi, k]) for k in range(3)]
+        fields.append(_float_fields(saliency[lo:hi]))
         if indexed:
-            columns.insert(0, range(lo, hi))
-        yield (row * (hi - lo)) % tuple(itertools.chain.from_iterable(zip(*columns)))
+            fields.insert(0, _index_fields(lo, hi))
+        rows = buffer[:hi - lo]
+        for k, field in enumerate(fields):
+            rows[:, k * width:k * width + _FIELD] = field
+        yield rows.tobytes().translate(None, b"\0")
 
 
 def write_saliency(cloud, saliency, fmt: str, path) -> None:
-    """Export per-point scores as ``csv`` (index,x,y,z,score) or ASCII ``ply``."""
+    """Export per-point scores as ``csv`` (index,x,y,z,score) or ASCII ``ply``,
+    every coordinate and score formatted as ``%.6g``."""
     cloud = np.asarray(cloud, dtype=float)
     saliency = np.asarray(saliency, dtype=float)
     if len(cloud) != len(saliency):
@@ -225,20 +340,22 @@ def write_saliency(cloud, saliency, fmt: str, path) -> None:
         )
     if fmt not in ("csv", "ply"):
         raise ValueError(f"format must be csv or ply, got {fmt!r}")
-    with writing(path) as fh:
+    with writing(path, "wb") as fh:
         if fmt == "csv":
-            fh.write("index,x,y,z,score\n")
-            fh.writelines(_saliency_text(cloud, saliency, _CSV_ROW, indexed=True))
+            fh.write(b"index,x,y,z,score\n")
+            fh.writelines(_saliency_rows(cloud, saliency, b",,,,\n", indexed=True))
         else:
-            fh.write("ply\n")
-            fh.write("format ascii 1.0\n")
-            fh.write(f"element vertex {len(cloud)}\n")
-            fh.write("property float x\n")
-            fh.write("property float y\n")
-            fh.write("property float z\n")
-            fh.write("property float scalar_saliency\n")
-            fh.write("end_header\n")
-            fh.writelines(_saliency_text(cloud, saliency, _PLY_ROW, indexed=False))
+            fh.write(
+                b"ply\n"
+                b"format ascii 1.0\n"
+                b"element vertex %d\n"
+                b"property float x\n"
+                b"property float y\n"
+                b"property float z\n"
+                b"property float scalar_saliency\n"
+                b"end_header\n" % len(cloud)
+            )
+            fh.writelines(_saliency_rows(cloud, saliency, b"   \n", indexed=False))
 
 
 def read_saliency_csv(path):

@@ -16,6 +16,7 @@ from .boxes import OrientedBox, box_diagonal, iou_3d, points_in_box
 from .errors import (
     EmptyGroundTruth,
     LengthMismatch,
+    NonFiniteInput,
     NoRegionPoints,
     ValidationError,
     ZeroEnergy,
@@ -66,13 +67,17 @@ class Curve:
 
 
 def _paired(saliency, cloud):
-    """``(saliency, cloud)`` as float arrays, one saliency per cloud point."""
+    """``(saliency, cloud)`` as float arrays, one finite saliency per cloud
+    point: a map with NaN or an infinity has no ranking, peak or mass."""
     saliency = np.asarray(saliency, dtype=float)
     cloud = np.asarray(cloud, dtype=float)
     if len(saliency) != len(cloud):
         raise LengthMismatch(
             f"saliency length {len(saliency)} != cloud length {len(cloud)}"
         )
+    if not np.isfinite(saliency).all():
+        bad = int(np.isfinite(saliency).argmin())
+        raise NonFiniteInput(f"saliency of point {bad} is {saliency[bad]}, not finite")
     return saliency, cloud
 
 
@@ -167,12 +172,11 @@ def vea(saliency, cloud, gt_box: OrientedBox) -> float:
         return 0.0
     normalized = saliency / peak
     # the counts of the masks {normalized >= t} and {normalized >= t} & gt,
-    # read off the sorted values: NaN compares false and sorts last
+    # read off the sorted values
     thresholds = np.array(_VEA_THRESHOLDS)
     counts = []
     for values in (normalized, normalized[gt_mask]):
-        values = np.sort(values)
-        counts.append(np.searchsorted(values, np.nan) - np.searchsorted(values, thresholds))
+        counts.append(len(values) - np.searchsorted(np.sort(values), thresholds))
     gt = int(np.count_nonzero(gt_mask))
     best = 0.0
     for pred, inter in zip(*(c.tolist() for c in counts)):

@@ -1153,6 +1153,26 @@ def test_later_scene_without_labels_exits_one_before_any_scene_is_read(
     assert explained == []
 
 
+@pytest.mark.parametrize("command", ["eval", "sweep", "aggregate", "modes"])
+def test_later_scene_with_unreadable_labels_exits_two_before_any_explanation(
+    command, scene_dir, tmp_path, explained, capsys
+):
+    import shutil
+
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    shutil.copy(scene_dir / "scene000.bin", scenes / "s0.bin")
+    shutil.copy(scene_dir / "scene000.labels.json", scenes / "s0.labels.json")
+    shutil.copy(scene_dir / "scene000.bin", scenes / "s1.bin")
+    (scenes / "s1.labels.json").mkdir()
+    out = _out_args(command, tmp_path)
+    assert main([command, "--scenes", str(scenes), *out, *FAST]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: cannot read {scenes / 's1.labels.json'}: not a regular file\n"
+    )
+    assert explained == []
+
+
 def test_modes_from_dump_without_gradients(tmp_path, detector, capsys):
     # the report needs no gradient; only the --grids-dir explanation does
     from pcsaliency.dumps import dump_from_detector, save_dump

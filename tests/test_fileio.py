@@ -6,10 +6,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcsaliency.boxes import OrientedBox
 from pcsaliency.errors import IoFailure, MalformedFile, SchemaViolation
 from pcsaliency.fileio import (
+    _ROWS,
+    _index_fields,
     read_detections_json,
     read_kitti_bin,
     read_labels_json,
@@ -293,12 +297,14 @@ def _write_saliency_rowwise(cloud, saliency, fmt, path):
                 fh.write(f"{p[0]:.6g} {p[1]:.6g} {p[2]:.6g} {s:.6g}\n")
 
 
-# Zeros, signed zero, negatives, tiny and large magnitudes, and values on
-# both sides of the .6g rounding and fixed/exponent boundaries.
+# Zeros, signed zero, negatives, tiny and large magnitudes, values on both
+# sides of the .6g rounding and fixed/exponent boundaries, and values that
+# round up to the next power of ten.
 _EDGE_VALUES = [
     0.0, -0.0, -1.0, 1e-7, -1e-7, 1e6, -1e6, 1e-4, 9.99999e-5, 0.00001,
     999999.0, 999999.5, 9999995.0, 123456.5, 1.0000005, 1.0000015, 2.5e-7,
-    0.1 + 0.2, -3.14159265, 1e300, 5e-324, 7.0,
+    0.1 + 0.2, -3.14159265, 1e300, 5e-324, 7.0, 999999.7, -999999.7,
+    9.9999996e-5, 9.9999996e-17, 9.9999996e-18, 99.99996, 0.99999999,
 ]
 
 
@@ -324,7 +330,7 @@ class TestSaliencyFiles:
     def test_non_finite_and_extreme_values_match_rowwise_writer(self, tmp_path, fmt):
         special = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
                    np.finfo(float).max, np.finfo(float).tiny]
-        n = 4096 + 3  # a full batch and a short one
+        n = _ROWS + 3  # a full batch and a short one
         values = np.resize(np.array(special), 4 * n).reshape(4, n)
         cloud = np.column_stack([values[0], np.roll(values[1], 1), np.roll(values[2], 2),
                                  np.zeros(n)])
@@ -334,6 +340,17 @@ class TestSaliencyFiles:
         _write_saliency_rowwise(cloud, scores, fmt, want)
         assert got.read_bytes() == want.read_bytes()
         assert b"nan" in got.read_bytes() and b"-inf" in got.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "ply"])
+    @pytest.mark.parametrize("n", [0, 1, _ROWS - 1, _ROWS, _ROWS + 1])
+    def test_batch_edges_match_rowwise_writer(self, tmp_path, fmt, n):
+        rng = np.random.default_rng(n)
+        cloud = rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-8, 8, size=(n, 4))
+        scores = rng.uniform(size=n)
+        got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
+        write_saliency(cloud, scores, fmt, got)
+        _write_saliency_rowwise(cloud, scores, fmt, want)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_csv_single_point_two_lines(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -362,6 +379,45 @@ class TestSaliencyFiles:
         points, parsed = read_saliency_csv(path)
         assert np.allclose(points, cloud[:, :3], rtol=1e-5)
         assert np.allclose(parsed, scores, rtol=1e-5)
+
+
+def _written_fields(values, path):
+    """The fields ``write_saliency`` writes for ``values``, in order, with
+    the values filling x, y, z and score of a PLY row by row."""
+    values = np.asarray(values, dtype=float)
+    rows = np.resize(values, (-(-len(values) // 4), 4))
+    write_saliency(np.column_stack([rows[:, :3], np.zeros(len(rows))]), rows[:, 3], "ply", path)
+    return path.read_bytes().split(b"end_header\n")[1].split()[:len(values)]
+
+
+@pytest.fixture(scope="module")
+def fields_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fields") / "fields.ply"
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(values=st.lists(st.floats() | st.floats(width=32), min_size=1, max_size=40))
+def test_every_float_is_written_as_percent_6g(values, fields_path):
+    # NaN, infinities, subnormals and both zeros included
+    assert _written_fields(values, fields_path) == [b"%.6g" % v for v in values]
+
+
+def test_near_ties_are_written_as_percent_6g(tmp_path):
+    rng = np.random.default_rng(11)
+    k = [100000, 100001, 123456, 314159, 999998, 999999, *rng.integers(100000, 1000000, 40).tolist()]
+    ties = np.array([(m + 0.5) / 10**j for m in k for j in range(-3, 24)])
+    values = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
+    values = np.concatenate([values, -values])
+    expected = [b"%.6g" % v for v in values.tolist()]
+    assert _written_fields(values, tmp_path / "ties.ply") == expected
+
+
+@pytest.mark.parametrize("power", range(13))
+def test_index_fields_where_the_digit_count_changes(power):
+    # 10**12 is past the last index the field takes
+    lo, hi = max(10**power - 3, 0), min(10**power + 3, 10**12)
+    fields = _index_fields(lo, hi)
+    assert [bytes(f).rstrip(b"\0") for f in fields] == [b"%d" % i for i in range(lo, hi)]
 
 
 # reader -> a valid file of its kind with one byte that is not UTF-8

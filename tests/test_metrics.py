@@ -5,7 +5,7 @@ import pytest
 
 from pcsaliency.boxes import OrientedBox, box_diagonal, iou_3d, points_in_box
 from pcsaliency.errors import (
-    EmptyGroundTruth, LengthMismatch, NoRegionPoints, ValidationError, ZeroEnergy,
+    EmptyGroundTruth, LengthMismatch, NonFiniteInput, NoRegionPoints, ValidationError, ZeroEnergy,
 )
 from pcsaliency.metrics import (
     _VEA_THRESHOLDS,
@@ -232,7 +232,7 @@ class TestVea:
             "negative": lambda: rng.uniform(-1, 1, size=len(cloud)),
             "ties": lambda: rng.integers(0, 4, size=len(cloud)).astype(float),
             "all-zero": lambda: np.zeros(len(cloud)),
-            # inf / inf is NaN, which no threshold admits
+            # a map that is not finite has no peak to normalize by
             "inf": lambda: np.where(np.arange(len(cloud)) % 50 == 0, np.inf, 1.0),
             "nan": lambda: np.where(np.arange(len(cloud)) == 5, np.nan, 1.0),
             "one-point-box": lambda: _on_thresholds(len(cloud), rng),
@@ -240,6 +240,10 @@ class TestVea:
         if case == "one-point-box":
             box = OrientedBox(tuple(cloud[17]), (1e-6, 1e-6, 1e-6), 0.0)
             assert np.count_nonzero(points_in_box(cloud, box)) == 1
+        if case in ("inf", "nan"):
+            with pytest.raises(NonFiniteInput, match=f"is {case}, not finite"):
+                vea(saliency, cloud, box)
+            return
         got, expected = vea(saliency, cloud, box), vea_mask_loop(saliency, cloud, box)
         assert type(got) is float and got.hex() == expected.hex()
 
@@ -359,6 +363,23 @@ def test_saliency_must_pair_with_cloud(metric):
     cloud = [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]
     with pytest.raises(LengthMismatch, match="saliency length 3 != cloud length 2"):
         metric([1.0, 0.5, 0.2], cloud, box)
+
+
+def _insertion_without_reruns(saliency, cloud, box):
+    d = Detection(box.center, box.size, box.yaw, 1.0, "car")
+    return insertion_curve(None, cloud, d, saliency)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "metric", [_deletion_without_reruns, _insertion_without_reruns, vea, pointing_game, energy_pg]
+)
+def test_non_finite_map_is_refused(metric, value):
+    # argmax picks a NaN, so a NaN inside the box would win the pointing game
+    box = OrientedBox((0.0, 0.0, 0.0), (2.0, 2.0, 2.0), 0.0)
+    cloud = [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [9.0, 0.0, 0.0]]
+    with pytest.raises(NonFiniteInput, match=f"saliency of point 1 is {value}, not finite"):
+        metric([0.0, value, 1.0], cloud, box)
 
 
 def test_pointing_game_rejects_empty_map_first():
