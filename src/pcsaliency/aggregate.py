@@ -14,28 +14,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedFile
-from .fileio import read_bytes, writing
+from .fileio import _FIELD, _float_fields, _index_fields, read_bytes, writing
 
 
 class CanonicalGrid:
-    """(sum, count) accumulator over [-0.5, 0.5]^3 at a fixed resolution."""
+    """(sum, count) accumulator over [-0.5, 0.5]^3 at a fixed resolution for
+    ``maps`` saliency maps of the same points: one count per cell, and one
+    sum per cell and map on the trailing axis of ``sums``."""
 
-    def __init__(self, resolution: int = 32):
+    def __init__(self, resolution: int = 32, maps: int = 1):
         if resolution < 2:
             raise ValueError("resolution must be >= 2")
         self.resolution = resolution
-        self.sums = np.zeros((resolution,) * 3)
+        self.sums = np.zeros((resolution,) * 3 + (maps,))
         self.counts = np.zeros((resolution,) * 3, dtype=np.int64)
         self.binned = 0
         self.discarded = 0
 
-    def accumulate(self, points: np.ndarray, saliency: np.ndarray) -> None:
-        """Bin canonical points, tallied into ``binned``; points outside the
-        closed unit cube are tallied into ``discarded`` instead."""
+    def accumulate(self, points: np.ndarray, saliency) -> None:
+        """Bin canonical points once for every map: ``saliency`` is one
+        per-point map, or a sequence of ``maps`` of them. Points are tallied
+        into ``binned``; points outside the closed unit cube are tallied into
+        ``discarded`` instead."""
         points = np.asarray(points, dtype=float).reshape(-1, 3)
-        saliency = np.asarray(saliency, dtype=float).ravel()
-        if len(points) != len(saliency):
+        maps = np.asarray(saliency, dtype=float)
+        if maps.ndim == 1:
+            maps = maps[None]
+        if maps.shape != (self.sums.shape[-1], len(points)):
             raise ValueError("points and saliency must align")
+        for stale in ("_export", "_csv_parts"):  # the cached exports are stale
+            self.__dict__.pop(stale, None)
         # per column: a row reduction over 3 columns runs one loop per row
         inside = np.abs(points[:, 0]) <= 0.5
         inside &= np.abs(points[:, 1]) <= 0.5
@@ -48,15 +56,61 @@ class CanonicalGrid:
         pts = points[inside]
         idx = np.floor((pts + 0.5) * self.resolution).astype(np.int64)
         np.clip(idx, 0, self.resolution - 1, out=idx)  # upper face into last cell
-        np.add.at(self.sums, (idx[:, 0], idx[:, 1], idx[:, 2]), saliency[inside])
-        np.add.at(self.counts, (idx[:, 0], idx[:, 1], idx[:, 2]), 1)
+        cell = (idx[:, 0] * self.resolution + idx[:, 1]) * self.resolution + idx[:, 2]
+        # each cell adds its points in point order, every map's sum as a
+        # one-map grid would
+        np.add.at(self.sums.reshape(-1, len(maps)), cell, maps.T[inside])
+        np.add.at(self.counts.reshape(-1), cell, 1)
 
-    def averages(self) -> np.ndarray:
-        """Per-cell mean saliency; empty cells are 0."""
-        out = np.zeros_like(self.sums)
-        occupied = self.counts > 0
-        out[occupied] = self.sums[occupied] / self.counts[occupied]
-        return out
+    def averages(self, m: int = 0) -> np.ndarray:
+        """Per-cell mean of map ``m``; empty cells are 0."""
+        out = np.zeros(self.resolution**3)
+        out[self._export.occupied] = self._export.values[m]
+        return out.reshape(self.counts.shape, order="F")
+
+    @functools.cached_property
+    def _export(self) -> _GridExport:
+        """What every map's files share, computed by the first write (or
+        ``averages``) after the last ``accumulate``."""
+        counts = self.counts.ravel(order="F")
+        occupied = np.flatnonzero(counts)
+        n = counts[occupied]
+        values = self.sums[np.unravel_index(occupied, self.counts.shape, order="F")].T / n
+        dense = np.zeros((len(values), len(counts)), "<f4")
+        with np.errstate(over="ignore"):  # past float32's range is +-inf
+            dense[:, occupied] = values
+        return _GridExport(occupied, n, values, dense, counts.astype("<u4").tobytes())
+
+    @functools.cached_property
+    def _csv_parts(self) -> tuple[list, np.ndarray]:
+        """The empty grid's CSV around the occupied cells' fields, and every
+        map's NUL-padded ``value,count`` rows, each with its newline, from
+        one formatting pass."""
+        export = self._export
+        template, ends = _csv_template(self.resolution)
+        # each occupied cell's "0,0" gives way to its fields; its "\n" stays
+        stops = ends[export.occupied] - len(_EMPTY_CELL)
+        starts = stops + len(_EMPTY_CELL) - 1
+        view = memoryview(template)
+        pieces = [view[a:b] for a, b in zip([0, *starts.tolist()], [*stops.tolist(), len(view)])]
+        shape = export.values.shape  # (maps, occupied)
+        rows = np.empty((*shape, 2 * _FIELD + 2), np.uint8)
+        rows[:, :, :_FIELD] = _float_fields(export.values.ravel()).reshape(*shape, _FIELD)
+        rows[:, :, _FIELD] = ord(",")
+        rows[:, :, _FIELD + 1:-1] = _index_fields(export.counts)
+        rows[:, :, -1] = ord("\n")
+        return pieces, rows
+
+
+@dataclass(frozen=True)
+class _GridExport:
+    """A grid's averages and counts as every map's files write them."""
+
+    occupied: np.ndarray  # cell indices, x fastest
+    counts: np.ndarray  # the occupied cells' counts
+    values: np.ndarray  # (maps, occupied) averages
+    averages: np.ndarray  # (maps, cells) <f4, x fastest; empty cells 0
+    count_bytes: bytes  # every cell's count, <u4, x fastest
 
 
 @dataclass
@@ -87,15 +141,14 @@ def mode_report(records: list[ObjectExplanation]) -> dict[str, dict]:
     return report
 
 
-def write_grid(path, grid: CanonicalGrid) -> None:
-    """Dense grid file: u32 resolution, r^3 f32 averages, r^3 u32 counts,
-    little-endian, x-fastest ordering."""
-    averages = grid.averages().astype("<f4")
-    counts = grid.counts.astype("<u4")
+def write_grid(path, grid: CanonicalGrid, m: int = 0) -> None:
+    """Dense grid file of map ``m``: u32 resolution, r^3 f32 averages, r^3
+    u32 counts, little-endian, x-fastest ordering."""
+    export = grid._export
     with writing(path, "wb") as fh:
         fh.write(struct.pack("<I", grid.resolution))
-        fh.write(averages.ravel(order="F").tobytes())
-        fh.write(counts.ravel(order="F").tobytes())
+        fh.write(export.averages[m])
+        fh.write(export.count_bytes)
 
 
 def read_grid(path):
@@ -145,23 +198,13 @@ def _csv_template(res: int):
     return b"".join([header, *slices]), ends
 
 
-def grid_to_csv(path, grid: CanonicalGrid) -> None:
-    """Point-list export: one row per cell (center coords, value, count),
-    x fastest."""
-    template, ends = _csv_template(grid.resolution)
-    counts = grid.counts.ravel(order="F")
-    occupied = np.flatnonzero(counts)
-    n_occupied = counts[occupied]
-    # the occupied cells' averages, as ``CanonicalGrid.averages`` divides them
-    values = grid.sums.ravel(order="F")[occupied] / n_occupied
-    # every row up to an occupied cell's value is the empty grid's, so only
-    # the occupied cells are formatted
-    view = memoryview(template)
-    pieces, start = [], 0
-    for end, v, n in zip(ends[occupied].tolist(), values.tolist(), n_occupied.tolist()):
-        pieces.append(view[start:end - len(_EMPTY_CELL)])
-        pieces.append(b"%.6g,%d\n" % (v, n))
-        start = end
-    pieces.append(view[start:])
+def grid_to_csv(path, grid: CanonicalGrid, m: int = 0) -> None:
+    """Point-list export of map ``m``: one row per cell (center coords,
+    value, count), x fastest."""
+    pieces, rows = grid._csv_parts
+    # every row up to an occupied cell's fields is the empty grid's
+    parts = [None] * (2 * len(pieces) - 1)
+    parts[0::2] = pieces
+    parts[1::2] = rows[m].tobytes().translate(None, b"\0").split(b"\n")[:-1]
     with writing(path, "wb") as fh:
-        fh.write(b"".join(pieces))
+        fh.write(b"".join(parts))

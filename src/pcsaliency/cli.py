@@ -422,18 +422,20 @@ def _cmd_aggregate(args) -> int:
     masks = [full_mask() if t == "all" else make_mask(t) for t in names]
     out_dir = _mkdir(Path(args.out_dir) if args.out_dir else _out_dir(cfg) / "aggregate")
 
-    grids: dict[tuple[str, str], CanonicalGrid] = {}
+    # one grid per class: every mask's map of an object bins the same points
+    grids: dict[str, CanonicalGrid] = {}
     for objects in _map_scenes(cfg, args.scenes, _aggregate_worker, masks):
         for label, canonical, saliencies in objects:
-            for mask_name, saliency in zip(names, saliencies):
-                grid = grids.setdefault((label, mask_name), CanonicalGrid())
-                grid.accumulate(canonical, saliency)
+            if label not in grids:  # a grid is 2.6 MB of zeros; make it once
+                grids[label] = CanonicalGrid(maps=len(masks))
+            grids[label].accumulate(canonical, saliencies)
 
     manifest = {"config_hash": cfg.config_hash(), "grids": []}
-    for (label, mask_name), grid in sorted(grids.items()):
-        stem = f"avg_{label}_{mask_name}"
-        write_grid(out_dir / f"{stem}.grid", grid)
-        grid_to_csv(out_dir / f"{stem}.csv", grid)
+    files = sorted((label, mask_name, m) for label in grids for m, mask_name in enumerate(names))
+    for label, mask_name, m in files:
+        grid, stem = grids[label], f"avg_{label}_{mask_name}"
+        write_grid(out_dir / f"{stem}.grid", grid, m)
+        grid_to_csv(out_dir / f"{stem}.csv", grid, m)
         manifest["grids"].append(
             {
                 "class": label,
@@ -444,7 +446,7 @@ def _cmd_aggregate(args) -> int:
             }
         )
     write_json(out_dir / "manifest.json", manifest)
-    print(f"wrote {len(grids)} grids to {out_dir}")
+    print(f"wrote {len(files)} grids to {out_dir}")
     return 0
 
 

@@ -297,12 +297,13 @@ def _float_fields(values: np.ndarray) -> np.ndarray:
     return fields
 
 
-def _index_fields(lo: int, hi: int) -> np.ndarray:
-    """(hi - lo, _FIELD) bytes: ``b"%d" % i`` for i in [lo, hi), NUL-padded;
-    ``hi`` is at most 10**12, far past any cloud that fits in memory."""
+def _index_fields(values: np.ndarray) -> np.ndarray:
+    """(n, _FIELD) bytes: ``b"%d" % i`` for each of the n ``values``,
+    NUL-padded; every value is a non-negative integer below 10**12, far past
+    any point index or cell count that fits in memory."""
     triples, *_, indices = _field_tables()
-    i = np.arange(lo, hi)
-    source = np.empty((hi - lo, 4), "<u4")
+    i = np.asarray(values, dtype=np.int64)
+    source = np.empty((len(i), 4), "<u4")
     rows = np.searchsorted(10 ** np.arange(1, 12), i, side="right")  # digits - 1
     for word in (3, 2, 1, 0):
         i, group = np.divmod(i, 1000)
@@ -322,7 +323,7 @@ def _saliency_rows(cloud, saliency, separators: bytes, indexed: bool):
         fields = [_float_fields(cloud[lo:hi, k]) for k in range(3)]
         fields.append(_float_fields(saliency[lo:hi]))
         if indexed:
-            fields.insert(0, _index_fields(lo, hi))
+            fields.insert(0, _index_fields(np.arange(lo, hi)))
         rows = buffer[:hi - lo]
         for k, field in enumerate(fields):
             rows[:, k * width:k * width + _FIELD] = field

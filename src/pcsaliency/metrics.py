@@ -170,7 +170,9 @@ def vea(saliency, cloud, gt_box: OrientedBox) -> float:
     peak = saliency.max()
     if peak <= 0:
         return 0.0
-    normalized = saliency / peak
+    # a negative value stays below every threshold once clipped at 0, and
+    # cannot overflow its division by a tiny peak
+    normalized = np.maximum(saliency, 0.0) / peak
     # the counts of the masks {normalized >= t} and {normalized >= t} & gt,
     # read off the sorted values
     thresholds = np.array(_VEA_THRESHOLDS)
@@ -196,6 +198,9 @@ def pointing_game(saliency, cloud, gt_box: OrientedBox) -> bool:
 def energy_pg(saliency, cloud, gt_box: OrientedBox) -> float:
     """Fraction of total saliency mass inside the ground-truth box."""
     saliency, cloud = _paired(saliency, cloud)
+    # divided by the power of two just past its largest magnitude, no sum of
+    # a finite map overflows, and a sum that did not overflow keeps its bits
+    saliency = np.ldexp(saliency, -np.frexp(np.abs(saliency).max(initial=0.0))[1])
     total = float(saliency.sum())
     if total <= 0:
         raise ZeroEnergy("saliency map has no mass")

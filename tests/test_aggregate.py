@@ -1,4 +1,5 @@
 import functools
+import struct
 
 import numpy as np
 import pytest
@@ -192,9 +193,27 @@ class TestGridFiles:
         assert counts.sum() == 1
 
 
-def csv_oracle(path, grid):
+def oracle_averages(grid, m=0):
+    """Map ``m``'s per-cell means, divided cell by cell from the grid's sums."""
+    averages = np.zeros(grid.counts.shape)
+    for cell in zip(*np.nonzero(grid.counts)):
+        averages[cell] = grid.sums[cell][m] / grid.counts[cell]
+    return averages
+
+
+def grid_oracle(path, grid, m=0):
+    """The grid file that ``write_grid`` must match byte for byte."""
+    with np.errstate(over="ignore"):  # float32 holds a larger average as +-inf
+        averages = oracle_averages(grid, m).astype("<f4")
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<I", grid.resolution))
+        fh.write(averages.ravel(order="F").tobytes())
+        fh.write(grid.counts.astype("<u4").ravel(order="F").tobytes())
+
+
+def csv_oracle(path, grid, m=0):
     """The cell-by-cell CSV writer that ``grid_to_csv`` must match byte for byte."""
-    averages = grid.averages()
+    averages = oracle_averages(grid, m)
     res = grid.resolution
     cell = 1.0 / res
     with open(path, "w") as fh:
@@ -219,40 +238,48 @@ def random_grid(seed, resolution, n_points):
     return grid
 
 
-def full_grid(resolution):
+def full_points(resolution):
     """Every cell occupied: one point at each cell center."""
-    grid = CanonicalGrid(resolution)
     axis = -0.5 + (np.arange(resolution) + 0.5) / resolution
     centers = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
-    grid.accumulate(centers, np.linspace(-1.0, 1.0, len(centers)))
-    assert np.all(grid.counts == 1)
-    return grid
+    return centers, np.linspace(-1.0, 1.0, len(centers))
 
 
-def centers_grid(resolution, cells, values):
+def center_points(resolution, cells, values):
     """One point at the center of each of ``cells`` (index triples)."""
+    return -0.5 + (np.array(cells) + 0.5) / resolution, np.array(values)
+
+
+def grid_of(resolution, points, values):
     grid = CanonicalGrid(resolution)
-    grid.accumulate(-0.5 + (np.array(cells) + 0.5) / resolution, np.array(values))
+    grid.accumulate(points, values)
     return grid
 
 
-_CSV_KINDS = {
-    "empty": CanonicalGrid,
-    "full": full_grid,
-    "first-cell": lambda r: centers_grid(r, [(0, 0, 0)], [0.25]),
-    "last-cell": lambda r: centers_grid(r, [(r - 1,) * 3], [-0.75]),
-    "e-notation": lambda r: centers_grid(
+def case_grid(kind, resolution):
+    grid = grid_of(resolution, *_CSV_POINTS[kind](resolution))
+    assert kind != "full" or np.all(grid.counts == 1)
+    return grid
+
+
+# kind -> resolution -> (points, values)
+_CSV_POINTS = {
+    "empty": lambda r: (np.empty((0, 3)), np.empty(0)),
+    "full": full_points,
+    "first-cell": lambda r: center_points(r, [(0, 0, 0)], [0.25]),
+    "last-cell": lambda r: center_points(r, [(r - 1,) * 3], [-0.75]),
+    "e-notation": lambda r: center_points(
         r, [(0, 0, 0), (r - 1, 0, 0), (0, r - 1, r - 1), (r - 1,) * 3],
         [1.5e-9, -2.5e7, 1e300, -5e-324],
     ),
 }
 _CSV_CASES = {
     **{
-        f"{kind}-{r}": functools.partial(make, r)
-        for kind, make in _CSV_KINDS.items()
+        f"{kind}-{r}": functools.partial(case_grid, kind, r)
+        for kind in _CSV_POINTS
         for r in (2, 3, 7, 32)
     },
-    "full-9": functools.partial(full_grid, 9),
+    "full-9": functools.partial(case_grid, "full", 9),
     **{
         f"random-{r}": functools.partial(random_grid, s, r, n)
         for s, (r, n) in enumerate([(2, 5), (3, 40), (7, 2000), (32, 20000)])
@@ -279,3 +306,73 @@ def test_csv_bytes_match_cellwise_writer(make, tmp_path):
     grid_to_csv(tmp_path / "fast.csv", grid)
     csv_oracle(tmp_path / "oracle.csv", grid)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_k_map_grid_equals_k_one_map_grids():
+    """Binning once for every map adds each cell's points in point order,
+    map by map, as k one-map grids and a point-by-point loop do."""
+    rng = np.random.default_rng(8)
+    k, res = 9, 4
+    shared = CanonicalGrid(res, maps=k)
+    alone = [CanonicalGrid(res) for _ in range(k)]
+    expected = np.zeros((res,) * 3 + (k,))
+    for n in (300, 0, 1, 500, 0):
+        points = rng.uniform(-0.6, 0.6, size=(n, 3))  # some outside the cube
+        maps = rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-5, 5, size=(k, n))
+        shared.accumulate(points, list(maps))
+        for grid, values in zip(alone, maps):
+            grid.accumulate(points, values)
+        for point, values in zip(points, maps.T):
+            if np.all(np.abs(point) <= 0.5):
+                expected[cell_of(shared, point)] += values
+    assert 0 < shared.discarded < shared.binned
+    assert shared.sums.tobytes() == expected.tobytes()
+    for m, grid in enumerate(alone):
+        assert shared.sums[..., m].tobytes() == grid.sums[..., 0].tobytes()
+        assert np.array_equal(shared.counts, grid.counts)
+        assert (shared.binned, shared.discarded) == (grid.binned, grid.discarded)
+
+
+def test_maps_must_align_with_points():
+    grid = CanonicalGrid(4, maps=2)
+    points = np.zeros((3, 3))
+    for saliency in (np.zeros(3), [np.zeros(3)] * 3, [np.zeros(3), np.zeros(2)]):
+        with pytest.raises(ValueError):
+            grid.accumulate(points, saliency)
+    assert grid.binned == grid.discarded == 0
+
+
+def _files_of(tmp_path, name, grid, m=0):
+    write_grid(tmp_path / f"{name}.grid", grid, m)
+    grid_to_csv(tmp_path / f"{name}.csv", grid, m)
+    return [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("grid", "csv")]
+
+
+@pytest.mark.parametrize("maps", [1, 2, 9])
+@pytest.mark.parametrize("kind", list(_CSV_POINTS))
+def test_each_map_writes_the_files_of_its_own_grid(kind, maps, tmp_path):
+    points, values = _CSV_POINTS[kind](7)
+    columns = [np.roll(values, j) * (j + 1) for j in range(maps)]
+    shared = CanonicalGrid(7, maps=maps)
+    shared.accumulate(points, columns)
+    for m, column in enumerate(columns):
+        grid_oracle(tmp_path / "oracle.grid", shared, m)
+        csv_oracle(tmp_path / "oracle.csv", shared, m)
+        oracle = [(tmp_path / f"oracle.{ext}").read_bytes() for ext in ("grid", "csv")]
+        assert _files_of(tmp_path, "shared", shared, m) == oracle
+        assert _files_of(tmp_path, "alone", grid_of(7, points, column)) == oracle
+
+
+def test_accumulate_after_a_write_reaches_the_next_write(tmp_path):
+    """A write caches what every map's files share; the next ``accumulate``
+    drops it."""
+    rng = np.random.default_rng(9)
+    grid = CanonicalGrid(4, maps=2)
+    for n in (40, 40, 0, 1):
+        grid.accumulate(rng.uniform(-0.5, 0.5, size=(n, 3)), list(rng.uniform(size=(2, n))))
+        for m in range(2):
+            grid_oracle(tmp_path / "oracle.grid", grid, m)
+            csv_oracle(tmp_path / "oracle.csv", grid, m)
+            oracle = [(tmp_path / f"oracle.{ext}").read_bytes() for ext in ("grid", "csv")]
+            assert _files_of(tmp_path, "fast", grid, m) == oracle
+            assert np.array_equal(grid.averages(m), oracle_averages(grid, m))

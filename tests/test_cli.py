@@ -385,6 +385,30 @@ class TestAggregateCli:
             assert (out_dir / entry["file"]).exists()
             assert entry["mask"] in ("s", "all")
 
+    def test_one_accumulate_per_object(self, scene_dir, tmp_path, monkeypatch, capsys):
+        """Every mask's map of an object lands in its class grid in one call."""
+        from pcsaliency import cli
+        from pcsaliency.aggregate import CanonicalGrid
+
+        accumulate, canonicalize = CanonicalGrid.accumulate, cli.canonicalize
+        calls, objects = [], []
+
+        def counted(grid, points, saliency):
+            calls.append(len(saliency))
+            accumulate(grid, points, saliency)
+
+        def canonical(cloud, box):
+            objects.append(box)
+            return canonicalize(cloud, box)
+
+        monkeypatch.setattr(CanonicalGrid, "accumulate", counted)
+        monkeypatch.setattr(cli, "canonicalize", canonical)
+        out_dir = tmp_path / "agg"
+        assert main(["aggregate", "--scenes", str(scene_dir), "--out-dir", str(out_dir), *FAST]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert len({g["class"] for g in manifest["grids"]}) == 1
+        assert len(objects) > 1 and calls == [9] * len(objects)
+        assert capsys.readouterr().out == f"wrote 9 grids to {out_dir}\n"
 
     @pytest.mark.parametrize("masks", ["all,all", "x, x", "s,all,s", "", " , "])
     def test_repeated_or_empty_mask_list_exits_one_before_reading(

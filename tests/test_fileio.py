@@ -414,10 +414,13 @@ def test_near_ties_are_written_as_percent_6g(tmp_path):
 
 @pytest.mark.parametrize("power", range(13))
 def test_index_fields_where_the_digit_count_changes(power):
-    # 10**12 is past the last index the field takes
-    lo, hi = max(10**power - 3, 0), min(10**power + 3, 10**12)
-    fields = _index_fields(lo, hi)
-    assert [bytes(f).rstrip(b"\0") for f in fields] == [b"%d" % i for i in range(lo, hi)]
+    # any order, repeats and 0 included; 10**12 is past the last value the field takes
+    rng = np.random.default_rng(power)
+    around = np.arange(max(10**power - 3, 0), min(10**power + 3, 10**12))
+    values = rng.permutation(np.concatenate([around, around[::2], [0], rng.integers(0, 10**12, 8)]))
+    fields = _index_fields(values)
+    assert [bytes(f).rstrip(b"\0") for f in fields] == [b"%d" % i for i in values.tolist()]
+    assert _index_fields(values[:0]).shape == (0, fields.shape[1])
 
 
 # reader -> a valid file of its kind with one byte that is not UTF-8

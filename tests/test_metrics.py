@@ -289,6 +289,14 @@ class TestVea:
         with pytest.raises(EmptyGroundTruth):
             vea(np.ones(3), cloud, box)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_negative_values_past_the_peak_do_not_overflow(self):
+        box = OrientedBox((0.0, 0.0, 0.0), (2.0, 2.0, 2.0), 0.0)
+        cloud = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [9.0, 0.0, 0.0]])
+        # -1e308 / 1e-300 is past the largest double; the predicted set is
+        # {0, 2} at every threshold, against the box's {0, 1}
+        assert vea([1e-300, -1e308, 1e-300], cloud, box) == 1 / 3
+
     def test_scale_invariance(self):
         box = OrientedBox((0.0, 0.0, 0.0), (2.0, 2.0, 2.0), 0.0)
         rng = np.random.default_rng(3)
@@ -330,6 +338,24 @@ class TestEnergyPg:
     def test_zero_energy(self):
         with pytest.raises(ZeroEnergy):
             energy_pg(np.zeros(3), self.CLOUD, self.BOX)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("saliency, expected", [
+        ([1e308, 1e308, 1.0], 1.0),  # the in-box sum is past the largest double
+        ([1e308, 1.0, 1e308], 0.5),
+    ])
+    def test_large_values_do_not_overflow(self, saliency, expected):
+        assert energy_pg(saliency, self.CLOUD, self.BOX) == expected
+
+    def test_ordinary_maps_keep_their_bits(self):
+        # scaling by a power of two changes no sum's rounding
+        rng = np.random.default_rng(6)
+        cloud = rng.uniform(-3, 3, size=(500, 3))
+        inside = points_in_box(cloud, self.BOX)
+        for scale in (1e-200, 1e-3, 1.0, 3.0, 1e200):
+            saliency = rng.uniform(-0.2, 1.0, size=500) * scale
+            expected = float(saliency[inside].sum()) / float(saliency.sum())
+            assert energy_pg(saliency, cloud, self.BOX).hex() == expected.hex()
 
     def test_restricted_support_is_one(self):
         rng = np.random.default_rng(4)
