@@ -115,13 +115,10 @@ class _GridExport:
 
 @dataclass
 class ObjectExplanation:
-    """One explained detection prepared for mode aggregation; its canonical
-    points and saliency are None when no grid is exported."""
+    """One detection as the mode report reads it."""
 
     label: str
     is_tp: bool
-    canonical_points: np.ndarray | None
-    saliency: np.ndarray | None
     in_box_points: int
 
 

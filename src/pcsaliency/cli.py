@@ -232,6 +232,15 @@ def _explain_scene(detector, cfg: RunConfig, cloud, pick, masks):
     return detections, list(zip(picks, saliencies))
 
 
+def _fold_grids(grids: dict[str, CanonicalGrid], objects) -> None:
+    """Bin each ``(key, canonical points, saliency maps)`` of ``objects`` with
+    one ``accumulate`` into its key's grid, made when the key is first seen."""
+    for key, canonical, saliencies in objects:
+        if key not in grids:
+            grids[key] = CanonicalGrid(maps=len(saliencies))
+        grids[key].accumulate(canonical, saliencies)
+
+
 def _well_detected(cfg: RunConfig, gts):
     return lambda detections: metrics.well_detected(detections, gts, cfg.thresholds())
 
@@ -425,10 +434,7 @@ def _cmd_aggregate(args) -> int:
     # one grid per class: every mask's map of an object bins the same points
     grids: dict[str, CanonicalGrid] = {}
     for objects in _map_scenes(cfg, args.scenes, _aggregate_worker, masks):
-        for label, canonical, saliencies in objects:
-            if label not in grids:  # a grid is 2.6 MB of zeros; make it once
-                grids[label] = CanonicalGrid(maps=len(masks))
-            grids[label].accumulate(canonical, saliencies)
+        _fold_grids(grids, objects)
 
     manifest = {"config_hash": cfg.config_hash(), "grids": []}
     files = sorted((label, mask_name, m) for label in grids for m, mask_name in enumerate(names))
@@ -454,8 +460,8 @@ def _cmd_aggregate(args) -> int:
 # modes
 
 def _modes_worker(cfg: RunConfig, grids: bool, scene):
-    """The scene's detections, each with its mode; their canonical points and
-    saliency, and so any explanation, only when ``grids`` asks for them."""
+    """The scene's mode records and, only when ``grids`` asks for them (and so
+    for any explanation), its ``_fold_grids`` objects, keyed by mode and class."""
     _, bin_path, labels_path = scene
     cloud, gts = read_kitti_bin(bin_path), read_labels_json(labels_path)
 
@@ -466,38 +472,30 @@ def _modes_worker(cfg: RunConfig, grids: bool, scene):
     detections, explained = _explain_scene(
         cfg.build_detector(), cfg, cloud, every_detection, [full_mask()] if grids else []
     )
-    records = []
+    records, objects = [], []
     for (pi, is_tp), saliencies in explained:
-        box = detections[pi].box()
+        label, box = detections[pi].label, detections[pi].box()
         records.append(
-            ObjectExplanation(
-                label=detections[pi].label,
-                is_tp=is_tp,
-                canonical_points=canonicalize(cloud, box) if grids else None,
-                saliency=saliencies[0] if grids else None,
-                in_box_points=int(np.count_nonzero(points_in_box(cloud, box))),
-            )
+            ObjectExplanation(label, is_tp, int(np.count_nonzero(points_in_box(cloud, box))))
         )
-    return records
+        if grids:
+            key = f"{'tp' if is_tp else 'fp'}_{label}"
+            objects.append((key, canonicalize(cloud, box), saliencies))
+    return records, objects
 
 
 def _cmd_modes(args) -> int:
     cfg = _runconfig(args)
     out = _out_file(args.out, cfg, "modes.json")
     grids_dir = _mkdir(Path(args.grids_dir)) if args.grids_dir else None
-    records = [
-        rec for recs in _map_scenes(cfg, args.scenes, _modes_worker, grids_dir is not None)
-        for rec in recs
-    ]
+    records, grids = [], {}
+    for recs, objects in _map_scenes(cfg, args.scenes, _modes_worker, grids_dir is not None):
+        records += recs
+        _fold_grids(grids, objects)
 
     write_json(out, {"config_hash": cfg.config_hash(), **mode_report(records)})
-    if grids_dir is not None:
-        grids: dict[str, CanonicalGrid] = {}
-        for rec in records:
-            grid = grids.setdefault(f"{'tp' if rec.is_tp else 'fp'}_{rec.label}", CanonicalGrid())
-            grid.accumulate(rec.canonical_points, rec.saliency)
-        for stem, grid in sorted(grids.items()):
-            write_grid(grids_dir / f"{stem}.grid", grid)
+    for stem, grid in sorted(grids.items()):  # none without --grids-dir
+        write_grid(grids_dir / f"{stem}.grid", grid)
     print(f"wrote {out}")
     return 0
 

@@ -206,8 +206,8 @@ def find_scene_files(directory) -> list[tuple[str, Path, Path]]:
     """``(id, <id>.bin, <id>.labels.json)`` per runnable scene, in id order.
 
     Raises ``ValidationError`` for a directory with no ``.bin`` and for a
-    ``.bin`` without its labels, and ``IoFailure`` for labels that are not a
-    regular file, so a run fails before any scene is read."""
+    ``.bin`` without its labels, and ``IoFailure`` for a ``.bin`` or labels
+    that are not a regular file, so a run fails before any scene is read."""
     root = Path(directory)
     if not root.is_dir():
         raise IoFailure(f"scene directory {directory} does not exist")
@@ -215,8 +215,10 @@ def find_scene_files(directory) -> list[tuple[str, Path, Path]]:
     if not scenes:
         raise ValidationError(f"no .bin scenes found in {directory}")
     for _, bin_path, labels in scenes:
+        if not bin_path.is_file():  # a directory, say, that reading would fail on
+            raise IoFailure(f"cannot read {bin_path}: not a regular file")
         if not labels.exists():
             raise ValidationError(f"scene {bin_path} has no companion .labels.json")
-        if not labels.is_file():  # a directory, say, that reading would fail on
+        if not labels.is_file():
             raise IoFailure(f"cannot read {labels}: not a regular file")
     return scenes

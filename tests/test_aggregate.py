@@ -118,16 +118,8 @@ class TestTpFpSplit:
 
 class TestModeReport:
     def records(self):
-        rng = np.random.default_rng(4)
-
         def rec(label, is_tp, n_points):
-            return ObjectExplanation(
-                label=label,
-                is_tp=is_tp,
-                canonical_points=rng.uniform(-0.5, 0.5, size=(n_points, 3)),
-                saliency=rng.uniform(size=n_points),
-                in_box_points=n_points,
-            )
+            return ObjectExplanation(label=label, is_tp=is_tp, in_box_points=n_points)
 
         return rec
 

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from pcsaliency.cli import main
-from pcsaliency.fileio import read_saliency_csv, write_kitti_bin, write_labels_json
+from pcsaliency.fileio import (
+    read_labels_json, read_saliency_csv, write_kitti_bin, write_labels_json,
+)
 from pcsaliency.runconfig import RunConfig, parse_config_file
 from pcsaliency.synthetic import multi_object_scene, noise_scene, single_object_scene
 
@@ -430,6 +432,15 @@ class TestAggregateCli:
         assert not out_dir.exists()
 
 
+@pytest.fixture(scope="module")
+def one_class_scene_dir(tmp_path_factory, detector):
+    """Three self-labeled scenes with one detection each, all of one class."""
+    root = write_scene_dir(tmp_path_factory.mktemp("one_class"), detector, seeds=range(3))
+    gts = [read_labels_json(path) for path in root.glob("*.labels.json")]
+    assert [len(g) for g in gts] == [1] * 3 and len({label for [(_, label)] in gts}) == 1
+    return root
+
+
 class TestModesCli:
     def test_report(self, scene_dir, tmp_path):
         out = tmp_path / "modes.json"
@@ -472,6 +483,64 @@ class TestModesCli:
             grid.accumulate(canonicalize(read_cloud, d.box()), saliency)
             write_grid(expected / f"{mode}_{d.label}.grid", grid)
         assert _outputs(grids) == _outputs(expected)
+
+    def test_one_grid_per_grid_file(self, one_class_scene_dir, tmp_path, monkeypatch):
+        """A (mode, class) grid is made once, however many scenes feed it."""
+        from pcsaliency.aggregate import CanonicalGrid
+
+        init, made = CanonicalGrid.__init__, []
+
+        def counted(grid, *args, **kwargs):
+            made.append(grid)
+            init(grid, *args, **kwargs)
+
+        monkeypatch.setattr(CanonicalGrid, "__init__", counted)
+        grids = tmp_path / "grids"
+        assert main([
+            "modes", "--scenes", str(one_class_scene_dir), "--out", str(tmp_path / "modes.json"),
+            "--grids-dir", str(grids), *FAST,
+        ]) == 0
+        assert len(made) == len(list(grids.iterdir())) == 1
+
+    def test_each_scene_is_binned_before_the_next_returns(
+        self, one_class_scene_dir, tmp_path, monkeypatch
+    ):
+        """A scene's canonical points and saliency are binned as it returns,
+        so none is held until the last scene is done."""
+        from pcsaliency import cli
+        from pcsaliency.aggregate import CanonicalGrid
+
+        accumulate, worker, events = CanonicalGrid.accumulate, cli._modes_worker, []
+
+        def binned(grid, points, saliency):
+            events.append("accumulate")
+            accumulate(grid, points, saliency)
+
+        def scene(*args):
+            result = worker(*args)
+            events.append("scene")
+            return result
+
+        monkeypatch.setattr(CanonicalGrid, "accumulate", binned)
+        monkeypatch.setattr(cli, "_modes_worker", scene)
+        assert main([
+            "modes", "--scenes", str(one_class_scene_dir), "--out", str(tmp_path / "modes.json"),
+            "--grids-dir", str(tmp_path / "grids"), "--set", "parallelism=1", *FAST,
+        ]) == 0
+        assert events == ["scene", "accumulate"] * 3
+
+    def test_tp_grid_equals_the_aggregate_grid_of_mask_all(self, one_class_scene_dir, tmp_path):
+        """On one-object scenes every detection is a true positive, and both
+        commands bin its full-mask map through one path."""
+        grids, agg = tmp_path / "grids", tmp_path / "agg"
+        assert main([
+            "modes", "--scenes", str(one_class_scene_dir), "--out", str(tmp_path / "modes.json"),
+            "--grids-dir", str(grids), *FAST,
+        ]) == 0
+        assert main(["aggregate", "--scenes", str(one_class_scene_dir), "--out-dir", str(agg), *FAST]) == 0
+        [tp] = grids.iterdir()
+        label = tp.name.removeprefix("tp_").removesuffix(".grid")
+        assert tp.read_bytes() == (agg / f"avg_{label}_all.grid").read_bytes()
 
     def test_no_grids_dir_accumulates_no_grid(self, scene_dir, tmp_path, monkeypatch):
         from pcsaliency.aggregate import CanonicalGrid
@@ -1177,22 +1246,32 @@ def test_later_scene_without_labels_exits_one_before_any_scene_is_read(
     assert explained == []
 
 
-@pytest.mark.parametrize("command", ["eval", "sweep", "aggregate", "modes"])
+_COMMANDS = ("eval", "sweep", "aggregate", "modes")
+
+
+@pytest.mark.parametrize("command, unreadable", [
+    *[pytest.param(command, ".labels.json", id=command) for command in _COMMANDS],
+    *[pytest.param(command, ".bin", id=f"{command}-bin") for command in _COMMANDS],
+])
 def test_later_scene_with_unreadable_labels_exits_two_before_any_explanation(
-    command, scene_dir, tmp_path, explained, capsys
+    command, unreadable, scene_dir, tmp_path, explained, capsys
 ):
+    """Labels, or the ``.bin`` itself, that are a directory fail the run
+    before the first scene is explained."""
     import shutil
 
     scenes = tmp_path / "scenes"
     scenes.mkdir()
-    shutil.copy(scene_dir / "scene000.bin", scenes / "s0.bin")
-    shutil.copy(scene_dir / "scene000.labels.json", scenes / "s0.labels.json")
-    shutil.copy(scene_dir / "scene000.bin", scenes / "s1.bin")
-    (scenes / "s1.labels.json").mkdir()
+    for suffix in (".bin", ".labels.json"):
+        shutil.copy(scene_dir / f"scene000{suffix}", scenes / f"s0{suffix}")
+        if suffix == unreadable:
+            (scenes / f"s1{suffix}").mkdir()
+        else:
+            shutil.copy(scene_dir / f"scene000{suffix}", scenes / f"s1{suffix}")
     out = _out_args(command, tmp_path)
     assert main([command, "--scenes", str(scenes), *out, *FAST]) == 2
     assert capsys.readouterr().err.endswith(
-        f"error: cannot read {scenes / 's1.labels.json'}: not a regular file\n"
+        f"error: cannot read {scenes / f's1{unreadable}'}: not a regular file\n"
     )
     assert explained == []
 
