@@ -1,8 +1,8 @@
 """Average saliency maps in the canonical object frame and TP/FP modes.
 
-Canonicalized points (object-centered, yaw-aligned, size-normalized into
-[-0.5, 0.5]^3) are binned on a fixed cubic grid; cells accumulate
-(saliency sum, point count) and finalize to per-cell averages.
+An object's points in its box's canonical frame (centered, yaw-aligned,
+size-normalized into [-0.5, 0.5]^3) are binned on a fixed cubic grid;
+cells accumulate (saliency sum, point count) and finalize to averages.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boxes import OrientedBox, canonicalize
 from .errors import MalformedFile
 from .fileio import _FIELD, _float_fields, _index_fields, read_bytes, writing
 
@@ -31,15 +32,13 @@ class CanonicalGrid:
         self.binned = 0
         self.discarded = 0
 
-    def accumulate(self, points: np.ndarray, saliency) -> None:
-        """Bin canonical points once for every map: ``saliency`` is one
-        per-point map, or a sequence of ``maps`` of them. Points are tallied
-        into ``binned``; points outside the closed unit cube are tallied into
-        ``discarded`` instead."""
-        points = np.asarray(points, dtype=float).reshape(-1, 3)
-        maps = np.asarray(saliency, dtype=float)
-        if maps.ndim == 1:
-            maps = maps[None]
+    def accumulate(self, cloud: np.ndarray, box: OrientedBox, maps) -> None:
+        """Bin one object's (N, 3+) ``cloud`` in ``box``'s canonical frame
+        once for every map of ``maps``, a sequence of per-point maps. Points
+        are tallied into ``binned``; points outside the closed unit cube are
+        tallied into ``discarded`` instead."""
+        points = canonicalize(cloud, box)
+        maps = np.asarray(maps, dtype=float)
         if maps.shape != (self.sums.shape[-1], len(points)):
             raise ValueError("points and saliency must align")
         for stale in ("_export", "_csv_parts"):  # the cached exports are stale

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import metrics
 from .aggregate import CanonicalGrid, ObjectExplanation, grid_to_csv, mode_report, write_grid
-from .boxes import OrientedBox, canonicalize, iou_3d, points_in_box
+from .boxes import OrientedBox, iou_3d, points_in_box
 from .detector import grad_check
 from .errors import IoFailure, SaliencyError, ValidationError, WorkerDied, ZeroEnergy
 from .fileio import read_kitti_bin, read_labels_json, write_json, write_saliency, writing
@@ -233,12 +233,12 @@ def _explain_scene(detector, cfg: RunConfig, cloud, pick, masks):
 
 
 def _fold_grids(grids: dict[str, CanonicalGrid], objects) -> None:
-    """Bin each ``(key, canonical points, saliency maps)`` of ``objects`` with
-    one ``accumulate`` into its key's grid, made when the key is first seen."""
-    for key, canonical, saliencies in objects:
+    """Bin each ``(key, cloud, box, saliency maps)`` of ``objects`` with one
+    ``accumulate`` into its key's grid, made when the key is first seen."""
+    for key, cloud, box, saliencies in objects:
         if key not in grids:
             grids[key] = CanonicalGrid(maps=len(saliencies))
-        grids[key].accumulate(canonical, saliencies)
+        grids[key].accumulate(cloud, box, saliencies)
 
 
 def _well_detected(cfg: RunConfig, gts):
@@ -418,7 +418,7 @@ def _aggregate_worker(cfg: RunConfig, masks, scene):
         cfg.build_detector(), cfg, cloud, _well_detected(cfg, gts), masks
     )
     return [
-        (detections[pi].label, canonicalize(cloud, detections[pi].box()), saliencies)
+        (detections[pi].label, cloud, detections[pi].box(), saliencies)
         for (pi, _, _), saliencies in explained
     ]
 
@@ -480,7 +480,7 @@ def _modes_worker(cfg: RunConfig, grids: bool, scene):
         )
         if grids:
             key = f"{'tp' if is_tp else 'fp'}_{label}"
-            objects.append((key, canonicalize(cloud, box), saliencies))
+            objects.append((key, cloud, box, saliencies))
     return records, objects
 
 

@@ -41,6 +41,8 @@ _ATTRIBUTE_READERS = {
 
 def make_mask(*names: str) -> frozenset[str]:
     """Attribute mask from names; validates against the known attributes."""
+    if not names:
+        raise EmptyMask("attribute mask selects nothing")
     unknown = set(names) - _KNOWN_ATTRIBUTES
     if unknown:
         raise ValueError(f"unknown attributes: {sorted(unknown)}")

@@ -43,6 +43,9 @@ from pcsaliency.voxelgrid import (
 
 from conftest import neighbor_query, write_scene_dir
 
+# canonicalizing into this box changes no coordinate, so points bin as given
+_UNIT_BOX = OrientedBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0)
+
 
 def _report(criterion, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'}  {criterion}  ({detail})")
@@ -291,7 +294,7 @@ def test_criterion_9_format_round_trips(tmp_path):
 
     # canonical grid: averages at f32, counts exact
     grid = CanonicalGrid(16)
-    grid.accumulate(rng.uniform(-0.5, 0.5, size=(2000, 3)), rng.uniform(size=2000))
+    grid.accumulate(rng.uniform(-0.5, 0.5, size=(2000, 3)), _UNIT_BOX, [rng.uniform(size=2000)])
     gpath = tmp_path / "avg.grid"
     write_grid(gpath, grid)
     averages, counts = read_grid(gpath)

@@ -1,4 +1,5 @@
 import functools
+import math
 import struct
 
 import numpy as np
@@ -18,6 +19,9 @@ from pcsaliency.errors import MalformedFile
 from pcsaliency.metrics import EvalThresholds, well_detected
 from pcsaliency.pipeline import Detection
 
+# canonicalizing into this box changes no coordinate, so points bin as given
+_UNIT_BOX = OrientedBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0)
+
 
 def cell_of(grid, point):
     idx = np.floor((np.asarray(point) + 0.5) * grid.resolution).astype(int)
@@ -27,7 +31,7 @@ def cell_of(grid, point):
 class TestCanonicalGrid:
     def test_single_point_average(self):
         grid = CanonicalGrid(8)
-        grid.accumulate(np.array([[0.0, 0.0, 0.0]]), np.array([0.8]))
+        grid.accumulate(np.array([[0.0, 0.0, 0.0]]), _UNIT_BOX, [np.array([0.8])])
         cell = cell_of(grid, (0.0, 0.0, 0.0))
         assert grid.averages()[cell] == pytest.approx(0.8)
         assert grid.counts[cell] == 1
@@ -35,7 +39,7 @@ class TestCanonicalGrid:
     def test_two_points_same_cell_average(self):
         grid = CanonicalGrid(4)
         pts = np.array([[0.01, 0.01, 0.01], [0.02, 0.02, 0.02]])
-        grid.accumulate(pts, np.array([0.2, 0.6]))
+        grid.accumulate(pts, _UNIT_BOX, [np.array([0.2, 0.6])])
         cell = cell_of(grid, (0.015, 0.015, 0.015))
         assert grid.averages()[cell] == pytest.approx(0.4)
 
@@ -44,10 +48,10 @@ class TestCanonicalGrid:
         pts = rng.uniform(-0.6, 0.6, size=(200, 3))
         sal = rng.uniform(size=200)
         batch = CanonicalGrid(16)
-        batch.accumulate(pts, sal)
+        batch.accumulate(pts, _UNIT_BOX, [sal])
         incremental = CanonicalGrid(16)
         for p, s in zip(pts, sal):
-            incremental.accumulate(p[None, :], np.array([s]))
+            incremental.accumulate(p[None, :], _UNIT_BOX, [np.array([s])])
         assert np.array_equal(batch.sums, incremental.sums)
         assert np.array_equal(batch.counts, incremental.counts)
         assert (batch.binned, batch.discarded) == (incremental.binned, incremental.discarded)
@@ -57,10 +61,10 @@ class TestCanonicalGrid:
         pts = rng.uniform(-0.5, 0.5, size=(300, 3))
         sal = rng.uniform(size=300)
         a = CanonicalGrid(8)
-        a.accumulate(pts, sal)
+        a.accumulate(pts, _UNIT_BOX, [sal])
         perm = rng.permutation(300)
         b = CanonicalGrid(8)
-        b.accumulate(pts[perm], sal[perm])
+        b.accumulate(pts[perm], _UNIT_BOX, [sal[perm]])
         assert np.allclose(a.sums, b.sums, atol=1e-12)
         assert np.array_equal(a.counts, b.counts)
 
@@ -68,13 +72,13 @@ class TestCanonicalGrid:
         rng = np.random.default_rng(2)
         pts = rng.uniform(-1.0, 1.0, size=(500, 3))
         grid = CanonicalGrid(8)
-        grid.accumulate(pts, np.ones(500))
+        grid.accumulate(pts, _UNIT_BOX, [np.ones(500)])
         assert grid.binned == int(grid.counts.sum())
         assert grid.binned + grid.discarded == 500
 
     def test_boundary_point_binned_into_last_cell(self):
         grid = CanonicalGrid(4)
-        grid.accumulate(np.array([[0.5, 0.5, 0.5]]), np.array([1.0]))
+        grid.accumulate(np.array([[0.5, 0.5, 0.5]]), _UNIT_BOX, [np.array([1.0])])
         assert grid.counts[3, 3, 3] == 1
         assert (grid.binned, grid.discarded) == (1, 0)
 
@@ -150,7 +154,7 @@ class TestGridFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         grid = CanonicalGrid(8)
-        grid.accumulate(rng.uniform(-0.5, 0.5, size=(400, 3)), rng.uniform(size=400))
+        grid.accumulate(rng.uniform(-0.5, 0.5, size=(400, 3)), _UNIT_BOX, [rng.uniform(size=400)])
         path = tmp_path / "map.grid"
         write_grid(path, grid)
         averages, counts = read_grid(path)
@@ -167,7 +171,7 @@ class TestGridFiles:
 
     def test_csv_row_count(self, tmp_path):
         grid = CanonicalGrid(4)
-        grid.accumulate(np.array([[0.0, 0.0, 0.0]]), np.array([1.0]))
+        grid.accumulate(np.array([[0.0, 0.0, 0.0]]), _UNIT_BOX, [np.array([1.0])])
         path = tmp_path / "map.csv"
         grid_to_csv(path, grid)
         lines = path.read_text().splitlines()
@@ -176,7 +180,7 @@ class TestGridFiles:
 
     def test_x_fastest_ordering(self, tmp_path):
         grid = CanonicalGrid(2)
-        grid.accumulate(np.array([[0.4, -0.4, -0.4]]), np.array([1.0]))  # cell (1,0,0)
+        grid.accumulate(np.array([[0.4, -0.4, -0.4]]), _UNIT_BOX, [np.array([1.0])])  # cell (1,0,0)
         path = tmp_path / "map.grid"
         write_grid(path, grid)
         raw = path.read_bytes()
@@ -226,7 +230,8 @@ def random_grid(seed, resolution, n_points):
     rng = np.random.default_rng(seed)
     grid = CanonicalGrid(resolution)
     points = rng.uniform(-0.6, 0.6, size=(n_points, 3))
-    grid.accumulate(points, rng.normal(size=n_points) * 10.0 ** rng.uniform(-8, 8, n_points))
+    values = rng.normal(size=n_points) * 10.0 ** rng.uniform(-8, 8, n_points)
+    grid.accumulate(points, _UNIT_BOX, [values])
     return grid
 
 
@@ -244,7 +249,7 @@ def center_points(resolution, cells, values):
 
 def grid_of(resolution, points, values):
     grid = CanonicalGrid(resolution)
-    grid.accumulate(points, values)
+    grid.accumulate(points, _UNIT_BOX, [values])
     return grid
 
 
@@ -311,9 +316,9 @@ def test_k_map_grid_equals_k_one_map_grids():
     for n in (300, 0, 1, 500, 0):
         points = rng.uniform(-0.6, 0.6, size=(n, 3))  # some outside the cube
         maps = rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-5, 5, size=(k, n))
-        shared.accumulate(points, list(maps))
+        shared.accumulate(points, _UNIT_BOX, list(maps))
         for grid, values in zip(alone, maps):
-            grid.accumulate(points, values)
+            grid.accumulate(points, _UNIT_BOX, [values])
         for point, values in zip(points, maps.T):
             if np.all(np.abs(point) <= 0.5):
                 expected[cell_of(shared, point)] += values
@@ -325,12 +330,57 @@ def test_k_map_grid_equals_k_one_map_grids():
         assert (shared.binned, shared.discarded) == (grid.binned, grid.discarded)
 
 
+def test_accumulate_bins_each_point_in_its_box_frame():
+    """In a translated, yawed, non-unit box every point, on the faces and
+    outside included, lands where its own box-frame coordinates say: moved
+    by -center, rotated by -yaw, divided by the size, floored, and the upper
+    face clipped into the last cell."""
+    box = OrientedBox((3.5, -2.0, 1.25), (4.0, 1.6, 1.5), 0.7)
+    res = 8
+    rng = np.random.default_rng(10)
+    # box-frame coordinates in units of the size: some outside the box, and
+    # some on each face (the z faces canonicalize to +-0.5 exactly)
+    local = rng.uniform(-0.7, 0.7, size=(300, 3))
+    faces = rng.uniform(-0.5, 0.5, size=(60, 3))
+    for j in range(6):
+        faces[j::6, j % 3] = 0.5 if j < 3 else -0.5
+    local = np.vstack([local, faces, [[0.5, 0.5, 0.5], [-0.5, -0.5, -0.5]]])
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    lx, ly, lz = (local * box.size).T
+    cloud = np.stack([
+        box.center[0] + c * lx - s * ly,
+        box.center[1] + s * lx + c * ly,
+        box.center[2] + lz,
+        rng.uniform(size=len(local)),  # a reflectance column, ignored
+    ], axis=1)
+    maps = rng.normal(size=(2, len(cloud)))
+    grid = CanonicalGrid(res, maps=2)
+    grid.accumulate(cloud, box, list(maps))
+
+    sums, counts = np.zeros((res,) * 3 + (2,)), np.zeros((res,) * 3, np.int64)
+    binned, upper_face = 0, 0
+    for (x, y, z, _), values in zip(cloud.tolist(), maps.T):
+        dx, dy, dz = x - box.center[0], y - box.center[1], z - box.center[2]
+        u = ((c * dx + s * dy) / box.size[0], (-s * dx + c * dy) / box.size[1], dz / box.size[2])
+        if max(abs(v) for v in u) > 0.5:
+            continue
+        cell = tuple(min(math.floor((v + 0.5) * res), res - 1) for v in u)
+        sums[cell] += values
+        counts[cell] += 1
+        binned += 1
+        upper_face += u[2] == 0.5
+    assert upper_face and 0 < binned < len(cloud)
+    assert (grid.binned, grid.discarded) == (binned, len(cloud) - binned)
+    assert np.array_equal(grid.counts, counts)
+    assert grid.sums.tobytes() == sums.tobytes()
+
+
 def test_maps_must_align_with_points():
     grid = CanonicalGrid(4, maps=2)
     points = np.zeros((3, 3))
     for saliency in (np.zeros(3), [np.zeros(3)] * 3, [np.zeros(3), np.zeros(2)]):
         with pytest.raises(ValueError):
-            grid.accumulate(points, saliency)
+            grid.accumulate(points, _UNIT_BOX, saliency)
     assert grid.binned == grid.discarded == 0
 
 
@@ -346,7 +396,7 @@ def test_each_map_writes_the_files_of_its_own_grid(kind, maps, tmp_path):
     points, values = _CSV_POINTS[kind](7)
     columns = [np.roll(values, j) * (j + 1) for j in range(maps)]
     shared = CanonicalGrid(7, maps=maps)
-    shared.accumulate(points, columns)
+    shared.accumulate(points, _UNIT_BOX, columns)
     for m, column in enumerate(columns):
         grid_oracle(tmp_path / "oracle.grid", shared, m)
         csv_oracle(tmp_path / "oracle.csv", shared, m)
@@ -361,7 +411,8 @@ def test_accumulate_after_a_write_reaches_the_next_write(tmp_path):
     rng = np.random.default_rng(9)
     grid = CanonicalGrid(4, maps=2)
     for n in (40, 40, 0, 1):
-        grid.accumulate(rng.uniform(-0.5, 0.5, size=(n, 3)), list(rng.uniform(size=(2, n))))
+        points = rng.uniform(-0.5, 0.5, size=(n, 3))
+        grid.accumulate(points, _UNIT_BOX, list(rng.uniform(size=(2, n))))
         for m in range(2):
             grid_oracle(tmp_path / "oracle.grid", grid, m)
             csv_oracle(tmp_path / "oracle.csv", grid, m)

@@ -244,6 +244,28 @@ class TestExplain:
         assert capsys.readouterr().err == "error: unknown attributes: ['bogus']\n"
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("mask", ["", " , ", ","])
+    def test_empty_mask_exits_one_before_reading_the_scene(
+        self, scene_dir, tmp_path, monkeypatch, capsys, mask
+    ):
+        """A mask that names no attribute is rejected before the scene is
+        read, the output directory made or any explanation run."""
+        from pcsaliency import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("worked on the scene before checking --mask")
+
+        monkeypatch.setattr(cli, "read_kitti_bin", never)
+        monkeypatch.setattr(cli, "explain_detection", never)
+        out = tmp_path / "made" / "x.csv"
+        code = main([
+            "explain", "--scene", str(scene_dir / "scene000.bin"),
+            "--detection", "0", "--mask", mask, "--out", str(out), *FAST,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: attribute mask selects nothing\n"
+        assert not out.parent.exists()
+
     def test_single_attribute_mask(self, scene_dir, tmp_path):
         out = tmp_path / "sal_h.csv"
         code = main([
@@ -389,27 +411,21 @@ class TestAggregateCli:
 
     def test_one_accumulate_per_object(self, scene_dir, tmp_path, monkeypatch, capsys):
         """Every mask's map of an object lands in its class grid in one call."""
-        from pcsaliency import cli
         from pcsaliency.aggregate import CanonicalGrid
 
-        accumulate, canonicalize = CanonicalGrid.accumulate, cli.canonicalize
-        calls, objects = [], []
+        accumulate, calls, objects = CanonicalGrid.accumulate, [], []
 
-        def counted(grid, points, saliency):
-            calls.append(len(saliency))
-            accumulate(grid, points, saliency)
-
-        def canonical(cloud, box):
+        def counted(grid, cloud, box, maps):
+            calls.append(len(maps))
             objects.append(box)
-            return canonicalize(cloud, box)
+            accumulate(grid, cloud, box, maps)
 
         monkeypatch.setattr(CanonicalGrid, "accumulate", counted)
-        monkeypatch.setattr(cli, "canonicalize", canonical)
         out_dir = tmp_path / "agg"
         assert main(["aggregate", "--scenes", str(scene_dir), "--out-dir", str(out_dir), *FAST]) == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert len({g["class"] for g in manifest["grids"]}) == 1
-        assert len(objects) > 1 and calls == [9] * len(objects)
+        assert len(set(objects)) == len(objects) > 1 and calls == [9] * len(objects)
         assert capsys.readouterr().out == f"wrote 9 grids to {out_dir}\n"
 
     @pytest.mark.parametrize("masks", ["all,all", "x, x", "s,all,s", "", " , "])
@@ -460,7 +476,6 @@ class TestModesCli:
         """Each ``--grids-dir`` grid accumulates exactly the explained
         detections of its mode and class, in their canonical frames."""
         from pcsaliency.aggregate import CanonicalGrid, write_grid
-        from pcsaliency.boxes import canonicalize
 
         cloud, _ = multi_object_scene(0)
         detections = detector.detect(cloud)
@@ -480,7 +495,7 @@ class TestModesCli:
         expected.mkdir()
         for mode, d, [saliency] in zip(("tp", "fp"), seen, saliencies):
             grid = CanonicalGrid()
-            grid.accumulate(canonicalize(read_cloud, d.box()), saliency)
+            grid.accumulate(read_cloud, d.box(), [saliency])
             write_grid(expected / f"{mode}_{d.label}.grid", grid)
         assert _outputs(grids) == _outputs(expected)
 
@@ -505,16 +520,16 @@ class TestModesCli:
     def test_each_scene_is_binned_before_the_next_returns(
         self, one_class_scene_dir, tmp_path, monkeypatch
     ):
-        """A scene's canonical points and saliency are binned as it returns,
+        """A scene's objects and their saliency are binned as it returns,
         so none is held until the last scene is done."""
         from pcsaliency import cli
         from pcsaliency.aggregate import CanonicalGrid
 
         accumulate, worker, events = CanonicalGrid.accumulate, cli._modes_worker, []
 
-        def binned(grid, points, saliency):
+        def binned(grid, cloud, box, maps):
             events.append("accumulate")
-            accumulate(grid, points, saliency)
+            accumulate(grid, cloud, box, maps)
 
         def scene(*args):
             result = worker(*args)
@@ -545,7 +560,7 @@ class TestModesCli:
     def test_no_grids_dir_accumulates_no_grid(self, scene_dir, tmp_path, monkeypatch):
         from pcsaliency.aggregate import CanonicalGrid
 
-        def never(self, points, saliency):
+        def never(self, cloud, box, maps):
             raise AssertionError("accumulated a grid that no file receives")
 
         monkeypatch.setattr(CanonicalGrid, "accumulate", never)
@@ -554,12 +569,12 @@ class TestModesCli:
         assert json.loads(out.read_text())["tp"]["count"] == 2
 
     def test_no_grids_dir_canonicalizes_nothing(self, scene_dir, tmp_path, monkeypatch):
-        from pcsaliency import cli
+        from pcsaliency import aggregate
 
         def never(cloud, box):
             raise AssertionError("canonicalized a cloud that no grid receives")
 
-        monkeypatch.setattr(cli, "canonicalize", never)
+        monkeypatch.setattr(aggregate, "canonicalize", never)
         out = tmp_path / "modes.json"
         assert main(["modes", "--scenes", str(scene_dir), "--out", str(out), *FAST]) == 0
         assert json.loads(out.read_text())["tp"]["count"] == 2
@@ -1043,9 +1058,9 @@ def test_aggregate_of_two_scenes_equals_each_scene_alone(scene_dir, tmp_path):
     alone = {scene[0]: cli._aggregate_worker(cfg, masks, scene) for scene in reversed(scenes)}
     grids: dict = {}
     for scene_id, _, _ in scenes:
-        for label, canonical, saliencies in alone[scene_id]:
+        for label, cloud, box, saliencies in alone[scene_id]:
             for name, saliency in zip(names, saliencies):
-                grids.setdefault((label, name), CanonicalGrid()).accumulate(canonical, saliency)
+                grids.setdefault((label, name), CanonicalGrid()).accumulate(cloud, box, [saliency])
     expected = tmp_path / "expected"
     expected.mkdir()
     for (label, name), grid in grids.items():

@@ -24,6 +24,9 @@ from pcsaliency.pipeline import Detection
 from pcsaliency.runconfig import parse_config_file
 from pcsaliency.voxelgrid import GridSpec
 
+# canonicalizing into this box changes no coordinate, so points bin as given
+_UNIT_BOX = OrientedBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0)
+
 _DETECTIONS = [
     Detection((4.5, 6.25, 1.0), (3.75, 1.5, 1.25), 0.5, 0.875, "car"),
     Detection((12.0, 3.5, 0.75), (0.75, 0.5, 1.75), -1.25, 0.5, "pedestrian"),
@@ -43,7 +46,7 @@ def _dump(path):
 def _grid(path):
     grid = CanonicalGrid(3)
     rng = np.random.default_rng(1)
-    grid.accumulate(rng.uniform(-0.5, 0.5, size=(20, 3)), rng.uniform(size=20))
+    grid.accumulate(rng.uniform(-0.5, 0.5, size=(20, 3)), _UNIT_BOX, [rng.uniform(size=20)])
     write_grid(path, grid)
 
 

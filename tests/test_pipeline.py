@@ -49,6 +49,10 @@ class TestMasks:
         with pytest.raises(ValueError):
             make_mask("x", "bogus")
 
+    def test_no_names_rejected(self):
+        with pytest.raises(EmptyMask):
+            make_mask()
+
     def test_bits_round_trip(self):
         for mask in (full_mask(), make_mask("x"), make_mask("l", "s", "yaw")):
             assert bits_to_mask(mask_to_bits(mask)) == mask
