@@ -159,7 +159,9 @@ class _Carry:
     stale. ``live`` is the number of live rows per block. ``activations``,
     ``clusters`` and ``detections`` are the head's answer on the last
     pass, over the live last-block rows: over every row when every point
-    is kept.
+    is kept. ``everywhere`` is set when ``_forward`` moves the carry to
+    every point and cleared by the next move, so a call at every point on
+    a carry already there compares no masks.
     """
 
     keep: np.ndarray  # cloud point -> kept by the last pass
@@ -170,6 +172,7 @@ class _Carry:
     activations: "np.ndarray | None" = None
     clusters: "list[np.ndarray] | None" = None
     detections: "list[Detection] | None" = None
+    everywhere: bool = False
 
     @classmethod
     def empty(cls, layout: _Layout) -> "_Carry":
@@ -218,7 +221,8 @@ class ReferenceDetector:
         moves the carried pass to its keep mask, every point for
         ``detect``/``features``/``gradient``, recomputing only the rows
         beneath the points whose keep flag flipped; a mask equal to the
-        carried one costs a comparison. A ``detect_subset`` mask that keeps
+        carried one costs a comparison, and a call at every point on a
+        carry already there costs nothing. A ``detect_subset`` mask that keeps
         every point once ``detect``/``features``/``gradient`` has run gets
         the detections the scope holds for it and leaves the carry where
         it is. Any other array, such as a perturbed copy, gets a scope of
@@ -296,10 +300,13 @@ class ReferenceDetector:
 
     def _forward(self, cloud: np.ndarray) -> _SceneHold:
         """The scope's hold on ``cloud`` with its carry at every point kept,
-        whose detections it holds."""
+        whose detections it holds; a carry already there is not compared."""
         with self.scene(cloud):
             hold = self._hold
-            hold.detections = self._pass(hold, np.ones(len(cloud), dtype=bool)).detections
+            if hold.carry is None or not hold.carry.everywhere:
+                carry = self._pass(hold, np.ones(len(cloud), dtype=bool))
+                carry.everywhere = True
+                hold.detections = carry.detections
             return hold
 
     def _pass(self, hold: _SceneHold, keep: np.ndarray) -> _Carry:
@@ -332,9 +339,8 @@ class ReferenceDetector:
         if len(cloud) == 0:
             raise EmptyCloud("detector requires a non-empty point cloud")
         inside = self.grid.contains(cloud)
-        pts = cloud[inside]
-        coords, base_rows = _group_rows(self.grid.coords_for(pts))
-        per_point = pts[:, :4].copy()
+        per_point = np.compress(inside, cloud[:, :4], axis=0)
+        coords, base_rows = _group_rows(self.grid.coords_for(per_point))
         # per column (a row op over 3 columns runs one loop per row), with
         # the float64 numpy scalar bounds of ``lower + coords * voxel_size``
         for k, lo in enumerate(self.grid.lower):
@@ -364,7 +370,7 @@ class ReferenceDetector:
         above it, which have no more live rows. From the empty state every
         block is whole.
         """
-        carry.keep = keep
+        carry.keep, carry.everywhere = keep, False
         points = layout.point_rows[flipped]
         points = points[points >= 0]  # the flipped points in the grid
         kept = carry.kept

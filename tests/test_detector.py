@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -636,6 +637,33 @@ def test_held_answers_leave_the_carry(monkeypatch):
         got = detector.detect_subset(cloud, further)
         assert calls == ["_advance", "_head"]
         assert got == assert_carry_matches_fresh(detector, cloud, further).detections
+
+
+def test_held_calls_at_every_point_compare_no_masks(monkeypatch):
+    """On a carry already at every point, ``detect``, ``features`` and
+    ``gradient`` run no values pass and build no cloud-length mask; after a
+    step, the next such call moves the carry back."""
+    cloud, _, _ = single_object_scene(0)
+    detector = ReferenceDetector()
+    with detector.scene(cloud):
+        detections = detector.detect(cloud)
+        passes = []
+        method = detector._pass
+        monkeypatch.setattr(detector, "_pass", lambda *args: passes.append(1) or method(*args))
+        tracemalloc.start()
+        try:
+            assert detector.detect(cloud) == detections
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(cloud) // 4  # a cloud-length bool mask takes len(cloud) bytes
+        detector.features(cloud, 3)
+        detector.gradient(cloud, detections[0], full_mask(), 3)
+        assert passes == []
+        detector.detect_subset(cloud, np.arange(len(cloud)) % 9 != 0)
+        assert detector.detect(cloud) == detections
+        assert len(passes) == 2
+        assert detector._hold.carry.everywhere
 
 
 def test_a_mask_changed_in_place_is_a_new_step():

@@ -1,15 +1,18 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcsaliency.voxelgrid import (
     GridSpec,
     SparseVoxelMap,
     UpsampleConfig,
+    _check_key_range,
+    _DENSE_KEYS_PER_ROW,
     _group_rows,
     _linear_key,
     _offsets_within,
@@ -107,12 +110,31 @@ class TestVoxelizePoint:
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(coords=st.lists(st.tuples(*[st.integers(0, 6)] * 3), min_size=1, max_size=300)
        | st.lists(st.tuples(*[st.integers(0, 2**20)] * 3), min_size=1, max_size=50))
+# a 2 x 2 x 4 key span over 2 rows: exactly the dense table's limit; one more
+# z cell, and the keys sort
+@example(coords=[(1, 1, 3), (0, 0, 0)])
+@example(coords=[(1, 1, 4), (0, 0, 0)])
 def test_group_rows_equals_np_unique(coords):
     coords = np.array(coords, dtype=np.int64)
     expected = np.unique(coords, axis=0, return_inverse=True)
     got = _group_rows(coords)
     for g, e in zip(got, (expected[0], expected[1].reshape(-1)), strict=True):
         assert g.dtype == e.dtype and np.array_equal(g, e)
+
+
+def test_group_rows_on_a_wide_span_builds_no_table():
+    """~50 rows spread over 2**20 cells per axis: their keys sort, with no
+    table of the 2**60-key span."""
+    coords = np.random.default_rng(0).integers(0, 2**20, size=(50, 3))
+    assert math.prod((coords.max(axis=0) + 1).tolist()) > _DENSE_KEYS_PER_ROW * len(coords)
+    tracemalloc.start()
+    try:
+        unique, inverse = _group_rows(coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert np.array_equal(unique[inverse], coords)
 
 
 class TestVoxelizeCloud:
@@ -392,6 +414,17 @@ def bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
+def assert_matches_loop(got, vmap, cloud, cfg):
+    """``got`` against ``upsample_oracle``: the same terms in another
+    summation order, and bit for bit where a point has at most one
+    neighbor. Returns each point's neighbor count."""
+    expected, counts = upsample_oracle(vmap, cloud, cfg)
+    tol = 4 * np.finfo(float).eps * np.abs(vmap.values).max()
+    assert np.all(np.abs(got - expected) <= tol)
+    assert np.array_equal(bits(got[counts <= 1]), bits(expected[counts <= 1]))
+    return counts
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(
     near=_voxels(st.integers(-1, 3), 1, 36),
@@ -409,13 +442,7 @@ def test_upsample_matches_per_point_loop(near, far, points, range_threshold, k, 
     vmap = scalar_map(coords, values, _PROPERTY_GRID)
     cloud = np.array(points)
     cfg = UpsampleConfig(range_threshold, k)
-    got = upsample_to_points(vmap, cloud, cfg)
-    expected, counts = upsample_oracle(vmap, cloud, cfg)
-    # same terms in another summation order
-    tol = 4 * np.finfo(float).eps * np.abs(vmap.values).max()
-    assert np.all(np.abs(got - expected) <= tol)
-    # zero or one neighbor: no sum at all
-    assert np.array_equal(bits(got[counts <= 1]), bits(expected[counts <= 1]))
+    counts = assert_matches_loop(upsample_to_points(vmap, cloud, cfg), vmap, cloud, cfg)
 
     # a constant map gives the loop's anchor + 0.0 wherever a point has a neighbor
     flat = vmap.with_values(np.full(len(vmap), constant))
@@ -449,3 +476,35 @@ def test_plan_query_keys_are_cell_keys_plus_offset_keys(cells, r, span):
     rows = (cells[:, None, :] + offsets + r).reshape(-1, 3)
     expected = _linear_key(rows, span).reshape(len(cells), len(offsets))
     assert np.array_equal(_linear_key(cells + r, span)[:, None] + _linear_key(offsets, span), expected)
+
+
+# block 3 of the detector's default grid, and the same cells at the corner
+# of an extent ~4000 times wider on x and y
+_BLOCK3 = GridSpec(1.0, (0.0, 24.0), (0.0, 24.0), (0.0, 4.0))
+_WIDE = GridSpec(1.0, (0.0, 1e5), (0.0, 1e5), (0.0, 4.0))
+
+
+@pytest.mark.parametrize("cfg", [UpsampleConfig(), UpsampleConfig(1, 2), UpsampleConfig(3, 32)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_upsample_on_a_table_and_on_a_search_equal_the_loop(cfg, seed):
+    """The same map and points on block 3's grid, whose neighbor lookup
+    reads a table of every key, and on a wide grid, whose lookup searches:
+    both equal the per-point loop as ``assert_matches_loop`` checks, and
+    each other bit for bit."""
+    rng = np.random.default_rng(seed)
+    cells = np.unique(rng.integers((-1, -1, -1), (25, 25, 5), size=(400, 3)), axis=0)
+    values = rng.normal(size=len(cells))
+    # in-grid points, and points below the grid on x, outside both extents
+    cloud = rng.uniform((-2.0, 0.0, 0.0), (24.0, 24.0, 4.0), size=(300, 3))
+    scores = []
+    for grid in (_BLOCK3, _WIDE):
+        vmap = scalar_map(cells, values, grid)
+        queries = len(np.unique(grid.coords_for(cloud[grid.contains(cloud)]), axis=0))
+        queries *= len(_offsets_within(cfg.range_threshold))
+        total = math.prod(_check_key_range(grid, pad=cfg.range_threshold).tolist())
+        assert (total <= _DENSE_KEYS_PER_ROW * queries) == (grid is _BLOCK3)
+        got = upsample_to_points(vmap, cloud, cfg)
+        counts = assert_matches_loop(got, vmap, cloud, cfg)
+        assert np.count_nonzero(counts > 1) > 20  # sums, not single reads
+        scores.append(bits(got))
+    assert np.array_equal(*scores)
