@@ -98,6 +98,11 @@ class ReferenceDetectorConfig:
 # recomputes equal those of a product over the whole block.
 _MIN_PRODUCT_ROWS = 128
 
+# Rows a slab of a block recomputed whole reaches before it ends at the next
+# change of voxel x. At feature width 32 a slab's temporaries take ~0.3 MB
+# per 1,024 rows; a 63k-point cloud's block 1 has 49,580 rows.
+_SLAB_ROWS = 1024
+
 
 @dataclass
 class _SceneHold:
@@ -366,9 +371,9 @@ class ReferenceDetector:
         zero rows to ``_MIN_PRODUCT_ROWS``.
 
         A block with fewer live rows than that, now or at the last pass, is
-        recomputed whole, as a whole pass computes it; so are the blocks
-        above it, which have no more live rows. From the empty state every
-        block is whole.
+        recomputed whole (see ``_whole_block``); so are the blocks above it,
+        which have no more live rows. From the empty state every block is
+        whole.
         """
         carry.keep, carry.everywhere = keep, False
         points = layout.point_rows[flipped]
@@ -409,44 +414,85 @@ class ReferenceDetector:
                 counts.fill(0)
                 counts[redo] = n
                 carry.live[b] = len(n)
-            else:
-                redo = n > 0
-                rows = (np.cumsum(redo) - 1).take(group)
-                redo, n, below = dirty[redo], n[redo], below[entries]
+                self._whole_block(b, layout.block_coords[b], carry, redo, rows, n, below)
+                continue
+            redo = n > 0
+            rows = (np.cumsum(redo) - 1).take(group)
+            redo, n, below = dirty[redo], n[redo], below[entries]
             if b == 0:
-                out = self._rows_output(b, self._base_descriptors(rows, n, below), whole)
+                pooled = self._base_descriptors(
+                    n, _scatter_sum(rows, below, len(n)), np.zeros((len(n), self.cfg.feature_dim))
+                )
+            else:
+                pooled = _scatter_sum(rows, below, len(n))
+            carry.values[b][redo] = self._rows_output(b, pooled)
+            if b + 1 < self.cfg.num_blocks:
+                touched = layout.parent_rows[b + 1][dirty]
+
+    def _whole_block(self, b, coords, carry, redo, rows, n, below):
+        """Write block ``b``'s output over its live rows into the carried
+        values: ``redo`` marks the live rows among ``coords``, ``rows`` maps
+        each ``below`` row (a kept in-grid point at block 1, a live child
+        above) to its rank among them and ``n`` counts them.
+
+        The rows are pooled and multiplied in slabs (``_slab_edges``), so no
+        temporary of the feature width grows with the block.
+        Each slab holds at least ``_MIN_PRODUCT_ROWS`` rows, or is the whole
+        block, so its product rows have the bits of one product over the
+        whole block. A slab ends where the voxel x changes, and a child's x
+        halves to its parent's, so above block 1 lex order puts the
+        children of a slab's rows in one contiguous run of ``below``; each
+        row's sum starts at 0.0 and adds its children in ascending order,
+        as a scatter over the whole block does.
+        """
+        values = carry.values[b]
+        if values is None:
+            values = carry.values[b] = np.zeros((len(coords), self.cfg.feature_dim))
+        every = len(n) == len(coords)
+        live_rows = None if every else np.flatnonzero(redo)
+        edges = _slab_edges(coords[:, 0] if every else coords[live_rows, 0])
+        if b == 0:
+            # offsets and intensity share one scatter; columns sum independently
+            sums = _scatter_sum(rows, below, len(n))
+            # the padding columns are zeroed once; each slab writes the others
+            slab = np.zeros((int(np.diff(edges).max(initial=0)), self.cfg.feature_dim))
+        else:
+            first = np.zeros(len(n) + 1, dtype=np.int64)  # row r's children start at first[r]
+            np.cumsum(n, out=first[1:])
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if b == 0:
+                pooled = self._base_descriptors(n[lo:hi], sums[lo:hi], slab[: hi - lo])
             else:
                 # sum pooling: a parent's feature is the accumulated evidence
                 # of everything beneath it, so removing points anywhere under
                 # a cell always lowers its activation
-                out = self._rows_output(b, _scatter_sum(rows, below, len(n)), whole)
-            if len(out) == m:
-                carry.values[b] = out
+                c0, c1 = first[lo], first[hi]
+                pooled = _scatter_sum(rows[c0:c1] - lo, below[c0:c1], hi - lo)
+            if every:
+                self._block_output(b, pooled, out=values[lo:hi])
             else:
-                if carry.values[b] is None:
-                    carry.values[b] = np.zeros((m, out.shape[1]))
-                carry.values[b][redo] = out
-            if not whole and b + 1 < self.cfg.num_blocks:
-                touched = layout.parent_rows[b + 1][dirty]
+                values[live_rows[lo:hi]] = self._block_output(b, pooled)
 
-    def _rows_output(self, b: int, pooled: np.ndarray, whole: bool) -> np.ndarray:
-        """Block ``b``'s output of the ``pooled`` rows: of a whole block as
-        they are, of some rows padded with zero rows to ``_MIN_PRODUCT_ROWS``."""
-        if whole or len(pooled) >= _MIN_PRODUCT_ROWS:
+    def _rows_output(self, b: int, pooled: np.ndarray) -> np.ndarray:
+        """Block ``b``'s output of some ``pooled`` rows of a block, padded
+        with zero rows to ``_MIN_PRODUCT_ROWS``."""
+        if len(pooled) >= _MIN_PRODUCT_ROWS:
             return self._block_output(b, pooled)
         padded = np.zeros((_MIN_PRODUCT_ROWS, pooled.shape[1]))
         padded[: len(pooled)] = pooled
         return self._block_output(b, padded)[: len(pooled)]
 
-    def _block_output(self, b: int, pooled: np.ndarray) -> np.ndarray:
-        """Rectified seeded linear map of block ``b`` (0-based)."""
-        out = pooled @ self._block_weights[b].T
+    def _block_output(self, b: int, pooled: np.ndarray, out=None) -> np.ndarray:
+        """Rectified seeded linear map of block ``b`` (0-based), into ``out``
+        when given."""
+        out = np.matmul(pooled, self._block_weights[b].T, out=out)
         # in place: a second (M, d) temporary costs more than the product
         return np.maximum(out, 0.0, out=out)
 
-    def _base_descriptors(self, rows, counts, per_point) -> np.ndarray:
-        """Descriptor rows of the base voxels that ``counts`` counts and
-        ``rows`` indexes, one row per ``per_point`` row.
+    def _base_descriptors(self, counts, sums, out) -> np.ndarray:
+        """``out`` holding the descriptor rows of the base voxels that
+        ``counts`` counts, whose points' offsets and intensities sum to
+        ``sums``; ``out``'s columns past those are the zero padding.
 
         Descriptor: excess point count (count - excess_offset, clipped at
         0), mean point offset from the voxel's lower corner (per axis, in
@@ -456,13 +502,9 @@ class ReferenceDetector:
         contribute no occupancy signal, so isolated noise and uniformly
         thinned clouds score near zero.
         """
-        m = len(counts)
-        values = np.zeros((m, self.cfg.feature_dim))
-        values[:, 0] = np.maximum(counts - self.cfg.excess_offset, 0.0)
-        # offsets and intensity share one scatter; columns sum independently
-        sums = _scatter_sum(rows, per_point, m)
-        values[:, 1 : per_point.shape[1] + 1] = sums / counts[:, None]
-        return values
+        out[:, 0] = np.maximum(counts - self.cfg.excess_offset, 0.0)
+        out[:, 1 : sums.shape[1] + 1] = sums / counts[:, None]
+        return out
 
     def _head(self, coords: np.ndarray, values: np.ndarray):
         activations = values @ self._score_vec
@@ -613,6 +655,26 @@ def _scatter_sum(inverse: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     flat = (inverse[:, None] * cols + np.arange(cols)).ravel()
     sums = np.bincount(flat, weights=values.ravel(), minlength=n * cols)
     return sums.reshape(n, cols)
+
+
+def _slab_edges(x: np.ndarray) -> list[int]:
+    """Bounds of the slabs over rows whose voxel x is ``x``, non-decreasing.
+
+    Each slab ends at the first change of x at least ``_SLAB_ROWS`` rows on,
+    and the last at the end; a last slab shorter than ``_MIN_PRODUCT_ROWS``
+    joins the one before. So every slab but a lone one holds at least
+    ``_MIN_PRODUCT_ROWS`` rows, and no voxel x spans two slabs.
+    """
+    changes = np.flatnonzero(x[1:] != x[:-1]) + 1
+    edges = [0]
+    while True:
+        i = int(np.searchsorted(changes, edges[-1] + _SLAB_ROWS))
+        if i == len(changes):
+            break
+        edges.append(int(changes[i]))
+    if len(edges) > 1 and len(x) - edges[-1] < _MIN_PRODUCT_ROWS:
+        edges.pop()
+    return edges + [len(x)] if len(x) else edges
 
 
 def _stable_argsort(held: np.ndarray) -> np.ndarray:

@@ -9,10 +9,12 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 from pcsaliency.detector import (
     _MIN_PRODUCT_ROWS,
     _NEIGHBOR_OFFSETS_26,
+    _SLAB_ROWS,
     ReferenceDetector,
     ReferenceDetectorConfig,
     _connected_components,
     _scatter_sum,
+    _slab_edges,
     _stable_argsort,
     grad_check,
 )
@@ -495,10 +497,10 @@ class CountingDeltas:
                 self.deltas.append(0)
             advance(*args)
 
-        def counted_rows_output(b, pooled, whole):
-            if not whole and on_cloud():
+        def counted_rows_output(b, pooled):
+            if on_cloud():
                 self.deltas[-1] += 1
-            return rows_output(b, pooled, whole)
+            return rows_output(b, pooled)
 
         monkeypatch.setattr(detector, "_advance", counted_advance)
         monkeypatch.setattr(detector, "_rows_output", counted_rows_output)
@@ -821,12 +823,105 @@ def test_product_rows_do_not_depend_on_the_row_count(detector):
         whole = detector._block_output(b, x)
         for size in (1, 5, 37, 38, 100, _MIN_PRODUCT_ROWS, _MIN_PRODUCT_ROWS + 1, 300, 1025, 4999):
             rows = np.sort(rng.choice(len(x), size=size, replace=False))
-            got = detector._rows_output(b, x[rows], whole=False)
+            got = detector._rows_output(b, x[rows])
             assert bits(got) == bits(whole[rows]), (
                 f"block {b + 1}: a product of {max(size, _MIN_PRODUCT_ROWS)} rows rounds "
                 f"differently from one of {len(x)} under BLAS {kernel}; curve steps "
                 f"would no longer equal fresh forwards"
             )
+
+
+def x_run_cloud(runs, seed=0):
+    """Points filling, for block-1 voxel x = 0, 1, ... in turn, the given
+    number of voxels (4 high, then along y), 3-6 points in each."""
+    rng = np.random.default_rng(seed)
+    corners = np.array([(x, j // 4, j % 4) for x, n in enumerate(runs) for j in range(n)])
+    corners = np.repeat(corners, rng.integers(3, 7, size=len(corners)), axis=0) * 0.25
+    xyz = corners + rng.uniform(0.0, 0.25, size=corners.shape)
+    return np.hstack([xyz, rng.uniform(size=(len(xyz), 1))])
+
+
+def whole_array_pass(detector, layout):
+    """Each block's values as one scatter over the whole block and one
+    product, from every point of the layout."""
+    m = len(layout.block_coords[0])
+    counts = np.bincount(layout.base_rows, minlength=m)
+    sums = _scatter_sum(layout.base_rows, layout.per_point, m)
+    padded = np.zeros((m, detector.cfg.feature_dim))
+    values = [detector._block_output(0, detector._base_descriptors(counts, sums, padded))]
+    for b in range(1, detector.cfg.num_blocks):
+        pooled = _scatter_sum(layout.parent_rows[b], values[-1], len(layout.block_coords[b]))
+        values.append(detector._block_output(b, pooled))
+    return values
+
+
+_SLAB_CASES = {
+    "63k-points": lambda: single_object_scene(0, n_noise_points=60_000)[0],
+    # 8 x-runs of 256 voxels fill two slabs, and a 10-voxel run joins the second
+    "short-last-x-run": lambda: x_run_cloud([256] * 8 + [10]),
+    "every-block-one-slab": lambda: single_object_scene(0, n_noise_points=300)[0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SLAB_CASES))
+def test_whole_blocks_in_slabs_equal_a_whole_array_pass(detector, case):
+    """The scene forward pools and multiplies each block in slabs; every
+    carried block has the bits of one scatter and one product over the
+    whole block."""
+    cloud = _SLAB_CASES[case]()
+    with detector.scene(cloud):
+        detector.detect(cloud)
+        layout, carry = detector._hold.layout, detector._hold.carry
+        sizes = [len(coords) for coords in layout.block_coords]
+        x = layout.block_coords[0][:, 0]
+        if case == "63k-points":
+            assert sizes[0] > 40 * _SLAB_ROWS and sizes[1] > 10 * _SLAB_ROWS
+        elif case == "short-last-x-run":
+            assert sizes[0] > 2 * _SLAB_ROWS and np.count_nonzero(x == x[-1]) < 38
+        else:
+            assert _MIN_PRODUCT_ROWS < max(sizes) < _SLAB_ROWS
+        want = whole_array_pass(detector, layout)
+        assert [bits(v) for v in carry.values] == [bits(v) for v in want]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(runs=st.lists(st.integers(1, 1500), min_size=1, max_size=40))
+def test_slab_edges_end_at_x_changes(runs):
+    x = np.repeat(np.arange(len(runs)) * 3, runs)
+    edges = _slab_edges(x)
+    assert edges[0] == 0 and edges[-1] == len(x) and edges == sorted(set(edges))
+    widths = np.diff(edges)
+    assert len(widths) == 1 or widths.min() >= _MIN_PRODUCT_ROWS
+    assert all(x[e - 1] != x[e] for e in edges[1:-1])
+    # a slab ends at the first x change past _SLAB_ROWS rows, unless the
+    # last slab would then be short and joins it
+    changes = set(np.flatnonzero(np.diff(x)) + 1)
+    for lo, hi in zip(edges[:-2], edges[1:-1]):
+        assert hi - lo >= _SLAB_ROWS and not changes & set(range(lo + _SLAB_ROWS, hi))
+
+
+def test_whole_pass_holds_no_block_sized_temporary():
+    """One ``detect`` at 63k points peaks at most a few slabs and block 1's
+    4-column point sums above what its scope then holds. A whole 49,580 ×
+    32 block-1 descriptor alone would take 12.7 MB."""
+    detector = ReferenceDetector()
+    cloud, _, _ = single_object_scene(0, n_noise_points=60_000)
+    with detector.scene(cloud):
+        tracemalloc.start()
+        try:
+            detector.detect(cloud)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        layout, carry = detector._hold.layout, detector._hold.carry
+        held = sum(a.nbytes for a in (
+            *carry.values, *carry.counts, carry.keep, carry.kept,
+            layout.inside, layout.base_rows, layout.per_point, layout.point_rows,
+            *layout.block_coords, *layout.parent_rows,
+        ))
+    # the point sums take ~3.6 MB here (a 4-entry int64 index per in-grid
+    # point and 4 doubles per voxel), a slab's temporaries ~0.3 MB per 1,024 rows
+    assert peak - held < 6 * 2**20, f"{(peak - held) / 2**20:.1f} MiB above the held arrays"
 
 
 def test_detect_subset_rejects_bad_masks(detector):
