@@ -61,16 +61,10 @@ class CanonicalGrid:
         np.add.at(self.sums.reshape(-1, len(maps)), cell, maps.T[inside])
         np.add.at(self.counts.reshape(-1), cell, 1)
 
-    def averages(self, m: int = 0) -> np.ndarray:
-        """Per-cell mean of map ``m``; empty cells are 0."""
-        out = np.zeros(self.resolution**3)
-        out[self._export.occupied] = self._export.values[m]
-        return out.reshape(self.counts.shape, order="F")
-
     @functools.cached_property
     def _export(self) -> _GridExport:
-        """What every map's files share, computed by the first write (or
-        ``averages``) after the last ``accumulate``."""
+        """What every map's files share, computed by the first write after
+        the last ``accumulate``."""
         counts = self.counts.ravel(order="F")
         occupied = np.flatnonzero(counts)
         n = counts[occupied]

@@ -133,13 +133,6 @@ class _Layout:
     parent_rows: list[np.ndarray]  # block b>=2: child row -> parent row
 
     @functools.cached_property
-    def point_rows(self) -> np.ndarray:
-        """Cloud point -> its in-grid point, -1 outside the grid."""
-        rows = np.full(len(self.inside), -1, dtype=np.int64)
-        rows[self.inside] = np.arange(len(self.base_rows))
-        return rows
-
-    @functools.cached_property
     def beneath(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per block, the entries beneath each row (in-grid points at block
         1, child rows above) in ascending order, as ``(entries, starts)``:
@@ -156,7 +149,8 @@ class _Layout:
 
 @dataclass
 class _Carry:
-    """The values pass of the last keep mask, over a layout's held rows.
+    """The values pass of the last keep mask over the in-grid points,
+    ``kept``, over a layout's held rows.
 
     Per block, ``counts`` counts what lies beneath each held row (its kept
     points at block 1, its live children above) and ``values`` holds each
@@ -164,30 +158,27 @@ class _Carry:
     stale. ``live`` is the number of live rows per block. ``activations``,
     ``clusters`` and ``detections`` are the head's answer on the last
     pass, over the live last-block rows: over every row when every point
-    is kept. ``everywhere`` is set when ``_forward`` moves the carry to
-    every point and cleared by the next move, so a call at every point on
-    a carry already there compares no masks.
+    is kept.
     """
 
-    keep: np.ndarray  # cloud point -> kept by the last pass
     kept: np.ndarray  # in-grid point -> kept by the last pass
     counts: list[np.ndarray]
     live: list[int]
-    values: list["np.ndarray | None"]
-    activations: "np.ndarray | None" = None
-    clusters: "list[np.ndarray] | None" = None
-    detections: "list[Detection] | None" = None
-    everywhere: bool = False
+    values: list[np.ndarray]
+    activations: np.ndarray
+    clusters: list[np.ndarray]
+    detections: list[Detection]
 
     @classmethod
-    def empty(cls, layout: _Layout) -> "_Carry":
-        """The state of no kept point: every row dead, no values yet."""
+    def empty(cls, layout: _Layout, dim: int) -> "_Carry":
+        """The state of no kept in-grid point: every row dead with zero
+        values, and no cluster or detection."""
         return cls(
-            np.zeros(len(layout.inside), dtype=bool),
             np.zeros(len(layout.base_rows), dtype=bool),
             [np.zeros(len(coords), dtype=np.int64) for coords in layout.block_coords],
             [0] * len(layout.block_coords),
-            [None] * len(layout.block_coords),
+            [np.zeros((len(coords), dim)) for coords in layout.block_coords],
+            np.zeros(0), [], [],
         )
 
 
@@ -225,16 +216,17 @@ class ReferenceDetector:
         one layout of its voxels and one carried values pass. Each call
         moves the carried pass to its keep mask, every point for
         ``detect``/``features``/``gradient``, recomputing only the rows
-        beneath the points whose keep flag flipped; a mask equal to the
-        carried one costs a comparison, and a call at every point on a
-        carry already there costs nothing. A ``detect_subset`` mask that keeps
-        every point once ``detect``/``features``/``gradient`` has run gets
-        the detections the scope holds for it and leaves the carry where
-        it is. Any other array, such as a perturbed copy, gets a scope of
-        its own. The match is by identity, not content, so the cloud must
-        not be mutated inside the block. A block nested in one on the same
-        array reuses the outer block's hold. Leaving the outermost block,
-        also by an exception, releases what is held.
+        beneath the in-grid points whose keep flag flipped; a mask equal
+        to the carried one in the grid costs a comparison, and a call at
+        every point on a carry already there costs nothing. A
+        ``detect_subset`` mask that keeps every point once
+        ``detect``/``features``/``gradient`` has run gets the detections
+        the scope holds for it and leaves the carry where it is. Any other
+        array, such as a perturbed copy, gets a scope of its own. The match
+        is by identity, not content, so the cloud must not be mutated inside
+        the block. A block nested in one on the same array reuses the outer
+        block's hold. Leaving the outermost block, also by an exception,
+        releases what is held.
         """
         outer = self._hold
         if outer is None or outer.cloud is not cloud:
@@ -308,28 +300,27 @@ class ReferenceDetector:
         whose detections it holds; a carry already there is not compared."""
         with self.scene(cloud):
             hold = self._hold
-            if hold.carry is None or not hold.carry.everywhere:
-                carry = self._pass(hold, np.ones(len(cloud), dtype=bool))
-                carry.everywhere = True
-                hold.detections = carry.detections
+            if hold.detections is None or not hold.carry.kept.all():
+                hold.detections = self._pass(hold, np.ones(len(cloud), dtype=bool)).detections
             return hold
 
     def _pass(self, hold: _SceneHold, keep: np.ndarray) -> _Carry:
         """The held carry moved to the cloud mask ``keep``, with the head's
         answer; the layout and the empty carry are built on first use.
 
-        A mask equal to the carried one returns the carry as it is. Every
-        mask keeps a point, so the empty carry is never returned.
+        The forward reads only in-grid points, so a mask equal to the
+        carried one there returns the carry as it is.
         """
         if hold.layout is None:
             hold.layout = self._layout(hold.cloud)
-            hold.carry = _Carry.empty(hold.layout)
+            hold.carry = _Carry.empty(hold.layout, self.cfg.feature_dim)
         layout, carry = hold.layout, hold.carry
-        flipped = np.flatnonzero(keep != carry.keep)
-        if len(flipped) == 0:
+        # a cloud wholly in the grid is compared as it is, with no per-step copy
+        in_grid = keep if len(keep) == len(carry.kept) else keep[layout.inside]
+        points = np.flatnonzero(in_grid != carry.kept)
+        if len(points) == 0:
             return carry
-        # a copy: the caller may change its mask in place
-        self._advance(layout, carry, keep.copy(), flipped)
+        self._advance(layout, carry, points)
         coords, values = layout.block_coords[-1], carry.values[-1]
         if carry.live[-1] < len(coords):
             live = carry.counts[-1] > 0
@@ -359,12 +350,12 @@ class ReferenceDetector:
             parent_rows.append(inverse)
         return _Layout(inside, base_rows, per_point, block_coords, parent_rows)
 
-    def _advance(self, layout: _Layout, carry: _Carry, keep: np.ndarray, flipped: np.ndarray):
-        """Move ``carry`` to the forward under the cloud mask ``keep``, which
-        differs from the carried mask at the cloud points ``flipped``.
+    def _advance(self, layout: _Layout, carry: _Carry, points: np.ndarray):
+        """Move ``carry`` to the forward whose keep flags differ from the
+        carried ones at the in-grid points ``points``.
 
         Only the rows beneath a flipped keep flag are dirty: a base voxel
-        under a flipped in-grid point, then each parent of a dirty child. A
+        under a flipped point, then each parent of a dirty child. A
         dirty row is recounted, and recomputed if live, from its kept points
         or live children in ascending order, which ``_scatter_sum`` adds as
         a whole pass does; the block product runs on those rows padded with
@@ -375,9 +366,6 @@ class ReferenceDetector:
         which have no more live rows. From the empty state every block is
         whole.
         """
-        carry.keep, carry.everywhere = keep, False
-        points = layout.point_rows[flipped]
-        points = points[points >= 0]  # the flipped points in the grid
         kept = carry.kept
         kept[points] = ~kept[points]
         whole = False
@@ -410,11 +398,9 @@ class ReferenceDetector:
                 if not live_below.all():
                     held = np.compress(live_below, held)
                     below = np.compress(live_below, below, axis=0)
-                redo, rows, n = _compact(held, m)
-                counts.fill(0)
-                counts[redo] = n
+                carry.counts[b], rows, n = _compact(held, m)
                 carry.live[b] = len(n)
-                self._whole_block(b, layout.block_coords[b], carry, redo, rows, n, below)
+                self._whole_block(b, layout.block_coords[b], carry, rows, n, below)
                 continue
             redo = n > 0
             rows = (np.cumsum(redo) - 1).take(group)
@@ -429,11 +415,11 @@ class ReferenceDetector:
             if b + 1 < self.cfg.num_blocks:
                 touched = layout.parent_rows[b + 1][dirty]
 
-    def _whole_block(self, b, coords, carry, redo, rows, n, below):
+    def _whole_block(self, b, coords, carry, rows, n, below):
         """Write block ``b``'s output over its live rows into the carried
-        values: ``redo`` marks the live rows among ``coords``, ``rows`` maps
-        each ``below`` row (a kept in-grid point at block 1, a live child
-        above) to its rank among them and ``n`` counts them.
+        values: the carried counts mark the live rows among ``coords``,
+        ``rows`` maps each ``below`` row (a kept in-grid point at block 1, a
+        live child above) to its rank among them and ``n`` counts them.
 
         The rows are pooled and multiplied in slabs (``_slab_edges``), so no
         temporary of the feature width grows with the block.
@@ -446,10 +432,8 @@ class ReferenceDetector:
         as a scatter over the whole block does.
         """
         values = carry.values[b]
-        if values is None:
-            values = carry.values[b] = np.zeros((len(coords), self.cfg.feature_dim))
         every = len(n) == len(coords)
-        live_rows = None if every else np.flatnonzero(redo)
+        live_rows = None if every else np.flatnonzero(carry.counts[b])
         edges = _slab_edges(coords[:, 0] if every else coords[live_rows, 0])
         if b == 0:
             # offsets and intensity share one scatter; columns sum independently
@@ -699,15 +683,15 @@ def _segments(entries: np.ndarray, starts: np.ndarray, rows: np.ndarray):
 
 
 def _compact(held: np.ndarray, n: int):
-    """``(live, rows, counts)`` of the used ones among ``n`` held rows:
-    ``live`` marks the held rows that ``held`` references, ``rows`` is
-    ``held`` renumbered to rank among them and ``counts`` their use counts,
-    as ``np.unique`` would return them for the subset."""
+    """``(counts, rows, used)`` of ``n`` held rows: ``counts`` counts each
+    row's uses in ``held``, ``rows`` is ``held`` renumbered to rank among
+    the used rows and ``used`` their counts, as ``np.unique`` would return
+    them for the subset."""
     counts = np.bincount(held, minlength=n)
     live = counts > 0
-    if live.all():  # no row to renumber: ``held`` itself, shared
-        return live, held, counts
-    return live, (np.cumsum(live) - 1).take(held), np.compress(live, counts)
+    if live.all():  # no row to renumber: ``held`` and ``counts`` themselves, shared
+        return counts, held, counts
+    return counts, (np.cumsum(live) - 1).take(held), np.compress(live, counts)
 
 
 def _connected_components(coords: np.ndarray, active: np.ndarray) -> list[np.ndarray]:

@@ -37,6 +37,14 @@ def one_blas_thread():
         blas["set_num_threads"](threads)
 
 
+def grid_averages(grid, m: int = 0) -> np.ndarray:
+    """Per-cell mean of a ``CanonicalGrid``'s map ``m`` as its files write
+    it, from the grid's cached export, at float64; empty cells are 0."""
+    out = np.zeros(grid.resolution**3)
+    out[grid._export.occupied] = grid._export.values[m]
+    return out.reshape(grid.counts.shape, order="F")
+
+
 @pytest.fixture(scope="session")
 def detector():
     return ReferenceDetector(ReferenceDetectorConfig())

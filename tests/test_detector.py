@@ -461,13 +461,17 @@ def test_subset_forward_bit_identical_on_random_clouds(seed, n, with_intensity, 
 
 def assert_carry_matches_fresh(detector, cloud, keep):
     """The scope's carried state, row for row, against a fresh forward on
-    the cloud under the carry's own recorded mask, which a held answer
-    (``keep`` keeping every point, or equal to that mask) leaves in place;
-    returns the fresh forward on ``cloud[keep]``."""
+    the cloud with every point outside the grid kept and the in-grid points
+    under the carry's own recorded mask, which a held answer (``keep``
+    keeping every point, or equal to that mask in the grid) leaves in
+    place; returns the fresh forward on ``cloud[keep]``."""
     hold = detector._hold
-    carry = hold.carry
-    assert bits(carry.kept) == bits(carry.keep[hold.layout.inside])
-    fresh = detector._forward(cloud[carry.keep])
+    carry, inside = hold.carry, hold.layout.inside
+    # only a mask keeping every point can be answered without moving the carry
+    assert keep.all() or bits(carry.kept) == bits(keep[inside])
+    carried = ~inside
+    carried[inside] = carry.kept
+    fresh = detector._forward(cloud[carried])
     assert carry.detections == fresh.detections
     for b, (coords, counts, values) in enumerate(
         zip(hold.layout.block_coords, carry.counts, carry.values)
@@ -476,7 +480,7 @@ def assert_carry_matches_fresh(detector, cloud, keep):
         assert carry.live[b] == np.count_nonzero(live)
         assert bits(np.compress(live, coords, axis=0)) == bits(fresh.layout.block_coords[b])
         assert bits(np.compress(live, values, axis=0)) == bits(fresh.carry.values[b])
-    if np.array_equal(carry.keep, keep):
+    if np.array_equal(carried, keep):
         return fresh
     return detector._forward(cloud[keep])
 
@@ -595,7 +599,7 @@ def test_steps_take_over_the_scene_forward_but_not_handed_out_maps():
         maps = [detector.features(cloud, b) for b in range(1, 5)]
         before = [bits(m.values) for m in maps]
         detector.detect_subset(cloud, keep)
-        assert bits(detector._hold.carry.keep) == bits(keep)
+        assert bits(detector._hold.carry.kept) == bits(keep[detector._hold.layout.inside])
         assert detector._hold.detections == ReferenceDetector().detect(cloud)
         assert [bits(m.values) for m in maps] == before
         assert bits(detector.features(cloud, 3).values) == before[2]
@@ -604,7 +608,7 @@ def test_steps_take_over_the_scene_forward_but_not_handed_out_maps():
 
 def carry_bits(carry):
     return (
-        bits(carry.keep), bits(carry.kept), [bits(c) for c in carry.counts], list(carry.live),
+        bits(carry.kept), [bits(c) for c in carry.counts], list(carry.live),
         [bits(v) for v in carry.values], carry.detections,
     )
 
@@ -665,12 +669,41 @@ def test_held_calls_at_every_point_compare_no_masks(monkeypatch):
         detector.detect_subset(cloud, np.arange(len(cloud)) % 9 != 0)
         assert detector.detect(cloud) == detections
         assert len(passes) == 2
-        assert detector._hold.carry.everywhere
+        assert detector._hold.carry.kept.all()
+
+
+def test_carried_scope_passes_over_flips_outside_the_grid(monkeypatch):
+    """The forward reads only in-grid points: a mask that drops only points
+    outside the grid, and the scene forward after it, are answered from the
+    carry with no values pass, and so is a fresh scope's mask that keeps
+    only those points."""
+    scene, _, _ = single_object_scene(0)
+    outside = np.array([[-1.0, 5.0, 1.0, 0.5], [5.0, 30.0, 1.0, 0.5], [5.0, 5.0, 9.0, 0.5]])
+    cloud = np.vstack([scene, outside])
+    keep = np.arange(len(cloud)) < len(scene)
+    detector = ReferenceDetector()
+    assert not detector.grid.contains(outside).any()
+    expected = ReferenceDetector().detect(cloud[keep])
+    assert ReferenceDetector().detect(cloud[~keep]) == []
+    advances = []
+    advance = ReferenceDetector._advance
+    monkeypatch.setattr(
+        ReferenceDetector, "_advance", lambda self, *args: advances.append(1) or advance(self, *args)
+    )
+    with detector.scene(cloud):
+        detections = detector.detect(cloud)
+        assert advances == [1]
+        assert detector.detect_subset(cloud, keep) == expected
+        assert detector.detect(cloud) == detections == expected
+        assert advances == [1]
+    with detector.scene(cloud):
+        assert detector.detect_subset(cloud, ~keep) == []
+        assert advances == [1]
 
 
 def test_a_mask_changed_in_place_is_a_new_step():
-    """The carry records a copy of the mask: a caller that flips points of
-    the same array, as the curves do, gets the delta of those flips."""
+    """The carry holds a mask of its own: a caller that flips points of the
+    same array, as the curves do, gets the delta of those flips."""
     detector = ReferenceDetector()
     cloud, _, _ = single_object_scene(1)
     keep = np.arange(len(cloud)) % 4 != 0
@@ -915,8 +948,8 @@ def test_whole_pass_holds_no_block_sized_temporary():
             tracemalloc.stop()
         layout, carry = detector._hold.layout, detector._hold.carry
         held = sum(a.nbytes for a in (
-            *carry.values, *carry.counts, carry.keep, carry.kept,
-            layout.inside, layout.base_rows, layout.per_point, layout.point_rows,
+            *carry.values, *carry.counts, carry.kept,
+            layout.inside, layout.base_rows, layout.per_point,
             *layout.block_coords, *layout.parent_rows,
         ))
     # the point sums take ~3.6 MB here (a 4-entry int64 index per in-grid
@@ -1010,14 +1043,14 @@ def test_connected_components_equal_the_numpy_scalar_form(case):
 @pytest.fixture
 def count_forwards(monkeypatch):
     """The clouds of the detector forwards actually computed: the values
-    passes that move the carry to every point kept."""
+    passes that leave the carry at every point kept."""
     calls = []
     advance = ReferenceDetector._advance
 
-    def counted(self, layout, carry, keep, flipped):
-        if keep.all():
+    def counted(self, layout, carry, points):
+        advance(self, layout, carry, points)
+        if carry.kept.all():
             calls.append(self._hold.cloud)
-        return advance(self, layout, carry, keep, flipped)
 
     monkeypatch.setattr(ReferenceDetector, "_advance", counted)
     return calls

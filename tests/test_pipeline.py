@@ -329,11 +329,11 @@ def work(monkeypatch):
     monkeypatch.setattr(ReferenceDetector, "features", counted("features", ReferenceDetector.features))
     advance = ReferenceDetector._advance
 
-    def counted_forward(self, layout, carry, keep, flipped):
-        # a forward is the values pass that moves the carry to every point kept
-        if keep.all():
+    def counted_forward(self, layout, carry, points):
+        # a forward is a values pass that leaves the carry at every point kept
+        advance(self, layout, carry, points)
+        if carry.kept.all():
             counts["forward"] += 1
-        return advance(self, layout, carry, keep, flipped)
 
     monkeypatch.setattr(ReferenceDetector, "_advance", counted_forward)
     monkeypatch.setattr(nmf, "factorize", counted("factorize", nmf.factorize))
